@@ -36,6 +36,9 @@ from .signals import speech_like
 
 MODES = ("single", "centralized", "distributed")
 
+# STFT framing of every dereverberation run; part of the fingerprint.
+STFT_WINDOW = WindowSpec()
+
 
 @dataclass
 class RunConfig:
@@ -70,6 +73,13 @@ class RunConfig:
                 "psd_floor": self.params.psd_floor,
                 "max_iters": self.params.max_iters,
                 "convergence_tol": self.params.convergence_tol,
+                "ridge_scale": self.params.ridge_scale,
+                "relaxation": self.params.relaxation,
+                "relaxation_decay": self.params.relaxation_decay,
+                "prox_scale": self.params.prox_scale,
+                "frame_len": STFT_WINDOW.frame_len,
+                "hop": STFT_WINDOW.hop,
+                "window_kind": STFT_WINDOW.window_kind,
                 "collab_period": self.collab_period,
                 "seed": self.seed,
                 "ref": self.ref_channel,
@@ -183,12 +193,12 @@ def dereverb(config: RunConfig, manifest: dict, manifest_dir: Path,
         if not (0 <= node < num_nodes):
             raise InvalidInputError(f"report node {node} out of range for {num_nodes} nodes")
     aligned, lags = netsim.synchronize(observations, config.ref_channel)
-    window = WindowSpec()
-    specs = [stft(sig, window, fs) for sig in aligned]
+    specs = [stft(sig, STFT_WINDOW, fs) for sig in aligned]
     n_frames, n_bins = specs[0].num_frames, specs[0].num_bins
     total_len = aligned[0].size
 
     estimates: dict[int, str] = {}
+    psd_floors: dict[str, float] = {}
     run_info: dict = {
         "mode": config.mode,
         "scenario_name": manifest["scenario_name"],
@@ -199,11 +209,12 @@ def dereverb(config: RunConfig, manifest: dict, manifest_dir: Path,
         "params": {
             "delay": config.params.delay,
             "filter_order": config.params.filter_order,
+            "psd_floor": config.params.psd_floor,
             "max_iters": config.params.max_iters,
             "convergence_tol": config.params.convergence_tol,
             "collab_period": config.collab_period,
         },
-        "window": {"frame_len": window.frame_len, "hop": window.hop},
+        "window": {"frame_len": STFT_WINDOW.frame_len, "hop": STFT_WINDOW.hop},
         "fingerprint": config.fingerprint(),
     }
 
@@ -225,6 +236,7 @@ def dereverb(config: RunConfig, manifest: dict, manifest_dir: Path,
         for node in config.report_nodes:
             result = run_node([specs[node]], 0, node)
             emit(node, result.desired)
+            psd_floors[str(node)] = result.psd_floor
             converged.append(result.trace.converged)
         run_info["converged"] = all(converged)
     elif config.mode == "centralized":
@@ -233,6 +245,7 @@ def dereverb(config: RunConfig, manifest: dict, manifest_dir: Path,
         for node in config.report_nodes:
             result = run_node(specs, node, node)
             emit(node, result.desired)
+            psd_floors[str(node)] = result.psd_floor
             converged.append(result.trace.converged)
             for sender in range(num_nodes):
                 if sender != node:
@@ -246,6 +259,7 @@ def dereverb(config: RunConfig, manifest: dict, manifest_dir: Path,
         ledger = result.ledger
         for node in range(num_nodes):
             emit(node, result.desired[node])
+            psd_floors[str(node)] = result.nodes[node].psd_floor
         result.trace.to_csv(outdir / "convergence.csv")
         run_info["rounds_run"] = result.rounds_run
         run_info["converged"] = result.converged
@@ -262,6 +276,7 @@ def dereverb(config: RunConfig, manifest: dict, manifest_dir: Path,
         config.mode, num_nodes, config.params.filter_order
     )
     run_info["estimates"] = {str(k): v for k, v in estimates.items()}
+    run_info["psd_floors"] = psd_floors
     (outdir / "run.json").write_text(json.dumps(run_info, indent=2) + "\n")
     return run_info
 

@@ -20,9 +20,10 @@ import numpy as np
 
 from .dsp import Spectrogram
 from .errors import InvalidInputError, MissingDataError
-from .metrics import ConvergenceTrace, convergence_error
+from .metrics import ConvergenceTrace
 from .netsim import Message, TransmissionLedger, deliver_round
 from .wpe import (
+    GramCache,
     PsdEstimate,
     Stream,
     WpeParams,
@@ -37,7 +38,9 @@ from .wpe import (
 
 @dataclass
 class NodeState:
-    """Everything one node owns: signal, filters, compressor, PSD, inbox."""
+    """Everything one node owns: signal, filters, compressor, PSD, inbox,
+    and the unweighted Gram of its current streams (rebuilt by the kernel
+    whenever the inbox holds new payload arrays)."""
 
     node_id: int
     num_nodes: int
@@ -50,6 +53,7 @@ class NodeState:
     inbox: dict[int, np.ndarray] = field(init=False, default_factory=dict)
     desired: np.ndarray = field(init=False)
     psd_floor: float = field(init=False)
+    gram: GramCache = field(init=False, default_factory=GramCache)
 
     def __post_init__(self):
         if not (0 <= self.node_id < self.num_nodes):
@@ -162,7 +166,8 @@ def local_solve(node: NodeState) -> tuple[np.ndarray, np.ndarray]:
     if node.psd is None:
         raise InvalidInputError("PSD estimate required before solving")
     streams = node.streams()
-    Z, q = normal_equations_all_bins(streams, node.local_spec.data, node.psd.values)
+    Z, q = normal_equations_all_bins(streams, node.local_spec.data, node.psd.values,
+                                     node.gram)
     L = node.params.filter_order
     if len(streams) > 1:
         w_prev = np.concatenate([node.local_weights, node.cross_weights], axis=1)

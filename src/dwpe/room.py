@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.signal import fftconvolve, lfilter
 
 from .errors import ConfigurationError, InvalidInputError
 
@@ -125,22 +125,16 @@ def _image_highpass(taps: np.ndarray, sample_rate: int,
 
     The all-positive image amplitudes otherwise accumulate into a large
     nonphysical response at DC; this is the classic companion filter of the
-    image method, implemented as in its original description.
+    image method, as in its original description: a two-pole recursion
+    y[n] = b1 y[n-1] + b2 y[n-2] + x[n] followed by the two-zero section
+    out[n] = y[n] + a1 y[n-1] + r1 y[n-2].
     """
     w = 2.0 * np.pi * cutoff_hz / sample_rate
     r1 = np.exp(-w)
     b1 = 2.0 * r1 * np.cos(w)
     b2 = -r1 * r1
     a1 = -(1.0 + r1)
-    out = np.zeros_like(taps)
-    y1 = y2 = y0 = 0.0
-    for n in range(taps.size):
-        x0 = taps[n]
-        y0 = b1 * y1 + b2 * y2 + x0
-        out[n] = y0 + a1 * y1 + r1 * y2
-        y2 = y1
-        y1 = y0
-    return out
+    return lfilter([1.0, a1, r1], [1.0, -b1, -b2], taps)
 
 
 def image_method_rir(scenario: RoomScenario, mic_index: int,

@@ -90,6 +90,25 @@ def schroeder_t60(taps: np.ndarray, sample_rate: int) -> float:
     return 3.0 * (i_lo - i_hi) / sample_rate
 
 
+def image_highpass_direct(taps: np.ndarray, sample_rate: int,
+                          cutoff_hz: float = 100.0) -> np.ndarray:
+    """Per-sample loop of the image-method RIR high-pass (two poles, then
+    two zeros), as in its original description."""
+    w = 2.0 * np.pi * cutoff_hz / sample_rate
+    r1 = np.exp(-w)
+    b1 = 2.0 * r1 * np.cos(w)
+    b2 = -r1 * r1
+    a1 = -(1.0 + r1)
+    out = np.zeros_like(taps)
+    y1 = y2 = 0.0
+    for n in range(taps.size):
+        y0 = b1 * y1 + b2 * y2 + taps[n]
+        out[n] = y0 + a1 * y1 + r1 * y2
+        y2 = y1
+        y1 = y0
+    return out
+
+
 def cross_correlation_argmax(a: np.ndarray, b: np.ndarray, max_lag: int) -> int:
     """Lag of max plain cross-correlation, positive when b lags a."""
     best_lag, best_val = 0, -np.inf

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dwpe import room
-from dwpe.cli import main, read_wav, write_wav
+from dwpe import cli, room, wpe
+from dwpe.cli import RunConfig, main, read_wav, write_wav
+from dwpe.dsp import WindowSpec
 from dwpe.signals import speech_like
 
 
@@ -90,6 +91,9 @@ def test_dereverb_single_mode(simulated, tmp_path):
     info = json.loads((outdir / "run.json").read_text())
     assert sorted(info["estimates"]) == ["0", "2"]
     assert info["per_frame_bin_transmissions"] == 0
+    assert info["params"]["psd_floor"] is None  # resolved per node from the data
+    assert sorted(info["psd_floors"]) == ["0", "2"]
+    assert all(v > 0 for v in info["psd_floors"].values())
     ledger = (outdir / "transmissions.csv").read_text().strip().splitlines()
     assert len(ledger) == 1  # header only: single mode moves nothing
 
@@ -124,6 +128,21 @@ def test_dereverb_centralized_ledger(simulated, tmp_path):
     assert len(rows) == 2
     n_frames_bins = sum(int(r["units"]) for r in rows) / 8
     assert n_frames_bins == int(n_frames_bins) > 0
+
+
+def test_fingerprint_covers_solver_and_window_settings(monkeypatch):
+    def fingerprint(**params):
+        return RunConfig(scenario_path="s.json", mode="distributed",
+                         params=wpe.WpeParams(**params)).fingerprint()
+
+    base = fingerprint()
+    assert fingerprint() == base
+    assert fingerprint(prox_scale=0.05) != base
+    assert fingerprint(ridge_scale=1e-6) != base
+    assert fingerprint(relaxation=0.5) != base
+    assert fingerprint(relaxation_decay=0.8) != base
+    monkeypatch.setattr(cli, "STFT_WINDOW", WindowSpec(frame_len=256, hop=64))
+    assert fingerprint() != base
 
 
 def test_dereverb_deterministic(simulated, tmp_path):

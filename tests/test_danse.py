@@ -181,6 +181,29 @@ def test_local_solve_sigma_scale_invariance(rng):
     np.testing.assert_allclose(w1, w2, rtol=1e-9)
 
 
+def test_local_solve_rebuilds_gram_for_new_inbox(rng):
+    params, specs, nodes = make_network(rng, num_nodes=3, frames=20)
+    node = nodes[0]
+
+    def payload(j):
+        g = rng.standard_normal((WINDOW.num_bins, 3)) + 1j * rng.standard_normal((WINDOW.num_bins, 3))
+        return compress_all_frames(specs[j].data, g, params)
+
+    node.inbox = {1: payload(1), 2: payload(2)}
+    node.psd = update_psd(node.desired, node.psd_floor)
+    local_solve(node)
+    gram = node.gram.C
+    local_solve(node)
+    assert node.gram.C is gram  # same streams: the Gram is kept
+    node.inbox[2] = payload(2)
+    got = np.concatenate(local_solve(node), axis=1)
+    fresh = NodeState(node_id=0, num_nodes=3, local_spec=specs[0], params=params)
+    fresh.inbox = dict(node.inbox)
+    fresh.psd = node.psd
+    want = np.concatenate(local_solve(fresh), axis=1)
+    np.testing.assert_array_equal(got, want)
+
+
 def test_all_zero_inbox_degenerates_to_local_weights(rng):
     params, specs, nodes = make_network(rng, num_nodes=2, frames=20,
                                         prox_scale=0.0)

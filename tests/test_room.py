@@ -16,7 +16,7 @@ from dwpe.room import (
     split_early_late,
 )
 
-from oracles import convolve_direct, schroeder_t60
+from oracles import convolve_direct, image_highpass_direct, schroeder_t60
 
 
 def anechoicish_scenario(mic=(4.0, 2.5, 1.5)):
@@ -89,6 +89,15 @@ def test_rir_deterministic():
     a = image_method_rir(scen, 2)
     b = image_method_rir(scen, 2)
     assert np.array_equal(a.taps, b.taps)
+
+
+def test_rir_highpass_matches_per_sample_loop():
+    scen = default_simulated_scenario()
+    for mic in (0, 7):
+        raw = image_method_rir(scen, mic, highpass=False).taps
+        want = image_highpass_direct(raw, scen.sample_rate)
+        got = image_method_rir(scen, mic).taps
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_rir_energy_decays():

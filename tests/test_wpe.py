@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dwpe import room
 from dwpe.dsp import Spectrogram, WindowSpec, stft
 from dwpe.errors import InvalidInputError, NumericalError, SolverError
+from dwpe.signals import speech_like
 from dwpe.wpe import (
+    GramCache,
     WpeParams,
     accumulate_normal_equations,
     build_delayed_vector,
+    normal_equations_all_bins,
     predict_desired,
     resolve_psd_floor,
     run_wpe,
@@ -171,6 +175,89 @@ def test_accumulate_nonfinite_raises():
     stacked = np.array([[np.inf + 0j, 0]])
     with pytest.raises(NumericalError):
         accumulate_normal_equations(stacked, np.array([1.0 + 0j]), np.array([1.0]))
+
+
+def stacked_by_loop(streams, k):
+    """(N, d) stacked observation of bin k, element by element."""
+    n_frames = streams[0][0].shape[0]
+    columns = []
+    for data, order, delay in streams:
+        for lag in range(order):
+            col = np.zeros(n_frames, dtype=complex)
+            for n in range(n_frames):
+                if n - delay - lag >= 0:
+                    col[n] = data[n - delay - lag, k]
+            columns.append(col)
+    return np.stack(columns, axis=1)
+
+
+def worst_relative_error(streams, ref, sigma, bins):
+    """Worst per-bin relative error of the split kernel's Z and q against
+    the double-loop oracle."""
+    Z, q = normal_equations_all_bins(streams, ref, sigma)
+    worst = 0.0
+    for k in bins:
+        Z_ref, q_ref = normal_equations_direct(stacked_by_loop(streams, k),
+                                               ref[:, k], sigma[:, k])
+        worst = max(worst,
+                    np.linalg.norm(Z[k] - Z_ref) / np.linalg.norm(Z_ref),
+                    np.linalg.norm(q[k] - q_ref) / np.linalg.norm(q_ref))
+    return worst
+
+
+def random_streams(rng, frames, bins):
+    a = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
+    b = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
+    return [(a, 3, 2), (b, 1, 0)], a
+
+
+def test_split_kernel_matches_oracle_mostly_floored(rng):
+    streams, ref = random_streams(rng, 60, 6)
+    sigma = np.ones((60, 6))
+    active = rng.random((60, 6)) < 0.15
+    sigma[active] = 10.0 ** rng.uniform(0.0, 3.0, active.sum())
+    assert np.mean(sigma == 1.0) >= 0.8
+    assert worst_relative_error(streams, ref, sigma, range(6)) <= 1e-13
+
+
+def test_split_kernel_matches_oracle_without_floored_cells(rng):
+    # no cell at the split constant and six decades of dynamic range: the
+    # subtraction cancels hardest here
+    streams, ref = random_streams(rng, 60, 6)
+    sigma = 10.0 ** rng.uniform(-3.0, 3.0, (60, 6))
+    assert worst_relative_error(streams, ref, sigma, range(6)) <= 1e-12
+
+
+def test_split_kernel_matches_oracle_on_shipped_room():
+    scen = room.default_simulated_scenario()
+    clean = speech_like(1.0, scen.sample_rate, seed=11)
+    specs = [
+        stft(room.render_observation(clean, scen.sample_rate,
+                                     room.image_method_rir(scen, i)),
+             WindowSpec(), scen.sample_rate).data
+        for i in (0, 1)
+    ]
+    ref = specs[0]
+    sigma = update_psd(ref, resolve_psd_floor(ref, None)).values
+    assert np.mean(sigma == sigma.min()) >= 0.8
+    streams = [(ref, 26, 4), (specs[1], 1, 0)]
+    assert worst_relative_error(streams, ref, sigma, (10, 40, 80, 160)) <= 1e-12
+
+
+def test_split_kernel_reuses_gram_for_same_arrays(rng):
+    streams, ref = random_streams(rng, 30, 4)
+    gram = GramCache()
+    sigma = np.maximum(np.abs(ref) ** 2, 0.5)
+    normal_equations_all_bins(streams, ref, sigma, gram)
+    C = gram.C
+    Z, q = normal_equations_all_bins(streams, ref, 2.0 * sigma, gram)
+    assert gram.C is C
+    Z_fresh, q_fresh = normal_equations_all_bins(streams, ref, 2.0 * sigma)
+    np.testing.assert_array_equal(Z, Z_fresh)
+    np.testing.assert_array_equal(q, q_fresh)
+    other = [(streams[0][0].copy(), 3, 2), streams[1]]
+    normal_equations_all_bins(other, ref, sigma, gram)
+    assert gram.C is not C
 
 
 def test_solve_identity():
