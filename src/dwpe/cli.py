@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,8 +33,6 @@ from .errors import (
 )
 from .metrics import cepstral_distance, fw_segmental_snr
 from .signals import speech_like
-
-MODES = ("single", "centralized", "distributed")
 
 # STFT framing of every dereverberation run; part of the fingerprint.
 STFT_WINDOW = WindowSpec()
@@ -54,8 +52,10 @@ class RunConfig:
     ref_channel: int = 0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigurationError(f"unknown mode {self.mode!r}; expected {MODES}")
+        if self.mode not in netsim.MODES:
+            raise ConfigurationError(
+                f"unknown mode {self.mode!r}; expected {netsim.MODES}"
+            )
         if self.mode == "distributed" and self.collab_period < 1:
             raise ConfigurationError(
                 f"collab_period must be >= 1 for distributed mode, got {self.collab_period}"
@@ -63,24 +63,20 @@ class RunConfig:
         if not self.report_nodes:
             raise ConfigurationError("at least one report node required")
 
+    def run_params(self) -> dict:
+        """Every solver setting of the run: all WpeParams fields plus the
+        collaboration period. Recorded in run.json and fingerprinted."""
+        return {**asdict(self.params), "collab_period": self.collab_period}
+
     def fingerprint(self) -> str:
         blob = json.dumps(
             {
+                **self.run_params(),
                 "scenario": os.path.basename(self.scenario_path),
                 "mode": self.mode,
-                "delay": self.params.delay,
-                "filter_order": self.params.filter_order,
-                "psd_floor": self.params.psd_floor,
-                "max_iters": self.params.max_iters,
-                "convergence_tol": self.params.convergence_tol,
-                "ridge_scale": self.params.ridge_scale,
-                "relaxation": self.params.relaxation,
-                "relaxation_decay": self.params.relaxation_decay,
-                "prox_scale": self.params.prox_scale,
                 "frame_len": STFT_WINDOW.frame_len,
                 "hop": STFT_WINDOW.hop,
                 "window_kind": STFT_WINDOW.window_kind,
-                "collab_period": self.collab_period,
                 "seed": self.seed,
                 "ref": self.ref_channel,
             },
@@ -206,14 +202,7 @@ def dereverb(config: RunConfig, manifest: dict, manifest_dir: Path,
         "sample_rate": fs,
         "lags": lags,
         "report_nodes": list(config.report_nodes),
-        "params": {
-            "delay": config.params.delay,
-            "filter_order": config.params.filter_order,
-            "psd_floor": config.params.psd_floor,
-            "max_iters": config.params.max_iters,
-            "convergence_tol": config.params.convergence_tol,
-            "collab_period": config.collab_period,
-        },
+        "params": config.run_params(),
         "window": {"frame_len": STFT_WINDOW.frame_len, "hop": STFT_WINDOW.hop},
         "fingerprint": config.fingerprint(),
     }
@@ -417,7 +406,7 @@ def report_tables(outdir: Path, filter_order: int, node_counts: list[int],
         writer.writerow(["scenario", "num_nodes", "filter_order", "mode",
                          "per_frame_bin_transmissions"])
         for m in node_counts:
-            for mode in ("single", "centralized", "distributed"):
+            for mode in netsim.MODES:
                 writer.writerow([
                     scenario, m, filter_order, mode,
                     netsim.count_transmissions(mode, m, filter_order),
@@ -471,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     der = sub.add_parser("dereverb", help="run a dereverberation mode")
     der.add_argument("--manifest", required=True, help="manifest.json from simulate")
-    der.add_argument("--mode", required=True, choices=MODES)
+    der.add_argument("--mode", required=True, choices=netsim.MODES)
     der.add_argument("--filter-order", type=int, default=26)
     der.add_argument("--delay", type=int, default=4)
     der.add_argument("--psd-floor", type=float, default=None)

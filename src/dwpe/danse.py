@@ -5,7 +5,10 @@ plus one compressed scalar stream per neighbor. The compressor a node
 broadcasts is its own local prediction filter, refreshed every collab_period
 rounds; between broadcasts neighbors keep using the last received snapshot.
 Compression is applied to the same delayed frames the local prediction uses,
-so both blocks of the extended observation share one time support.
+so both blocks of the extended observation share one time support, and the
+payload a node broadcasts is the local block of the late reverberation it
+has just predicted: node_round computes it once and both subtracts and sends
+it. All prediction runs through wpe.predict_all_bins.
 
 A single-node network runs exactly the single-channel code path of the wpe
 module: same kernels, same operation order, bit-identical output.
@@ -14,20 +17,18 @@ module: same kernels, same operation order, bit-identical output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dsp import Spectrogram
 from .errors import InvalidInputError, MissingDataError
-from .metrics import ConvergenceTrace
+from .metrics import ConvergenceTrace, convergence_error
 from .netsim import Message, TransmissionLedger, deliver_round
 from .wpe import (
     GramCache,
     PsdEstimate,
     Stream,
     WpeParams,
-    build_delayed_vector,
     normal_equations_all_bins,
     predict_all_bins,
     resolve_psd_floor,
@@ -96,58 +97,13 @@ class NodeState:
         return out
 
 
-def compress_frame(delayed_vector: np.ndarray, compressor: np.ndarray) -> complex:
-    """One compressed scalar: conjugate inner product of compressor and the
-    neighbor's delayed observation vector."""
-    delayed_vector = np.asarray(delayed_vector)
-    compressor = np.asarray(compressor)
-    if delayed_vector.shape != compressor.shape:
-        raise InvalidInputError(
-            f"compressor shape {compressor.shape} does not match vector "
-            f"{delayed_vector.shape}"
-        )
-    return complex(np.vdot(compressor, delayed_vector))
-
-
 def compress_all_frames(data: np.ndarray, compressor: np.ndarray,
                         params: WpeParams) -> np.ndarray:
-    """Compressed scalar stream for every (frame, bin) of one channel.
-
-    data is (N, K); compressor is (K, filter_order). Equivalent to
-    compress_frame applied to the delayed vector at each (n, k).
-    """
-    N, _ = data.shape
-    out = np.zeros_like(data)
-    for lag in range(params.filter_order):
-        shift = params.delay + lag
-        if shift < N:
-            out[shift:, :] += data[: N - shift, :] * compressor[:, lag].conj()[None, :]
-    return out
-
-
-def assemble_extended(local_vector: np.ndarray, inbox_row: Mapping[int, complex],
-                      neighbor_ids: Sequence[int]) -> np.ndarray:
-    """Extended observation: local delayed vector stacked over the compressed
-    scalars of all neighbors in ascending node-id order."""
-    missing = [j for j in neighbor_ids if j not in inbox_row]
-    if missing:
-        raise MissingDataError(f"no compressed data from neighbor {missing[0]}")
-    cross = np.array([inbox_row[j] for j in sorted(neighbor_ids)], dtype=np.complex128)
-    return np.concatenate([np.asarray(local_vector, dtype=np.complex128), cross])
-
-
-def local_predict(node: NodeState, n: int, k: int) -> complex:
-    """Desired-signal estimate at one (frame, bin) from the node's own
-    reference and its extended observation."""
-    local_vec = build_delayed_vector(node.local_spec, n, k, node.params)
-    if node.inbox:
-        inbox_row = {j: complex(node.inbox[j][n, k]) for j in node.inbox}
-        extended = assemble_extended(local_vec, inbox_row, node.neighbor_ids)
-        weights = np.concatenate([node.local_weights[k], node.cross_weights[k]])
-    else:
-        extended = local_vec
-        weights = node.local_weights[k]
-    return complex(node.local_spec.data[n, k] - np.vdot(weights, extended))
+    """Compressed scalar stream of one channel: the compressor applied to the
+    delayed frames at every (frame, bin), i.e. the channel's local-block
+    late-reverberation prediction. data is (N, K); compressor is
+    (K, filter_order)."""
+    return predict_all_bins([(data, params.filter_order, params.delay)], compressor)
 
 
 def local_solve(node: NodeState) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +148,9 @@ def node_round(node: NodeState, round_index: int,
                collab_period: int) -> np.ndarray | None:
     """One full local round: PSD update, weight solve, desired re-prediction;
     on every collab_period-th round also refresh the compressor and return
-    the compressed payload to broadcast.
+    the compressed payload to broadcast. The payload is the local block of
+    the late-reverberation prediction the round has just made: the compressor
+    is the local filter, applied to the same delayed frames.
 
     Once cross-node data is in play the weight update moves toward the
     solved value with the geometrically decaying step of params.step_size;
@@ -203,19 +161,19 @@ def node_round(node: NodeState, round_index: int,
         raise InvalidInputError(f"collab_period must be >= 1, got {collab_period}")
     node.psd = update_psd(node.desired, node.psd_floor)
     solved_local, solved_cross = local_solve(node)
-    streams = node.streams()
-    if len(streams) > 1:
+    cross = node.streams()[1:]
+    if cross:
         mu = node.params.step_size(round_index)
         node.local_weights = (1.0 - mu) * node.local_weights + mu * solved_local
         node.cross_weights = (1.0 - mu) * node.cross_weights + mu * solved_cross
-        weights = np.concatenate([node.local_weights, node.cross_weights], axis=1)
     else:
         node.local_weights, node.cross_weights = solved_local, solved_cross
-        weights = node.local_weights
-    node.desired = predict_all_bins(node.local_spec.data, streams, weights)
+    local_late = compress_all_frames(node.local_spec.data, node.local_weights, node.params)
+    late = local_late + predict_all_bins(cross, node.cross_weights) if cross else local_late
+    node.desired = node.local_spec.data - late
     if round_index % collab_period == 0:
         update_compressor(node)
-        return compress_all_frames(node.local_spec.data, node.compressor, node.params)
+        return local_late
     return None
 
 
@@ -271,11 +229,9 @@ def run_distributed(observations: list[Spectrogram], params: WpeParams,
         rounds_run = round_index
         changes = []
         for node, prev in zip(nodes, previous):
-            denom = float(np.linalg.norm(prev))
-            change = (
-                float(np.linalg.norm(node.desired - prev)) / denom
-                if denom > 0 else 0.0
-            )
+            # an all-zero previous estimate (silent node) has nothing left to change
+            change = (convergence_error(node.desired, prev)
+                      if np.linalg.norm(prev) > 0 else 0.0)
             changes.append(change)
             if round_index >= 2:
                 trace.add(node.node_id, round_index, change)

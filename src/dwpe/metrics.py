@@ -27,20 +27,6 @@ FSNR_WEIGHT_EXPONENT = 0.2
 
 
 @dataclass
-class MetricReport:
-    """Quality metrics for one (node, utterance) pair."""
-
-    cd: float
-    fsnr: float
-
-    def __post_init__(self):
-        if self.cd < CD_CLAMP[0]:
-            raise InvalidInputError(f"cd must be >= 0, got {self.cd}")
-        if not (FSNR_CLAMP[0] <= self.fsnr <= FSNR_CLAMP[1]):
-            raise InvalidInputError(f"fsnr {self.fsnr} outside clamp {FSNR_CLAMP}")
-
-
-@dataclass
 class ConvergenceTrace:
     """Round-over-round relative change of each node's desired signal."""
 

@@ -6,8 +6,12 @@ from a reference channel. The prediction weights minimize the PSD-weighted
 squared residual, alternating a closed-form per-bin weight solve with an
 update of the desired-signal PSD estimate (floored elementwise).
 
-The batched per-bin kernels here are shared with the distributed module so
-that the single-node network degenerates to exactly this code path.
+Each job has one batched kernel over all frequency bins: gather_cells and
+stack_chunk build delayed observation vectors, normal_equations_all_bins
+accumulates, solve_all_bins solves, and predict_all_bins returns the late
+reverberation that callers subtract from the reference. The distributed
+module runs the same kernels, so the single-node network degenerates to
+exactly this code path. Per-element references live in the tests.
 
 The weighted normal equations are split around c = min(sigma), which is
 the PSD floor whenever any cell is floored:
@@ -38,6 +42,7 @@ import numpy as np
 
 from .dsp import Spectrogram
 from .errors import InvalidInputError, NumericalError, SolverError
+from .metrics import convergence_error
 
 # Frames per accumulation chunk; fixed so operation order (and therefore
 # floating-point results) never depends on signal length or caller.
@@ -137,85 +142,6 @@ def update_psd(desired: np.ndarray, floor: float) -> PsdEstimate:
     """Elementwise max(|desired|^2, floor)."""
     power = np.abs(np.asarray(desired)) ** 2
     return PsdEstimate(values=np.maximum(power, floor), floor=floor)
-
-
-def build_delayed_vector(spectrogram: Spectrogram, n: int, k: int,
-                         params: WpeParams) -> np.ndarray:
-    """Delayed observation vector for frame n, bin k (0-based).
-
-    Element i is S(n - delay - i, k); frames before the signal start are zero.
-    """
-    if not (0 <= n < spectrogram.num_frames):
-        raise InvalidInputError(f"frame {n} out of range [0, {spectrogram.num_frames})")
-    if not (0 <= k < spectrogram.num_bins):
-        raise InvalidInputError(f"bin {k} out of range [0, {spectrogram.num_bins})")
-    out = np.zeros(params.filter_order, dtype=np.complex128)
-    for i in range(params.filter_order):
-        src = n - params.delay - i
-        if src >= 0:
-            out[i] = spectrogram.data[src, k]
-    return out
-
-
-def predict_desired(ref_frame: complex, stacked: np.ndarray,
-                    weights: np.ndarray) -> complex:
-    """Desired-signal estimate: reference minus the weighted prediction
-    (conjugate inner product)."""
-    stacked = np.asarray(stacked)
-    weights = np.asarray(weights)
-    if stacked.shape != weights.shape:
-        raise InvalidInputError(
-            f"weights shape {weights.shape} does not match stacked {stacked.shape}"
-        )
-    return complex(ref_frame - np.vdot(weights, stacked))
-
-
-def accumulate_normal_equations(stacked: np.ndarray, refs: np.ndarray,
-                                sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Normal equations of the PSD-weighted least-squares problem for one bin.
-
-    stacked is (N, d) with one delayed observation vector per frame, refs the
-    reference frames (N,), sigma the PSD weights (N,). Returns the Hermitian
-    accumulation matrix Z = sum_n s_n s_n^H / sigma_n and the correlation
-    vector q = sum_n s_n conj(ref_n) / sigma_n.
-    """
-    stacked = np.asarray(stacked, dtype=np.complex128)
-    refs = np.asarray(refs, dtype=np.complex128)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.min(initial=np.inf) <= 0:
-        raise InvalidInputError("sigma entries must be strictly positive")
-    with np.errstate(invalid="ignore"):
-        weighted = stacked / sigma[:, None]
-        Z = weighted.T @ stacked.conj()
-        q = weighted.T @ refs.conj()
-    if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(q))):
-        raise NumericalError("normal-equation accumulation produced non-finite values")
-    return Z, q
-
-
-def solve_weights(Z: np.ndarray, q: np.ndarray, ridge: float = 0.0) -> np.ndarray:
-    """Solve (Z + ridge I) w = q for one bin's prediction weights."""
-    Z = np.asarray(Z, dtype=np.complex128)
-    q = np.asarray(q, dtype=np.complex128)
-    if Z.ndim != 2 or Z.shape[0] != Z.shape[1] or q.shape != (Z.shape[0],):
-        raise InvalidInputError(f"dimension mismatch: Z {Z.shape}, q {q.shape}")
-    if ridge < 0:
-        raise InvalidInputError(f"ridge must be >= 0, got {ridge}")
-    A = Z + ridge * np.eye(Z.shape[0])
-    qn = float(np.linalg.norm(q))
-    if qn == 0.0:
-        return np.zeros_like(q)
-    try:
-        w = np.linalg.solve(A, q)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"singular system (condition ~ {np.linalg.cond(A):.3e})") from exc
-    residual = float(np.linalg.norm(A @ w - q))
-    if not np.all(np.isfinite(w)) or residual > SOLVE_RESIDUAL_TOL * qn:
-        raise SolverError(
-            f"ill-conditioned system: relative residual {residual / qn:.3e}, "
-            f"condition ~ {np.linalg.cond(A):.3e}"
-        )
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +322,14 @@ def solve_all_bins(Z: np.ndarray, q: np.ndarray, ridge_scale: float,
     return weights
 
 
-def predict_all_bins(ref_data: np.ndarray, streams: list[Stream],
-                     weights: np.ndarray) -> np.ndarray:
-    """Desired-signal estimate for all frames and bins.
+def predict_all_bins(streams: list[Stream], weights: np.ndarray) -> np.ndarray:
+    """Predicted late reverberation w^H x for all frames and bins; the
+    desired-signal estimate is the reference minus this.
 
     weights is (K, d) in the stream row order of `stack_chunk`.
     """
-    N, _ = ref_data.shape
-    late = np.zeros_like(ref_data)
+    N = streams[0][0].shape[0]
+    late = np.zeros_like(streams[0][0])
     row = 0
     for data, order, delay in streams:
         for lag in range(order):
@@ -412,7 +338,7 @@ def predict_all_bins(ref_data: np.ndarray, streams: list[Stream],
             if shift < N:
                 late[shift:, :] += data[: N - shift, :] * w_row
             row += 1
-    return ref_data - late
+    return late
 
 
 def weighted_cost(desired: np.ndarray, sigma: np.ndarray) -> float:
@@ -472,12 +398,10 @@ def run_wpe(observations: list[Spectrogram], ref_channel: int,
         psd = update_psd(desired, eps)
         Z, q = normal_equations_all_bins(streams, ref.data, psd.values, gram)
         weights = solve_all_bins(Z, q, params.ridge_scale)
-        new_desired = predict_all_bins(ref.data, streams, weights)
-        prev_norm = float(np.linalg.norm(desired))
-        change = (
-            float(np.linalg.norm(new_desired - desired)) / prev_norm
-            if prev_norm > 0 else 0.0
-        )
+        new_desired = ref.data - predict_all_bins(streams, weights)
+        # an all-zero previous estimate (silent input) has nothing left to change
+        change = (convergence_error(new_desired, desired)
+                  if np.linalg.norm(desired) > 0 else 0.0)
         desired = new_desired
         trace.iterations += 1
         trace.relative_change.append(change)

@@ -66,6 +66,22 @@ def gaussian_elimination_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def stacked_by_loop(streams, k: int) -> np.ndarray:
+    """(N, d) stacked observation of bin k, element by element: row n holds,
+    stream after stream, data[n - delay - lag, k] for lag = 0 .. order-1,
+    with zeros before the signal starts."""
+    n_frames = streams[0][0].shape[0]
+    columns = []
+    for data, order, delay in streams:
+        for lag in range(order):
+            col = np.zeros(n_frames, dtype=complex)
+            for n in range(n_frames):
+                if n - delay - lag >= 0:
+                    col[n] = data[n - delay - lag, k]
+            columns.append(col)
+    return np.stack(columns, axis=1)
+
+
 def normal_equations_direct(stacked: np.ndarray, refs: np.ndarray,
                             sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Double-loop accumulation of the weighted normal equations."""

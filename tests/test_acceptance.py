@@ -111,7 +111,7 @@ def test_criterion_4_solver_oracle_equivalence():
         B = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         Z = B @ B.conj().T + 0.1 * np.eye(dim)
         q = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        w = wpe.solve_weights(Z, q)
+        w = wpe.solve_all_bins(Z[None], q[None], ridge_scale=0.0)[0]
         w_ref = gaussian_elimination_solve(Z, q)
         assert np.linalg.norm(w - w_ref) <= 1e-10 * np.linalg.norm(w_ref)
     ok(4, f"200 random Hermitian solves match the elimination oracle ({time.time()-t0:.2f}s)")

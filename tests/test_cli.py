@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -92,6 +93,7 @@ def test_dereverb_single_mode(simulated, tmp_path):
     assert sorted(info["estimates"]) == ["0", "2"]
     assert info["per_frame_bin_transmissions"] == 0
     assert info["params"]["psd_floor"] is None  # resolved per node from the data
+    assert {f.name for f in dataclasses.fields(wpe.WpeParams)} <= set(info["params"])
     assert sorted(info["psd_floors"]) == ["0", "2"]
     assert all(v > 0 for v in info["psd_floors"].values())
     ledger = (outdir / "transmissions.csv").read_text().strip().splitlines()
@@ -143,6 +145,12 @@ def test_fingerprint_covers_solver_and_window_settings(monkeypatch):
     assert fingerprint(relaxation_decay=0.8) != base
     monkeypatch.setattr(cli, "STFT_WINDOW", WindowSpec(frame_len=256, hop=64))
     assert fingerprint() != base
+
+
+def test_fingerprint_is_stable():
+    # earlier runs' metrics.csv rows and run.json files must keep matching
+    config = RunConfig("scenarios/simulated_12node.json", "distributed")
+    assert config.fingerprint() == "4f7ad535b4c6"
 
 
 def test_dereverb_deterministic(simulated, tmp_path):

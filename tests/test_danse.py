@@ -4,20 +4,24 @@ from hypothesis import given, settings, strategies as st
 
 from dwpe.danse import (
     NodeState,
-    assemble_extended,
     compress_all_frames,
-    compress_frame,
-    local_predict,
     local_solve,
     node_round,
     run_distributed,
     update_compressor,
 )
 from dwpe.dsp import Spectrogram, WindowSpec
-from dwpe.errors import InvalidInputError, MissingDataError
-from dwpe.wpe import WpeParams, build_delayed_vector, predict_desired, run_wpe, update_psd
+from dwpe.errors import MissingDataError
+from dwpe.wpe import (
+    WpeParams,
+    gather_cells,
+    predict_all_bins,
+    run_wpe,
+    streams_dim,
+    update_psd,
+)
 
-from oracles import normal_equations_direct
+from oracles import normal_equations_direct, stacked_by_loop
 
 WINDOW = WindowSpec(frame_len=14, hop=7)
 
@@ -41,27 +45,31 @@ def make_network(rng, num_nodes=2, frames=12, **param_overrides):
 
 
 def test_compress_frame_zero_compressor(rng):
-    vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    assert compress_frame(vec, np.zeros(4)) == 0
+    spec = random_spec(rng)
+    params = WpeParams(delay=2, filter_order=3)
+    out = compress_all_frames(spec.data, np.zeros((WINDOW.num_bins, 3)), params)
+    assert np.all(out == 0)
 
 
 def test_compress_frame_basis_selects_element(rng):
-    vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    e1 = np.zeros(4)
-    e1[0] = 1.0
-    assert compress_frame(vec, e1) == pytest.approx(vec[0])
+    # compressor e0 in every bin picks the first delayed frame, n - delay
+    spec = random_spec(rng)
+    params = WpeParams(delay=2, filter_order=3)
+    e0 = np.zeros((WINDOW.num_bins, 3))
+    e0[:, 0] = 1.0
+    out = compress_all_frames(spec.data, e0, params)
+    for n, k in ((2, 0), (7, 4), (11, 7)):
+        assert out[n, k] == pytest.approx(spec.data[n - 2, k])
 
 
 def test_compress_frame_hand_inner_product():
-    comp = np.array([1 + 1j, 2 - 1j, 0.5j, 3.0])
+    # one bin, delay 1, four lags: at frame 4 the delayed vector is x(3..0)
+    params = WpeParams(delay=1, filter_order=4)
+    data = np.array([[1j], [4.0], [1 + 1j], [2 - 1j], [0.0]])
+    comp = np.array([[1 + 1j, 2 - 1j, 0.5j, 3.0]])
     vec = np.array([2 - 1j, 1 + 1j, 4.0, 1j])
-    expected = np.sum(np.conj(comp) * vec)
-    assert compress_frame(vec, comp) == pytest.approx(expected)
-
-
-def test_compress_frame_length_mismatch():
-    with pytest.raises(InvalidInputError):
-        compress_frame(np.zeros(3), np.zeros(4))
+    expected = np.sum(np.conj(comp[0]) * vec)
+    assert compress_all_frames(data, comp, params)[4, 0] == pytest.approx(expected)
 
 
 def test_compress_all_frames_matches_scalar_op(rng):
@@ -70,48 +78,58 @@ def test_compress_all_frames_matches_scalar_op(rng):
     compressor = rng.standard_normal((WINDOW.num_bins, 3)) \
         + 1j * rng.standard_normal((WINDOW.num_bins, 3))
     out = compress_all_frames(spec.data, compressor, params)
-    for n in (0, 4, 11):
-        for k in (0, 5):
-            vec = build_delayed_vector(spec, n, k, params)
-            assert out[n, k] == pytest.approx(compress_frame(vec, compressor[k]))
+    for k in (0, 5):
+        stacked = stacked_by_loop([(spec.data, 3, 2)], k)
+        for n in (0, 4, 11):
+            assert out[n, k] == pytest.approx(np.vdot(compressor[k], stacked[n]))
 
 
 def test_assemble_extended_length(rng):
-    local = rng.standard_normal(3) + 0j
-    out = assemble_extended(local, {1: 2 + 1j}, [1])
-    assert out.shape == (4,)
-    np.testing.assert_array_equal(out[:3], local)
-    assert out[3] == 2 + 1j
+    params, specs, nodes = make_network(rng)
+    node = nodes[0]
+    assert len(node.streams()) == 1  # no inbox yet: local block only
+    node.inbox[1] = specs[1].data
+    (local, order, delay), (cross, *cross_shape) = node.streams()
+    assert local is specs[0].data and (order, delay) == (3, 2)
+    assert cross is specs[1].data and cross_shape == [1, 0]
+    assert streams_dim(node.streams()) == params.filter_order + 1
 
 
-def test_assemble_extended_order_markers():
+def test_assemble_extended_order_markers(rng):
     # distinct markers confirm ascending neighbor order after the local block
-    local = np.array([10.0, 20.0])
-    inbox_row = {3: 33j, 1: 11j, 2: 22j}
-    out = assemble_extended(local, inbox_row, [1, 2, 3])
-    np.testing.assert_array_equal(out, [10.0, 20.0, 11j, 22j, 33j])
+    _, specs, nodes = make_network(rng, num_nodes=4)
+    node = nodes[0]
+    for j, marker in ((3, 33j), (1, 11j), (2, 22j)):
+        node.inbox[j] = np.full_like(specs[0].data, marker)
+    vec = gather_cells(node.streams(), np.array([5]), np.array([1]))[:, 0]
+    np.testing.assert_array_equal(vec, [specs[0].data[3, 1], specs[0].data[2, 1],
+                                        specs[0].data[1, 1], 11j, 22j, 33j])
 
 
-def test_assemble_extended_missing_neighbor():
+def test_assemble_extended_missing_neighbor(rng):
+    _, specs, nodes = make_network(rng, num_nodes=3)
+    nodes[0].inbox[1] = specs[1].data
     with pytest.raises(MissingDataError, match="neighbor 2"):
-        assemble_extended(np.zeros(2), {1: 1.0}, [1, 2])
+        nodes[0].streams()
 
 
 def test_local_predict_zero_weights_returns_observation(rng):
     _, specs, nodes = make_network(rng)
     node = nodes[0]
-    assert local_predict(node, 5, 3) == pytest.approx(specs[0].data[5, 3])
+    node.inbox[1] = specs[1].data
+    late = predict_all_bins(node.streams(), np.zeros((WINDOW.num_bins, 4)))
+    np.testing.assert_array_equal(specs[0].data - late, specs[0].data)
 
 
 def test_local_predict_single_node_matches_predict_desired(rng):
-    params, specs, nodes = make_network(rng, num_nodes=1)
+    _, specs, nodes = make_network(rng, num_nodes=1)
     node = nodes[0]
-    node.local_weights = rng.standard_normal((WINDOW.num_bins, 3)) \
-        + 1j * rng.standard_normal((WINDOW.num_bins, 3))
-    n, k = 6, 2
-    vec = build_delayed_vector(specs[0], n, k, params)
-    expected = predict_desired(specs[0].data[n, k], vec, node.local_weights[k])
-    assert local_predict(node, n, k) == pytest.approx(expected)
+    node_round(node, 1, collab_period=2)
+    assert np.linalg.norm(node.local_weights) > 0
+    stacked = stacked_by_loop(node.streams(), 2)
+    for n in (0, 6, 11):
+        expected = specs[0].data[n, 2] - np.vdot(node.local_weights[2], stacked[n])
+        assert node.desired[n, 2] == pytest.approx(expected)
 
 
 def test_local_predict_matches_explicit_compressed_path(rng):
@@ -119,17 +137,16 @@ def test_local_predict_matches_explicit_compressed_path(rng):
     node = nodes[0]
     g = rng.standard_normal((WINDOW.num_bins, 3)) + 1j * rng.standard_normal((WINDOW.num_bins, 3))
     node.inbox[1] = compress_all_frames(specs[1].data, g, params)
-    node.local_weights = rng.standard_normal((WINDOW.num_bins, 3)) \
-        + 1j * rng.standard_normal((WINDOW.num_bins, 3))
-    node.cross_weights = rng.standard_normal((WINDOW.num_bins, 1)) \
-        + 1j * rng.standard_normal((WINDOW.num_bins, 1))
-    n, k = 7, 4
-    local_vec = build_delayed_vector(specs[0], n, k, params)
-    neighbor_vec = build_delayed_vector(specs[1], n, k, params)
-    extended = np.concatenate([local_vec, [compress_frame(neighbor_vec, g[k])]])
+    node_round(node, 1, collab_period=2)
+    assert np.linalg.norm(node.cross_weights) > 0
+    k = 4
+    local = stacked_by_loop([(specs[0].data, 3, 2)], k)
+    neighbor = stacked_by_loop([(specs[1].data, 3, 2)], k)
     weights = np.concatenate([node.local_weights[k], node.cross_weights[k]])
-    expected = predict_desired(specs[0].data[n, k], extended, weights)
-    assert local_predict(node, n, k) == pytest.approx(expected)
+    for n in (3, 7, 11):
+        extended = np.concatenate([local[n], [np.vdot(g[k], neighbor[n])]])
+        expected = specs[0].data[n, k] - np.vdot(weights, extended)
+        assert node.desired[n, k] == pytest.approx(expected)
 
 
 def test_local_solve_single_node_reduces_to_centralized(rng):
@@ -154,10 +171,7 @@ def test_local_solve_matches_double_loop_oracle(rng):
     node.psd = update_psd(node.desired, node.psd_floor)
     local, cross = local_solve(node)
     k = 3
-    stacked = np.zeros((6, 3), dtype=complex)
-    for n in range(6):
-        stacked[n, :2] = build_delayed_vector(specs[0], n, k, params)
-        stacked[n, 2] = node.inbox[1][n, k]
+    stacked = stacked_by_loop(node.streams(), k)
     Z, q = normal_equations_direct(stacked, specs[0].data[:, k], node.psd.values[:, k])
     w = np.linalg.solve(Z, q)
     got = np.concatenate([local[k], cross[k]])
@@ -251,11 +265,16 @@ def test_node_round_collab_one_always_broadcasts(rng):
 def test_node_round_broadcast_equals_weights(rng):
     params, specs, nodes = make_network(rng)
     node = nodes[0]
+    node.inbox[1] = specs[1].data
     payload = node_round(node, 2, collab_period=2)
     np.testing.assert_array_equal(node.compressor, node.local_weights)
     np.testing.assert_array_equal(
         payload, compress_all_frames(specs[0].data, node.compressor, params)
     )
+    # the payload is the local block of the prediction the round subtracted
+    cross = predict_all_bins(node.streams()[1:], node.cross_weights)
+    np.testing.assert_allclose(node.desired, specs[0].data - payload - cross,
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_stale_inbox_fixed_point(rng):
@@ -336,3 +355,19 @@ def test_distributed_solve_dimension(rng):
     assert node.cross_weights.shape == (WINDOW.num_bins, 2)
     # some cross weight is actually in use after the first broadcast
     assert np.linalg.norm(node.cross_weights) > 0
+
+
+def test_silent_observation_gives_silent_output(rng):
+    # an all-zero previous estimate has no relative change: it must count as
+    # converged, not raise
+    silent = Spectrogram(np.zeros((16, WINDOW.num_bins), dtype=complex), 16000, WINDOW)
+    params = WpeParams(delay=2, filter_order=3, max_iters=4)
+    single = run_wpe([silent], 0, params)
+    assert single.trace.converged
+    assert np.all(single.desired.data == 0)
+    alone = run_distributed([silent], params, collab_period=2)
+    assert alone.converged
+    assert np.all(alone.desired[0].data == 0)
+    pair = run_distributed([silent, random_spec(rng, 16)], params, collab_period=2)
+    assert pair.rounds_run == 4
+    assert np.all(pair.desired[0].data == 0)

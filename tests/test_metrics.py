@@ -7,7 +7,6 @@ from dwpe.metrics import (
     FSNR_CLAMP,
     MEL_BANDS,
     ConvergenceTrace,
-    MetricReport,
     _mel_filterbank,
     cepstral_distance,
     convergence_error,
@@ -167,10 +166,3 @@ def test_trace_one_value_per_node_round(tmp_path):
     assert lines[0] == "node,round,error"
     assert len(lines) == 4
 
-
-def test_metric_report_validation():
-    MetricReport(cd=1.0, fsnr=10.0)
-    with pytest.raises(InvalidInputError):
-        MetricReport(cd=-0.1, fsnr=0.0)
-    with pytest.raises(InvalidInputError):
-        MetricReport(cd=1.0, fsnr=99.0)

@@ -9,18 +9,18 @@ from dwpe.signals import speech_like
 from dwpe.wpe import (
     GramCache,
     WpeParams,
-    accumulate_normal_equations,
-    build_delayed_vector,
+    gather_cells,
     normal_equations_all_bins,
-    predict_desired,
+    predict_all_bins,
     resolve_psd_floor,
     run_wpe,
-    solve_weights,
+    solve_all_bins,
+    stack_chunk,
     update_psd,
     weighted_cost,
 )
 
-from oracles import gaussian_elimination_solve, normal_equations_direct
+from oracles import gaussian_elimination_solve, normal_equations_direct, stacked_by_loop
 
 
 def random_spectrogram(rng, frames=10, window=None):
@@ -43,27 +43,38 @@ def test_params_validation():
         WpeParams(relaxation=1.5)
 
 
+def delayed_vectors(spec, params, frames, bins):
+    """Delayed observation vectors of single-stream cells as (cells, order)
+    rows, from both kernels that build them; they must agree exactly."""
+    streams = [(spec.data, params.filter_order, params.delay)]
+    frames, bins = np.asarray(frames), np.asarray(bins)
+    gathered = gather_cells(streams, frames, bins).T
+    chunk = stack_chunk(streams, 0, spec.num_frames, slice(0, spec.num_bins))
+    np.testing.assert_array_equal(gathered, chunk[bins, :, frames])
+    return gathered
+
+
 def test_delayed_vector_all_zero_before_signal(rng):
     spec = random_spectrogram(rng)
     params = WpeParams(delay=3, filter_order=4)
-    for n in range(3):  # n < delay: every index is pre-signal
-        assert np.all(build_delayed_vector(spec, n, 2, params) == 0)
+    # n < delay: every index is pre-signal
+    assert np.all(delayed_vectors(spec, params, [0, 1, 2], [2, 2, 2]) == 0)
 
 
 def test_delayed_vector_order_one(rng):
     spec = random_spectrogram(rng)
     params = WpeParams(delay=2, filter_order=1)
-    vec = build_delayed_vector(spec, 7, 3, params)
-    assert vec.shape == (1,)
-    assert vec[0] == spec.data[5, 3]
+    vec = delayed_vectors(spec, params, [7], [3])
+    assert vec.shape == (1, 1)
+    assert vec[0, 0] == spec.data[5, 3]
 
 
 def test_delayed_vector_explicit_case(rng):
     spec = random_spectrogram(rng, frames=10)
     params = WpeParams(delay=2, filter_order=3)
-    vec = build_delayed_vector(spec, 8, 1, params)
+    vec = delayed_vectors(spec, params, [8], [1])
     expected = np.array([spec.data[6, 1], spec.data[5, 1], spec.data[4, 1]])
-    np.testing.assert_array_equal(vec, expected)
+    np.testing.assert_array_equal(vec[0], expected)
 
 
 @settings(max_examples=40, deadline=None)
@@ -73,44 +84,35 @@ def test_delayed_vector_indexing_property(n, k, delay, order, seed):
     rng = np.random.default_rng(seed)
     spec = random_spectrogram(rng)
     params = WpeParams(delay=delay, filter_order=order)
-    vec = build_delayed_vector(spec, n, k, params)
+    vec = delayed_vectors(spec, params, [n], [k])[0]
     for i in range(order):
         src = n - delay - i
         expected = spec.data[src, k] if src >= 0 else 0.0
         assert vec[i] == expected
 
 
-def test_delayed_vector_range_checks(rng):
+def test_predict_desired_zero_weights(rng):
     spec = random_spectrogram(rng)
-    params = WpeParams(delay=1, filter_order=2)
-    with pytest.raises(InvalidInputError):
-        build_delayed_vector(spec, 10, 0, params)
-    with pytest.raises(InvalidInputError):
-        build_delayed_vector(spec, 0, 99, params)
+    late = predict_all_bins([(spec.data, 2, 1)], np.zeros((spec.num_bins, 2)))
+    np.testing.assert_array_equal(spec.data - late, spec.data)
 
 
-def test_predict_desired_zero_weights():
-    stacked = np.array([1 + 2j, 3 - 1j])
-    assert predict_desired(5 + 1j, stacked, np.zeros(2)) == 5 + 1j
-
-
-def test_predict_desired_zero_stacked():
-    weights = np.array([1 + 2j, 3 - 1j])
-    assert predict_desired(5 + 1j, np.zeros(2), weights) == 5 + 1j
+def test_predict_desired_zero_stacked(rng):
+    weights = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    late = predict_all_bins([(np.zeros((10, 8), dtype=complex), 2, 1)], weights)
+    assert np.all(late == 0)
 
 
 def test_predict_desired_hand_expanded():
-    weights = np.array([1 + 1j, 2 - 1j])
-    stacked = np.array([3 + 0j, 1 + 4j])
-    # w^H s = conj(1+1j)*3 + conj(2-1j)*(1+4j)
-    wh_s = (1 - 1j) * 3 + (2 + 1j) * (1 + 4j)
-    expected = (10 + 10j) - wh_s
-    assert predict_desired(10 + 10j, stacked, weights) == pytest.approx(expected)
-
-
-def test_predict_desired_length_mismatch():
-    with pytest.raises(InvalidInputError):
-        predict_desired(1.0, np.zeros(3), np.zeros(2))
+    # one bin, frames [0, 3, 1+4j, 0], delay 1, two lags: the delayed
+    # vector is [3, 0] at frame 2 and [1+4j, 3] at frame 3
+    data = np.array([[0.0], [3.0], [1 + 4j], [0.0]], dtype=complex)
+    weights = np.array([[1 + 1j, 2 - 1j]])
+    late = predict_all_bins([(data, 2, 1)], weights)
+    # w^H x = conj(1+1j)*x0 + conj(2-1j)*x1
+    assert late[2, 0] == pytest.approx((1 - 1j) * 3)
+    assert late[3, 0] == pytest.approx((1 - 1j) * (1 + 4j) + (2 + 1j) * 3)
+    assert late[0, 0] == 0 and late[1, 0] == 0
 
 
 def test_update_psd_above_floor():
@@ -136,59 +138,54 @@ def test_update_psd_elementwise_property(seed, floor):
     assert psd.values.min() >= floor
 
 
+def random_streams(rng, frames, bins):
+    a = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
+    b = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
+    return [(a, 3, 2), (b, 1, 0)], a
+
+
 def test_accumulate_rank_one_basis():
-    stacked = np.zeros((1, 3), dtype=complex)
-    stacked[0, 0] = 1.0
-    Z, q = accumulate_normal_equations(stacked, np.array([2 + 1j]), np.array([1.0]))
+    # one frame, one bin, whose stacked vector is the basis vector e0 of C^3
+    streams = [(np.ones((1, 1), dtype=complex), 1, 0),
+               (np.zeros((1, 1), dtype=complex), 2, 0)]
+    Z, q = normal_equations_all_bins(streams, np.array([[2 + 1j]]), np.ones((1, 1)))
     expected_Z = np.zeros((3, 3))
     expected_Z[0, 0] = 1.0
-    np.testing.assert_allclose(Z, expected_Z)
-    np.testing.assert_allclose(q, [2 - 1j, 0, 0])
+    np.testing.assert_allclose(Z[0], expected_Z)
+    np.testing.assert_allclose(q[0], [2 - 1j, 0, 0])
 
 
 def test_accumulate_sigma_scaling(rng):
-    stacked = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-    refs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    sigma = rng.random(6) + 0.5
-    Z1, q1 = accumulate_normal_equations(stacked, refs, sigma)
-    Z2, q2 = accumulate_normal_equations(stacked, refs, 3.0 * sigma)
+    streams, ref = random_streams(rng, 12, 3)
+    sigma = rng.random((12, 3)) + 0.5
+    Z1, q1 = normal_equations_all_bins(streams, ref, sigma)
+    Z2, q2 = normal_equations_all_bins(streams, ref, 3.0 * sigma)
     np.testing.assert_allclose(Z2, Z1 / 3.0, rtol=1e-12)
     np.testing.assert_allclose(q2, q1 / 3.0, rtol=1e-12)
-    w1 = solve_weights(Z1, q1)
-    w2 = solve_weights(Z2, q2)
+    w1 = solve_all_bins(Z1, q1, ridge_scale=0.0)
+    w2 = solve_all_bins(Z2, q2, ridge_scale=0.0)
     np.testing.assert_allclose(w1, w2, rtol=1e-9)
 
 
 def test_accumulate_matches_double_loop(rng):
-    stacked = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    refs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    sigma = rng.random(3) + 0.2
-    Z, q = accumulate_normal_equations(stacked, refs, sigma)
-    Z_ref, q_ref = normal_equations_direct(stacked, refs, sigma)
-    np.testing.assert_allclose(Z, Z_ref, rtol=1e-12)
-    np.testing.assert_allclose(q, q_ref, rtol=1e-12)
-    # Hermitian by construction
-    np.testing.assert_allclose(Z, Z.conj().T, rtol=1e-12)
+    streams, ref = random_streams(rng, 7, 2)
+    sigma = rng.random((7, 2)) + 0.2
+    Z, q = normal_equations_all_bins(streams, ref, sigma)
+    for k in range(2):
+        Z_ref, q_ref = normal_equations_direct(stacked_by_loop(streams, k),
+                                               ref[:, k], sigma[:, k])
+        np.testing.assert_allclose(Z[k], Z_ref, rtol=1e-12)
+        np.testing.assert_allclose(q[k], q_ref, rtol=1e-12)
+        # Hermitian by construction
+        np.testing.assert_allclose(Z[k], Z[k].conj().T, rtol=1e-12)
 
 
-def test_accumulate_nonfinite_raises():
-    stacked = np.array([[np.inf + 0j, 0]])
-    with pytest.raises(NumericalError):
-        accumulate_normal_equations(stacked, np.array([1.0 + 0j]), np.array([1.0]))
-
-
-def stacked_by_loop(streams, k):
-    """(N, d) stacked observation of bin k, element by element."""
-    n_frames = streams[0][0].shape[0]
-    columns = []
-    for data, order, delay in streams:
-        for lag in range(order):
-            col = np.zeros(n_frames, dtype=complex)
-            for n in range(n_frames):
-                if n - delay - lag >= 0:
-                    col[n] = data[n - delay - lag, k]
-            columns.append(col)
-    return np.stack(columns, axis=1)
+def test_accumulate_nonfinite_raises(rng):
+    streams, ref = random_streams(rng, 6, 2)
+    bad = streams[1][0].copy()
+    bad[1, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        normal_equations_all_bins([streams[0], (bad, 1, 0)], ref, np.ones((6, 2)))
 
 
 def worst_relative_error(streams, ref, sigma, bins):
@@ -203,12 +200,6 @@ def worst_relative_error(streams, ref, sigma, bins):
                     np.linalg.norm(Z[k] - Z_ref) / np.linalg.norm(Z_ref),
                     np.linalg.norm(q[k] - q_ref) / np.linalg.norm(q_ref))
     return worst
-
-
-def random_streams(rng, frames, bins):
-    a = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
-    b = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
-    return [(a, 3, 2), (b, 1, 0)], a
 
 
 def test_split_kernel_matches_oracle_mostly_floored(rng):
@@ -261,35 +252,32 @@ def test_split_kernel_reuses_gram_for_same_arrays(rng):
 
 
 def test_solve_identity():
-    q = np.array([1 + 2j, 3 - 1j, 0.5j])
-    w = solve_weights(np.eye(3), q, ridge=0.0)
+    q = np.array([[1 + 2j, 3 - 1j, 0.5j]])
+    w = solve_all_bins(np.eye(3)[None], q, ridge_scale=0.0)
     np.testing.assert_allclose(w, q, rtol=1e-12)
 
 
 def test_solve_scalar_diag():
-    w = solve_weights(np.array([[2.0]]), np.array([4.0]))
-    np.testing.assert_allclose(w, [2.0])
+    w = solve_all_bins(np.array([[[2.0]]]), np.array([[4.0]]), ridge_scale=0.0)
+    np.testing.assert_allclose(w, [[2.0]])
 
 
 def test_solve_matches_elimination_oracle(rng):
-    B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    Z = B @ B.conj().T + 0.5 * np.eye(4)
-    q = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    w = solve_weights(Z, q)
-    w_ref = gaussian_elimination_solve(Z, q)
-    np.testing.assert_allclose(w, w_ref, rtol=1e-10)
+    B = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    Z = B @ B.conj().transpose(0, 2, 1) + 0.5 * np.eye(4)
+    q = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    w = solve_all_bins(Z, q, ridge_scale=0.0)
+    for k in range(3):
+        np.testing.assert_allclose(w[k], gaussian_elimination_solve(Z[k], q[k]),
+                                   rtol=1e-10)
 
 
 def test_solve_singular_raises():
-    Z = np.zeros((2, 2))
-    q = np.array([1.0, 1.0])
-    with pytest.raises(SolverError):
-        solve_weights(Z, q, ridge=0.0)
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(InvalidInputError):
-        solve_weights(np.eye(3), np.ones(2))
+    # rank one with a nonzero trace, so the bin is solved, not skipped as silent
+    Z = np.ones((1, 2, 2))
+    q = np.array([[1.0, 0.0]])
+    with pytest.raises(SolverError, match="bin 0"):
+        solve_all_bins(Z, q, ridge_scale=0.0)
 
 
 def test_resolve_psd_floor():
@@ -376,19 +364,17 @@ def test_run_wpe_wls_optimality(rng):
     # perturbing the solved weights never decreases the weighted quadratic
     # cost evaluated with the sigma that solve used (one iteration: the
     # floored reference power)
-    from dwpe.wpe import predict_all_bins
-
     ref, other, _ = make_reverb_pair(rng, frames=300)
     params = WpeParams(delay=2, filter_order=3, max_iters=1, convergence_tol=0.0)
     result = run_wpe([ref, other], 0, params)
     sigma = update_psd(ref.data, result.psd_floor).values
     streams = [(ref.data, 3, 2), (other.data, 3, 2)]
-    base_cost = float(np.sum(np.abs(predict_all_bins(ref.data, streams, result.weights)) ** 2 / sigma))
+    base_cost = float(np.sum(np.abs(ref.data - predict_all_bins(streams, result.weights)) ** 2 / sigma))
     worst = 0.0
     for _ in range(5):
         delta = 1e-4 * (rng.standard_normal(result.weights.shape)
                         + 1j * rng.standard_normal(result.weights.shape))
-        cost = float(np.sum(np.abs(predict_all_bins(ref.data, streams, result.weights + delta)) ** 2 / sigma))
+        cost = float(np.sum(np.abs(ref.data - predict_all_bins(streams, result.weights + delta)) ** 2 / sigma))
         worst = min(worst, cost - base_cost)
     assert worst >= -1e-6 * base_cost
 
