@@ -213,9 +213,9 @@ def dereverb(config: RunConfig, manifest: dict, manifest_dir: Path,
         write_wav(outdir / name, fs, estimate)
         estimates[node] = name
 
-    def run_node(channels, ref, node):
+    def run_node(channels, ref, node, gram=None):
         try:
-            return wpe.run_wpe(channels, ref, config.params)
+            return wpe.run_wpe(channels, ref, config.params, gram)
         except (SolverError, NumericalError) as exc:
             raise type(exc)(f"node {node}: {exc}") from exc
 
@@ -231,8 +231,11 @@ def dereverb(config: RunConfig, manifest: dict, manifest_dir: Path,
     elif config.mode == "centralized":
         ledger = netsim.TransmissionLedger(mode="centralized")
         converged = []
+        # every report node predicts from the same gathered streams, so they
+        # share one Gram C; only g follows the reference
+        gram = wpe.GramCache()
         for node in config.report_nodes:
-            result = run_node(specs, node, node)
+            result = run_node(specs, node, node, gram)
             emit(node, result.desired)
             psd_floors[str(node)] = result.psd_floor
             converged.append(result.trace.converged)

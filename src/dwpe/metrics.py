@@ -101,38 +101,37 @@ def _check_pair(reference: np.ndarray, estimate: np.ndarray) -> tuple[np.ndarray
     return reference, estimate
 
 
-def _lpc(frame: np.ndarray, order: int) -> np.ndarray | None:
-    """Levinson-Durbin LPC coefficients a[1..order]; None for degenerate frames."""
-    r = np.array([np.dot(frame[: frame.size - k], frame[k:]) for k in range(order + 1)])
-    if r[0] <= 0:
-        return None
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    err = r[0]
-    for i in range(1, order + 1):
-        if err <= 0:
-            return None
-        acc = r[i] + np.dot(a[1:i], r[i - 1 : 0 : -1])
-        k = -acc / err
-        new = a.copy()
-        for j in range(1, i):
-            new[j] = a[j] + k * a[i - j]
-        new[i] = k
-        a = new
-        err *= 1.0 - k * k
-    return a[1:]
+def _lpc(frames: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levinson-Durbin LPC coefficients a[1..order] of every row of
+    `frames`, shape (n, order), and a mask of the rows that are not
+    degenerate (zero energy, or a prediction error that reaches zero)."""
+    n, length = frames.shape
+    r = np.stack([np.einsum("ij,ij->i", frames[:, : length - k], frames[:, k:])
+                  for k in range(order + 1)], axis=1)
+    a = np.zeros((n, order + 1))
+    a[:, 0] = 1.0
+    err = r[:, 0].copy()
+    usable = np.ones(n, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(1, order + 1):
+            usable &= ~(err <= 0)
+            acc = r[:, i] + np.sum(a[:, 1:i] * r[:, i - 1 : 0 : -1], axis=1)
+            k = -acc / err
+            a[:, 1:i] += k[:, None] * a[:, i - 1 : 0 : -1]
+            a[:, i] = k
+            err *= 1.0 - k * k
+    return a[:, 1:], usable
 
 
-def _lpc_cepstrum(a: np.ndarray, order: int) -> np.ndarray:
-    """Cepstrum c[1..order] of the all-pole model with denominator 1 + sum a."""
-    c = np.zeros(order + 1)
+def _lpc_cepstrum(a: np.ndarray) -> np.ndarray:
+    """Cepstrum c[1..order] of the all-pole models with denominators
+    1 + sum a, one per row of a (n, order)."""
+    n, order = a.shape
+    c = np.zeros((n, order + 1))
     for m in range(1, order + 1):
-        acc = a[m - 1] if m <= a.size else 0.0
-        for j in range(1, m):
-            am = a[m - j - 1] if (m - j) <= a.size else 0.0
-            acc += (j / m) * c[j] * am
-        c[m] = -acc
-    return c[1:]
+        j = np.arange(1, m)
+        c[:, m] = -(a[:, m - 1] + np.sum((j / m) * c[:, 1:m] * a[:, m - 1 - j], axis=1))
+    return c[:, 1:]
 
 
 def cepstral_distance(reference: np.ndarray, estimate: np.ndarray,
@@ -140,7 +139,8 @@ def cepstral_distance(reference: np.ndarray, estimate: np.ndarray,
     """Mean LPC-cepstrum distance in dB over active frames (lower is better).
 
     The zeroth cepstral coefficient is excluded, so the measure is invariant
-    to a global gain on either signal.
+    to a global gain on either signal. Frames where either LPC fit is
+    degenerate are skipped.
     """
     reference, estimate = _check_pair(reference, estimate)
     frame_len = int(round(FRAME_SECONDS * sample_rate))
@@ -149,20 +149,14 @@ def cepstral_distance(reference: np.ndarray, estimate: np.ndarray,
     ref_frames = _frame_signal(reference, frame_len, hop)
     est_frames = _frame_signal(estimate, frame_len, hop)
     active = _active_frames(ref_frames)
-    scale = 10.0 / np.log(10.0)
-    values = []
-    for rf, ef in zip(ref_frames[active], est_frames[active]):
-        a_ref = _lpc(rf * window, LPC_ORDER)
-        a_est = _lpc(ef * window, LPC_ORDER)
-        if a_ref is None or a_est is None:
-            continue
-        c_ref = _lpc_cepstrum(a_ref, LPC_ORDER)
-        c_est = _lpc_cepstrum(a_est, LPC_ORDER)
-        dist = scale * np.sqrt(2.0 * np.sum((c_ref - c_est) ** 2))
-        values.append(np.clip(dist, *CD_CLAMP))
-    if not values:
+    a_ref, ok_ref = _lpc(ref_frames[active] * window, LPC_ORDER)
+    a_est, ok_est = _lpc(est_frames[active] * window, LPC_ORDER)
+    usable = ok_ref & ok_est
+    if not np.any(usable):
         raise UndefinedMetricError("no usable active frames for cepstral distance")
-    return float(np.mean(values))
+    diff = _lpc_cepstrum(a_ref[usable]) - _lpc_cepstrum(a_est[usable])
+    dist = 10.0 / np.log(10.0) * np.sqrt(2.0 * np.sum(diff ** 2, axis=1))
+    return float(np.mean(np.clip(dist, *CD_CLAMP)))
 
 
 def _mel_filterbank(num_bands: int, n_fft: int, sample_rate: int) -> np.ndarray:
@@ -201,19 +195,16 @@ def fw_segmental_snr(reference: np.ndarray, estimate: np.ndarray,
     ref_frames = _frame_signal(reference, frame_len, hop)
     err_frames = _frame_signal(reference - estimate, frame_len, hop)
     active = _active_frames(ref_frames)
-    values = []
-    for rf, ef in zip(ref_frames[active], err_frames[active]):
-        ref_power = bank @ (np.abs(np.fft.rfft(rf * window, n=n_fft)) ** 2)
-        err_power = bank @ (np.abs(np.fft.rfft(ef * window, n=n_fft)) ** 2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            band_snr = 10.0 * np.log10(ref_power / err_power)
-        band_snr = np.where(err_power > 0, band_snr, np.inf)
-        usable = ref_power > 0
-        if not np.any(usable):
-            continue
-        weights = ref_power[usable] ** FSNR_WEIGHT_EXPONENT
-        frame_snr = float(np.sum(weights * band_snr[usable]) / np.sum(weights))
-        values.append(float(np.clip(frame_snr, *FSNR_CLAMP)))
-    if not values:
+    ref_power = (np.abs(np.fft.rfft(ref_frames[active] * window, n=n_fft, axis=1)) ** 2) @ bank.T
+    err_power = (np.abs(np.fft.rfft(err_frames[active] * window, n=n_fft, axis=1)) ** 2) @ bank.T
+    usable = ref_power > 0
+    kept = np.any(usable, axis=1)
+    if not np.any(kept):
         raise UndefinedMetricError("no usable active frames for fw-segmental SNR")
-    return float(np.mean(values))
+    ref_power, err_power, usable = ref_power[kept], err_power[kept], usable[kept]
+    weights = np.where(usable, ref_power, 0.0) ** FSNR_WEIGHT_EXPONENT
+    with np.errstate(divide="ignore", invalid="ignore"):
+        band_snr = np.where(err_power > 0, 10.0 * np.log10(ref_power / err_power), np.inf)
+        weighted = np.where(usable, weights * band_snr, 0.0)
+    frame_snr = np.sum(weighted, axis=1) / np.sum(weights, axis=1)
+    return float(np.mean(np.clip(frame_snr, *FSNR_CLAMP)))

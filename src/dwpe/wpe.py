@@ -19,13 +19,16 @@ the PSD floor whenever any cell is floored:
     Z = C/c - sum_{sigma > c} x x^H (1/c - 1/sigma)
     q = g/c - sum_{sigma > c} x conj(ref) (1/c - 1/sigma)
 
-C = sum x x^H and g = sum x conj(ref) are unweighted, so they depend only
-on the stream arrays and are built once per stream set (a GramCache holds
-them). Every other call touches only the unfloored cells, which on speech
-are a small share of the time-frequency plane: the per-call cost scales
-with their number, O(nnz d^2), instead of O(N K d^2). The O(N K d^2) Gram
-build happens at the start of a run and, in distributed mode, whenever a
-node's inbox changes (at each broadcast).
+C = sum x x^H and g = sum x conj(ref) are unweighted: C depends only on the
+stream arrays and g also on the reference array, and a GramCache keeps each
+until what it depends on changes. Every other call touches only the
+unfloored cells, which on speech are a small share of the time-frequency
+plane: the per-call cost scales with their number, O(nnz d^2), instead of
+O(N K d^2). The O(N K d^2) build of C happens once per run, once per
+centralized dereverb (its report nodes share one cache and rebuild only
+the O(N K d) g), and, in distributed mode, whenever a node's inbox changes
+(at each broadcast). solve_all_bins consumes Z (the ridge goes onto its
+diagonal in place), so a centralized solve holds C and Z and no copy.
 
 The subtraction cancels most where unfloored cells with sigma >> c carry
 most of the energy. With the default floor (PSD_FLOOR_FRACTION) Z agrees
@@ -205,39 +208,49 @@ class GramCache:
     C = sum_n x_n x_n^H, shape (K, d, d), and g = sum_n x_n conj(ref_n),
     shape (K, d).
 
-    normal_equations_all_bins fills it and rebuilds it whenever it is called
-    with stream or reference arrays other than (by identity) the ones it was
-    built from, so callers never invalidate it by hand. Arrays must not be
-    modified in place while a cache built from them is in use.
+    Each part is keyed by what it depends on: C by the stream arrays, g by
+    the stream arrays and the reference array (both compared by identity).
+    normal_equations_all_bins rebuilds whatever part is stale, so callers
+    never invalidate it by hand, and one cache can serve every reference
+    of the same streams (the report nodes of a centralized run) with one
+    build of C. Arrays must not be modified in place while a cache built
+    from them is in use.
     """
 
     C: np.ndarray | None = None
     g: np.ndarray | None = None
-    sources: tuple = ()
+    streams: tuple = ()
+    ref: np.ndarray | None = None
 
-    def holds(self, streams: list[Stream], ref_data: np.ndarray) -> bool:
-        if self.C is None or len(self.sources) != len(streams) + 1:
-            return False
-        cached_ref, *cached = self.sources
-        return cached_ref is ref_data and all(
+    def holds_gram(self, streams: list[Stream]) -> bool:
+        return self.C is not None and len(self.streams) == len(streams) and all(
             a is data and (oa, da) == (order, delay)
-            for (a, oa, da), (data, order, delay) in zip(cached, streams)
+            for (a, oa, da), (data, order, delay) in zip(self.streams, streams)
         )
 
-    def build(self, streams: list[Stream], ref_data: np.ndarray) -> None:
-        """Accumulate C and g in fixed bin blocks and frame chunks."""
+    def update(self, streams: list[Stream], ref_data: np.ndarray) -> None:
+        """Rebuild the stale parts in one pass over fixed bin blocks and
+        frame chunks; g is rebuilt whenever C is."""
+        build_C = not self.holds_gram(streams)
+        if not build_C and self.ref is ref_data:
+            return
         N, K = ref_data.shape
         d = streams_dim(streams)
-        self.C = np.zeros((K, d, d), dtype=np.complex128)
+        # forget the sources first, so a failed build is never reused
+        self.streams, self.ref = (), None
+        if build_C:
+            self.C = None  # free the stale Gram before allocating the new one
+            self.C = np.zeros((K, d, d), dtype=np.complex128)
         self.g = np.zeros((K, d), dtype=np.complex128)
         for k0 in range(0, K, GRAM_BLOCK_BINS):
             bins = slice(k0, min(k0 + GRAM_BLOCK_BINS, K))
             for start in range(0, N, CHUNK_FRAMES):
                 stop = min(start + CHUNK_FRAMES, N)
                 X = stack_chunk(streams, start, stop, bins)  # (bins, d, n)
-                self.C[bins] += X @ X.conj().transpose(0, 2, 1)
+                if build_C:
+                    self.C[bins] += X @ X.conj().transpose(0, 2, 1)
                 self.g[bins] += (X @ ref_data[start:stop, bins].conj().T[:, :, None])[..., 0]
-        self.sources = (ref_data, *streams)
+        self.streams, self.ref = tuple(streams), ref_data
 
 
 def normal_equations_all_bins(streams: list[Stream], ref_data: np.ndarray,
@@ -247,15 +260,15 @@ def normal_equations_all_bins(streams: list[Stream], ref_data: np.ndarray,
 
     Z = C/c minus a correction over the cells with sigma > c, each weighted
     by 1/c - 1/sigma in [0, 1/c); q likewise (see the module docstring).
-    `gram` caches C and g between calls: it is built here when empty or
-    built from other arrays. Without one, a throwaway Gram is built.
+    `gram` caches C and g between calls: the parts that are empty or were
+    built from other arrays are rebuilt here. Without one, a throwaway Gram
+    is built.
 
     Returns Z of shape (K, d, d) and q of shape (K, d).
     """
     if gram is None:
         gram = GramCache()
-    if not gram.holds(streams, ref_data):
-        gram.build(streams, ref_data)
+    gram.update(streams, ref_data)
     K = ref_data.shape[1]
     c = float(sigma.min())
     Z = gram.C / c
@@ -286,6 +299,10 @@ def solve_all_bins(Z: np.ndarray, q: np.ndarray, ridge_scale: float,
     (Z + (ridge + lam) I) w = q + lam prox_to with lam = prox_scale*trace/d.
     Bins whose accumulation is identically zero (silent bins) get zero
     weights. Returns weights of shape (K, d).
+
+    Z is consumed: the ridge is added to its diagonal in place and the
+    solve runs on Z itself, so no (K, d, d) copy is made unless some bin
+    is silent.
     """
     K, d, _ = Z.shape
     weights = np.zeros((K, d), dtype=np.complex128)
@@ -293,13 +310,17 @@ def solve_all_bins(Z: np.ndarray, q: np.ndarray, ridge_scale: float,
     live = trace > 0
     if not np.any(live):
         return weights
-    ridge = ridge_scale * trace[live] / d
-    rhs = q[live]
+    ridge = ridge_scale * trace / d
+    rhs = q
     if prox_scale > 0.0 and prox_to is not None:
-        lam = prox_scale * trace[live] / d
+        lam = prox_scale * trace / d
         ridge = ridge + lam
-        rhs = rhs + lam[:, None] * prox_to[live]
-    A = Z[live] + ridge[:, None, None] * np.eye(d)[None, :, :]
+        rhs = rhs + lam[:, None] * prox_to
+    diagonal = np.einsum("kii->ki", Z)  # a writable view
+    diagonal += ridge[:, None]
+    A = Z
+    if not np.all(live):
+        A, rhs = Z[live], rhs[live]
     try:
         w = np.linalg.solve(A, rhs[:, :, None])[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -367,13 +388,16 @@ class WpeResult:
 
 
 def run_wpe(observations: list[Spectrogram], ref_channel: int,
-            params: WpeParams) -> WpeResult:
+            params: WpeParams, gram: GramCache | None = None) -> WpeResult:
     """Batch WPE over M observation channels.
 
     Alternates the PSD update with the per-bin closed-form weight solve and
     the desired-signal re-prediction until the desired spectrogram changes by
     less than convergence_tol (relative Frobenius) or max_iters is reached.
     M = 1 is the single-channel variant.
+
+    `gram` lets runs over the same observation arrays share one Gram C
+    (see GramCache); without one, the run keeps its own.
     """
     if not observations:
         raise InvalidInputError("at least one observation channel required")
@@ -393,11 +417,13 @@ def run_wpe(observations: list[Spectrogram], ref_channel: int,
     trace = WpeTrace()
     weights = np.zeros((ref.num_bins, streams_dim(streams)), dtype=np.complex128)
     ref_norm = float(np.linalg.norm(ref.data))
-    gram = GramCache()
+    if gram is None:
+        gram = GramCache()
     for _ in range(params.max_iters):
         psd = update_psd(desired, eps)
         Z, q = normal_equations_all_bins(streams, ref.data, psd.values, gram)
         weights = solve_all_bins(Z, q, params.ridge_scale)
+        del Z  # consumed by the solve; not kept through the next accumulation
         new_desired = ref.data - predict_all_bins(streams, weights)
         # an all-zero previous estimate (silent input) has nothing left to change
         change = (convergence_error(new_desired, desired)

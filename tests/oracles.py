@@ -186,3 +186,105 @@ def accumulation_tally(mode: str, num_nodes: int, filter_order: int,
             for _ in range(d):
                 muls += 1      # scaled element * conj(element)
     return muls, divs
+
+
+def _metric_frames(x: np.ndarray, frame_len: int, hop: int) -> list:
+    return [x[start : start + frame_len]
+            for start in range(0, x.size - frame_len + 1, hop)]
+
+
+def _active_by_loop(ref_frames: list, threshold_db: float) -> list:
+    energies = [float(np.sum(f ** 2)) for f in ref_frames]
+    peak = max(energies)
+    return [e >= peak * 10.0 ** (threshold_db / 10.0) for e in energies]
+
+
+def lpc_by_loop(frame: np.ndarray, order: int):
+    """Levinson-Durbin LPC coefficients a[1..order] of one frame; None for
+    a degenerate frame."""
+    r = np.array([np.dot(frame[: frame.size - k], frame[k:]) for k in range(order + 1)])
+    if r[0] <= 0:
+        return None
+    a = np.zeros(order + 1)
+    a[0] = 1.0
+    err = r[0]
+    for i in range(1, order + 1):
+        if err <= 0:
+            return None
+        acc = r[i] + np.dot(a[1:i], r[i - 1 : 0 : -1])
+        k = -acc / err
+        new = a.copy()
+        for j in range(1, i):
+            new[j] = a[j] + k * a[i - j]
+        new[i] = k
+        a = new
+        err *= 1.0 - k * k
+    return a[1:]
+
+
+def lpc_cepstrum_by_loop(a: np.ndarray, order: int) -> np.ndarray:
+    """Cepstrum c[1..order] of the all-pole model with denominator 1 + sum a."""
+    c = np.zeros(order + 1)
+    for m in range(1, order + 1):
+        acc = a[m - 1] if m <= a.size else 0.0
+        for j in range(1, m):
+            am = a[m - j - 1] if (m - j) <= a.size else 0.0
+            acc += (j / m) * c[j] * am
+        c[m] = -acc
+    return c[1:]
+
+
+def cepstral_distance_by_loop(reference: np.ndarray, estimate: np.ndarray,
+                              frame_len: int = 400, hop: int = 160,
+                              order: int = 12, threshold_db: float = -40.0,
+                              clamp=(0.0, 10.0)) -> float:
+    """Mean LPC-cepstrum distance in dB, one active frame at a time; frames
+    where either LPC fit is degenerate are skipped. Defaults are the 16 kHz
+    conventions: 25 ms frames, 10 ms hop, order 12, -40 dB activity."""
+    window = np.hanning(frame_len)
+    ref_frames = _metric_frames(reference, frame_len, hop)
+    est_frames = _metric_frames(estimate, frame_len, hop)
+    active = _active_by_loop(ref_frames, threshold_db)
+    values = []
+    for rf, ef, act in zip(ref_frames, est_frames, active):
+        if not act:
+            continue
+        a_ref = lpc_by_loop(rf * window, order)
+        a_est = lpc_by_loop(ef * window, order)
+        if a_ref is None or a_est is None:
+            continue
+        c_ref = lpc_cepstrum_by_loop(a_ref, order)
+        c_est = lpc_cepstrum_by_loop(a_est, order)
+        dist = 10.0 / np.log(10.0) * np.sqrt(2.0 * np.sum((c_ref - c_est) ** 2))
+        values.append(min(max(dist, clamp[0]), clamp[1]))
+    return float(np.mean(values))
+
+
+def fw_segmental_snr_by_loop(reference: np.ndarray, estimate: np.ndarray,
+                             bank: np.ndarray, frame_len: int = 400,
+                             hop: int = 160, n_fft: int = 512,
+                             threshold_db: float = -40.0, exponent: float = 0.2,
+                             clamp=(-10.0, 35.0)) -> float:
+    """Mel-band-weighted segmental SNR in dB, one active frame at a time,
+    with the band filterbank `bank` (bands, n_fft // 2 + 1)."""
+    window = np.hanning(frame_len)
+    ref_frames = _metric_frames(reference, frame_len, hop)
+    err_frames = _metric_frames(reference - estimate, frame_len, hop)
+    active = _active_by_loop(ref_frames, threshold_db)
+    values = []
+    for rf, ef, act in zip(ref_frames, err_frames, active):
+        if not act:
+            continue
+        ref_power = bank @ (np.abs(np.fft.rfft(rf * window, n=n_fft)) ** 2)
+        err_power = bank @ (np.abs(np.fft.rfft(ef * window, n=n_fft)) ** 2)
+        num = den = 0.0
+        for rp, ep in zip(ref_power, err_power):
+            if rp <= 0:
+                continue
+            snr = 10.0 * np.log10(rp / ep) if ep > 0 else np.inf
+            num += rp ** exponent * snr
+            den += rp ** exponent
+        if den == 0.0:
+            continue
+        values.append(min(max(num / den, clamp[0]), clamp[1]))
+    return float(np.mean(values))

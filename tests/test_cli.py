@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dwpe import cli, room, wpe
+from dwpe import cli, netsim, room, wpe
 from dwpe.cli import RunConfig, main, read_wav, write_wav
-from dwpe.dsp import WindowSpec
+from dwpe.dsp import WindowSpec, istft, stft
 from dwpe.signals import speech_like
 
 
@@ -130,6 +130,37 @@ def test_dereverb_centralized_ledger(simulated, tmp_path):
     assert len(rows) == 2
     n_frames_bins = sum(int(r["units"]) for r in rows) / 8
     assert n_frames_bins == int(n_frames_bins) > 0
+
+
+def test_centralized_dereverb_builds_gram_once(simulated, tmp_path, monkeypatch):
+    builds = []
+    update = wpe.GramCache.update
+
+    def counting_update(self, streams, ref_data):
+        before = self.C
+        update(self, streams, ref_data)
+        if self.C is not before:
+            builds.append(ref_data)
+
+    monkeypatch.setattr(wpe.GramCache, "update", counting_update)
+    outdir = tmp_path / "cent"
+    assert main(["dereverb", "--manifest", str(simulated / "manifest.json"),
+                 "--mode", "centralized", "--filter-order", "6", "--delay", "2",
+                 "--max-iters", "2", "--nodes", "0,2", "--outdir", str(outdir)]) == 0
+    assert len(builds) == 1
+    monkeypatch.undo()
+
+    # each report node alone, with a fresh cache, gives the same bytes
+    manifest = json.loads((simulated / "manifest.json").read_text())
+    fs, observations = cli._load_observations(manifest, simulated)
+    aligned, _ = netsim.synchronize(observations, 0)
+    specs = [stft(sig, cli.STFT_WINDOW, fs) for sig in aligned]
+    params = wpe.WpeParams(delay=2, filter_order=6, max_iters=2)
+    for node in (0, 2):
+        desired = wpe.run_wpe(specs, node, params).desired
+        expected = tmp_path / f"alone{node}.wav"
+        write_wav(expected, fs, istft(desired)[: aligned[0].size])
+        assert (outdir / f"estimate_node{node:02d}.wav").read_bytes() == expected.read_bytes()
 
 
 def test_fingerprint_covers_solver_and_window_settings(monkeypatch):

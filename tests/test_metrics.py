@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dwpe import room
 from dwpe.errors import InvalidInputError, UndefinedMetricError
 from dwpe.metrics import (
     FSNR_CLAMP,
@@ -14,7 +15,7 @@ from dwpe.metrics import (
 )
 from dwpe.signals import speech_like
 
-from oracles import mel_band_powers
+from oracles import cepstral_distance_by_loop, fw_segmental_snr_by_loop, mel_band_powers
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,44 @@ def test_metrics_alignment_symmetry(utterance, rng):
         cepstral_distance(utterance[: ref_s.size + shift][shift:], est[: est_s.size + shift][shift:])
     )
     assert fw_segmental_snr(ref_s, est_s) == pytest.approx(fw_segmental_snr(ref_s, est_s))
+
+
+@pytest.fixture(scope="module")
+def reverberant_pair():
+    """Early-reflection reference and reverberant observation of the
+    shipped room's node 0."""
+    scen = room.default_simulated_scenario()
+    clean = speech_like(2.0, scen.sample_rate, seed=11)
+    rir = room.image_method_rir(scen, 0)
+    early, _ = room.split_early_late(rir, 512)
+    reference = room.render_observation(clean, scen.sample_rate, early)
+    observation = room.render_observation(clean, scen.sample_rate, rir)
+    n = min(reference.size, observation.size)
+    return reference[:n], observation[:n]
+
+
+def test_cd_matches_per_frame_loop(reverberant_pair):
+    reference, observation = reverberant_pair
+    assert cepstral_distance(reference, observation) == pytest.approx(
+        cepstral_distance_by_loop(reference, observation), abs=1e-6)
+    # a silenced stretch makes the estimate's LPC fit degenerate in active
+    # frames, which both skip
+    gapped = observation.copy()
+    gapped[8000:12000] = 0.0
+    assert cepstral_distance(reference, gapped) == pytest.approx(
+        cepstral_distance_by_loop(reference, gapped), abs=1e-6)
+
+
+def test_fsnr_matches_per_frame_loop(reverberant_pair):
+    reference, observation = reverberant_pair
+    bank = _mel_filterbank(MEL_BANDS, 512, 16000)
+    assert fw_segmental_snr(reference, observation) == pytest.approx(
+        fw_segmental_snr_by_loop(reference, observation, bank), abs=1e-9)
+    # frames where the estimate is exact have zero error power in every band
+    patched = observation.copy()
+    patched[8000:12000] = reference[8000:12000]
+    assert fw_segmental_snr(reference, patched) == pytest.approx(
+        fw_segmental_snr_by_loop(reference, patched, bank), abs=1e-9)
 
 
 def test_mel_filterbank_shape_and_coverage():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -251,6 +253,29 @@ def test_split_kernel_reuses_gram_for_same_arrays(rng):
     assert gram.C is not C
 
 
+def test_gram_cache_shares_C_across_references(rng):
+    streams, ref = random_streams(rng, 30, 4)
+    other_ref = streams[1][0]
+    sigma = np.maximum(np.abs(ref) ** 2, 0.5)
+    gram = GramCache()
+    normal_equations_all_bins(streams, ref, sigma, gram)
+    C = gram.C
+    # same streams, another reference: C is kept, g follows the reference
+    Z, q = normal_equations_all_bins(streams, other_ref, sigma, gram)
+    assert gram.C is C
+    Z_fresh, q_fresh = normal_equations_all_bins(streams, other_ref, sigma)
+    np.testing.assert_array_equal(Z, Z_fresh)
+    np.testing.assert_array_equal(q, q_fresh)
+    # new stream arrays: both parts are rebuilt
+    g = gram.g
+    new = [(2.0 * streams[0][0], 3, 2), streams[1]]
+    Z, q = normal_equations_all_bins(new, other_ref, sigma, gram)
+    assert gram.C is not C and gram.g is not g
+    Z_fresh, q_fresh = normal_equations_all_bins(new, other_ref, sigma)
+    np.testing.assert_array_equal(Z, Z_fresh)
+    np.testing.assert_array_equal(q, q_fresh)
+
+
 def test_solve_identity():
     q = np.array([[1 + 2j, 3 - 1j, 0.5j]])
     w = solve_all_bins(np.eye(3)[None], q, ridge_scale=0.0)
@@ -278,6 +303,41 @@ def test_solve_singular_raises():
     q = np.array([[1.0, 0.0]])
     with pytest.raises(SolverError, match="bin 0"):
         solve_all_bins(Z, q, ridge_scale=0.0)
+
+
+def random_psd_systems(rng, K, d):
+    B = rng.standard_normal((K, d, d)) + 1j * rng.standard_normal((K, d, d))
+    Z = B @ B.conj().transpose(0, 2, 1) + d * np.eye(d)
+    q = rng.standard_normal((K, d)) + 1j * rng.standard_normal((K, d))
+    return Z, q
+
+
+def test_solve_allocates_less_than_half_of_Z(rng):
+    # the ridge goes onto Z's diagonal in place: no (K, d, d) copy
+    Z, q = random_psd_systems(rng, 32, 96)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        solve_all_bins(Z, q, ridge_scale=1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < Z.nbytes / 2
+
+
+def test_solve_mixed_silent_and_live_bins(rng):
+    Z, q = random_psd_systems(rng, 5, 4)
+    Z[[1, 3]] = 0.0
+    prox_to = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    for prox_scale in (0.0, 0.1):
+        w = solve_all_bins(Z.copy(), q, ridge_scale=1e-3,
+                           prox_scale=prox_scale, prox_to=prox_to)
+        np.testing.assert_array_equal(w[[1, 3]], 0.0)
+        for k in (0, 2, 4):
+            shift = np.trace(Z[k]).real / 4
+            A = Z[k] + (1e-3 + prox_scale) * shift * np.eye(4)
+            expected = gaussian_elimination_solve(A, q[k] + prox_scale * shift * prox_to[k])
+            np.testing.assert_allclose(w[k], expected, rtol=1e-10)
 
 
 def test_resolve_psd_floor():
