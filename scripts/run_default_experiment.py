@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""End-to-end experiment on the shipped 12-node scenario: simulate, run all
-three dereverberation modes, evaluate, and emit the report tables.
+"""End-to-end experiment on the shipped 12-node scenario: simulate, run the
+single and distributed dereverberation modes, evaluate, and emit the report
+tables.
 
 Roughly 6-8 minutes on a laptop with the defaults. Pass an output directory
 and optionally a clean-speech duration in seconds:

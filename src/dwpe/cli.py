@@ -37,6 +37,10 @@ from .signals import speech_like
 # STFT framing of every dereverberation run; part of the fingerprint.
 STFT_WINDOW = WindowSpec()
 
+# Frames per unknown below which dereverb warns: a per-bin fit this close
+# to square absorbs the desired speech into the prediction.
+MIN_FRAMES_PER_UNKNOWN = 2.0
+
 
 @dataclass
 class RunConfig:
@@ -192,6 +196,22 @@ def dereverb(config: RunConfig, manifest: dict, manifest_dir: Path,
     specs = [stft(sig, STFT_WINDOW, fs) for sig in aligned]
     n_frames, n_bins = specs[0].num_frames, specs[0].num_bins
     total_len = aligned[0].size
+    # unknowns per bin of one solve, which fits them to n_frames frames
+    unknowns = {
+        "single": config.params.filter_order,
+        "centralized": complexity.centralized_filter_dimension(
+            num_nodes, config.params.filter_order),
+        "distributed": complexity.distributed_filter_dimension(
+            num_nodes, config.params.filter_order),
+    }[config.mode]
+    frames_per_unknown = n_frames / unknowns
+    if frames_per_unknown < MIN_FRAMES_PER_UNKNOWN:
+        print(
+            f"warning: {config.mode} mode fits {unknowns} unknowns per bin to "
+            f"{n_frames} frames ({frames_per_unknown:.2f} frames per unknown); "
+            f"the prediction may absorb the desired speech",
+            file=sys.stderr,
+        )
 
     estimates: dict[int, str] = {}
     psd_floors: dict[str, float] = {}
@@ -205,6 +225,7 @@ def dereverb(config: RunConfig, manifest: dict, manifest_dir: Path,
         "params": config.run_params(),
         "window": {"frame_len": STFT_WINDOW.frame_len, "hop": STFT_WINDOW.hop},
         "fingerprint": config.fingerprint(),
+        "frames_per_unknown": frames_per_unknown,
     }
 
     def emit(node: int, desired: Spectrogram) -> None:

@@ -2,13 +2,14 @@
 
 Each node predicts its own late reverberation from its local delayed frames
 plus one compressed scalar stream per neighbor. The compressor a node
-broadcasts is its own local prediction filter, refreshed every collab_period
-rounds; between broadcasts neighbors keep using the last received snapshot.
-Compression is applied to the same delayed frames the local prediction uses,
-so both blocks of the extended observation share one time support, and the
-payload a node broadcasts is the local block of the late reverberation it
-has just predicted: node_round computes it once and both subtracts and sends
-it. All prediction runs through wpe.predict_all_bins.
+broadcasts is its own local prediction filter at the broadcast round,
+refreshed every collab_period rounds; between broadcasts neighbors keep
+using the last received snapshot. Compression is applied to the same delayed
+frames the local prediction uses, so both blocks of the extended observation
+share one time support, and the payload a node broadcasts is the local block
+of the late reverberation it has just predicted: node_round computes it once
+and both subtracts and sends it. All prediction runs through
+wpe.predict_all_bins.
 
 A single-node network runs exactly the single-channel code path of the wpe
 module: same kernels, same operation order, bit-identical output.
@@ -29,18 +30,17 @@ from .wpe import (
     PsdEstimate,
     Stream,
     WpeParams,
-    normal_equations_all_bins,
     predict_all_bins,
     resolve_psd_floor,
-    solve_all_bins,
+    solve_weights,
     update_psd,
 )
 
 
 @dataclass
 class NodeState:
-    """Everything one node owns: signal, filters, compressor, PSD, inbox,
-    and the unweighted Gram of its current streams (rebuilt by the kernel
+    """Everything one node owns: signal, filters, PSD, inbox, and the
+    unweighted Gram of its current streams (rebuilt by the kernel
     whenever the inbox holds new payload arrays)."""
 
     node_id: int
@@ -49,7 +49,6 @@ class NodeState:
     params: WpeParams
     local_weights: np.ndarray = field(init=False)
     cross_weights: np.ndarray = field(init=False)
-    compressor: np.ndarray = field(init=False)
     psd: PsdEstimate | None = field(init=False, default=None)
     inbox: dict[int, np.ndarray] = field(init=False, default_factory=dict)
     desired: np.ndarray = field(init=False)
@@ -65,7 +64,6 @@ class NodeState:
         L = self.params.filter_order
         self.local_weights = np.zeros((K, L), dtype=np.complex128)
         self.cross_weights = np.zeros((K, self.num_nodes - 1), dtype=np.complex128)
-        self.compressor = np.zeros((K, L), dtype=np.complex128)
         # zero-initialized filters make the first desired estimate the observation
         self.desired = self.local_spec.data.copy()
         self.psd_floor = resolve_psd_floor(self.local_spec.data, self.params.psd_floor)
@@ -122,15 +120,12 @@ def local_solve(node: NodeState) -> tuple[np.ndarray, np.ndarray]:
     if node.psd is None:
         raise InvalidInputError("PSD estimate required before solving")
     streams = node.streams()
-    Z, q = normal_equations_all_bins(streams, node.local_spec.data, node.psd.values,
-                                     node.gram)
     L = node.params.filter_order
-    if len(streams) > 1:
-        w_prev = np.concatenate([node.local_weights, node.cross_weights], axis=1)
-        weights = solve_all_bins(Z, q, node.params.ridge_scale,
-                                 prox_scale=node.params.prox_scale, prox_to=w_prev)
-    else:
-        weights = solve_all_bins(Z, q, node.params.ridge_scale)
+    # without cross-node data there is no proximal pull (prox_to=None)
+    w_prev = (np.concatenate([node.local_weights, node.cross_weights], axis=1)
+              if len(streams) > 1 else None)
+    weights = solve_weights(streams, node.local_spec.data, node.psd.values, node.gram,
+                            node.params.ridge_scale, node.params.prox_scale, w_prev)
     local = weights[:, :L]
     if weights.shape[1] > L:
         cross = weights[:, L:]
@@ -139,18 +134,13 @@ def local_solve(node: NodeState) -> tuple[np.ndarray, np.ndarray]:
     return local, cross
 
 
-def update_compressor(node: NodeState) -> None:
-    """The broadcast compressor is the node's current local filter."""
-    node.compressor = node.local_weights.copy()
-
-
 def node_round(node: NodeState, round_index: int,
                collab_period: int) -> np.ndarray | None:
     """One full local round: PSD update, weight solve, desired re-prediction;
-    on every collab_period-th round also refresh the compressor and return
-    the compressed payload to broadcast. The payload is the local block of
-    the late-reverberation prediction the round has just made: the compressor
-    is the local filter, applied to the same delayed frames.
+    on every collab_period-th round also return the compressed payload to
+    broadcast. The payload is the local block of the late-reverberation
+    prediction the round has just made: the compressor is the local filter
+    of this round, applied to the same delayed frames.
 
     Once cross-node data is in play the weight update moves toward the
     solved value with the geometrically decaying step of params.step_size;
@@ -172,7 +162,6 @@ def node_round(node: NodeState, round_index: int,
     late = local_late + predict_all_bins(cross, node.cross_weights) if cross else local_late
     node.desired = node.local_spec.data - late
     if round_index % collab_period == 0:
-        update_compressor(node)
         return local_late
     return None
 

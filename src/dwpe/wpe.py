@@ -6,12 +6,13 @@ from a reference channel. The prediction weights minimize the PSD-weighted
 squared residual, alternating a closed-form per-bin weight solve with an
 update of the desired-signal PSD estimate (floored elementwise).
 
-Each job has one batched kernel over all frequency bins: gather_cells and
-stack_chunk build delayed observation vectors, normal_equations_all_bins
-accumulates, solve_all_bins solves, and predict_all_bins returns the late
-reverberation that callers subtract from the reference. The distributed
-module runs the same kernels, so the single-node network degenerates to
-exactly this code path. Per-element references live in the tests.
+Each job has one batched kernel: gather_cells and stack_chunk build delayed
+observation vectors, normal_equations_all_bins forms the weighted normal
+equations of a bin block, solve_all_bins solves them, solve_weights runs
+the two block by block, and predict_all_bins returns the late reverberation
+that callers subtract from the reference. The distributed module runs the
+same kernels, so the single-node network degenerates to exactly this code
+path. Per-element references live in the tests.
 
 The weighted normal equations are split around c = min(sigma), which is
 the PSD floor whenever any cell is floored:
@@ -24,11 +25,28 @@ stream arrays and g also on the reference array, and a GramCache keeps each
 until what it depends on changes. Every other call touches only the
 unfloored cells, which on speech are a small share of the time-frequency
 plane: the per-call cost scales with their number, O(nnz d^2), instead of
-O(N K d^2). The O(N K d^2) build of C happens once per run, once per
-centralized dereverb (its report nodes share one cache and rebuild only
-the O(N K d) g), and, in distributed mode, whenever a node's inbox changes
-(at each broadcast). solve_all_bins consumes Z (the ridge goes onto its
-diagonal in place), so a centralized solve holds C and Z and no copy.
+O(N K d^2).
+
+The stacked rows are delayed copies of S streams, so C is the
+covariance-method matrix of linear prediction and follows from its S lag-0
+columns and the last stacked frame. Row (i, a) is stream i at lag a, so for
+a, b >= 1
+
+    C[(i,a),(j,b)] = C[(i,a-1),(j,b-1)] - x_(i,a-1)[N-1] conj(x_(j,b-1)[N-1])
+
+(the frame before the signal is zero). GramCache builds C = B - U U^H: B
+extends the lag-0 columns block-Toeplitz-wise, and U holds the last frame
+shifted by 1 .. L-1 lags. A build costs O(N K d S) for the columns plus
+O(K d^2 L) for the expansion, instead of O(N K d^2). It happens once per
+run, once per centralized dereverb (its report nodes share one cache and
+rebuild only the O(N K d) g), and, in distributed mode, whenever a node's
+inbox changes (at each broadcast).
+
+solve_weights forms and solves Z one bin block at a time, sized by
+SOLVE_BLOCK_BYTES, and solve_all_bins consumes each block (the ridge goes
+onto its diagonal in place). So only C and one Z block are live; at
+d <= 37 every bin fits in one block. Per bin, blocking changes no
+operation, so the weights do not depend on the block size.
 
 The subtraction cancels most where unfloored cells with sigma >> c carry
 most of the energy. With the default floor (PSD_FLOOR_FRACTION) Z agrees
@@ -54,6 +72,11 @@ CHUNK_FRAMES = 512
 # Frequency bins per block when building the unweighted Gram; bounds the
 # stacked-observation transient to GRAM_BLOCK_BINS * d * CHUNK_FRAMES cells.
 GRAM_BLOCK_BINS = 16
+
+# Bytes of one block of weighted normal equations Z (bins, d, d) that
+# solve_weights forms and solves at a time: all bins at d <= 37 (K = 257),
+# 21 bins at d = 312.
+SOLVE_BLOCK_BYTES = 32 * 2**20
 
 # Relative residual above which a per-bin solve is considered failed.
 SOLVE_RESIDUAL_TOL = 1e-8
@@ -188,18 +211,49 @@ def stack_chunk(streams: list[Stream], start: int, stop: int,
 def gather_cells(streams: list[Stream], frames: np.ndarray,
                  bins: np.ndarray) -> np.ndarray:
     """Stacked observation vectors of the cells (frames[i], bins[i]) as the
-    columns of a (d, cells) array; pre-signal frames are zeros."""
+    columns of a (d, cells) array; pre-signal frames are zeros. Reads the
+    stream arrays in place, without a padded copy."""
     out = np.empty((streams_dim(streams), frames.size), dtype=np.complex128)
     row = 0
     for data, order, delay in streams:
         K = data.shape[1]
-        pad = delay + order - 1  # zero frames ahead of the signal
-        flat = np.concatenate([np.zeros(pad * K, dtype=np.complex128), data.ravel()])
-        cells = (frames + pad) * K + bins
+        flat = data.ravel()
+        cells = frames * K + bins
         for lag in range(order):
-            np.take(flat, cells - (delay + lag) * K, out=out[row])
+            shift = delay + lag
+            # pre-signal cells clip to index 0 and are zeroed after
+            np.take(flat, cells - shift * K, out=out[row], mode="clip")
+            out[row, frames < shift] = 0.0
             row += 1
     return out
+
+
+def _shift_maps(streams: list[Stream]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index maps that expand a Gram from its shift structure.
+
+    Returns (heads, source, lagged). heads (S,) are the lag-0 rows (j,0).
+    source (d, d) indexes, per bin, the lag-0 columns C[:, heads]
+    flattened row-major to d*S values, followed by their conjugates: entry
+    (i,a),(j,b) is C[(i,a-b),(j,0)] at or below the lag diagonal and
+    conj C[(j,b-a),(i,0)] above it. lagged (d, L-1), with L the largest
+    order, indexes the last stacked frame followed by a zero: column s-1 of
+    row (i,a) is row (i,a-s) when s <= a, else the zero.
+    """
+    orders = [order for _, order, _ in streams]
+    stream = np.repeat(np.arange(len(orders)), orders)
+    lag = np.concatenate([np.arange(order) for order in orders])
+    d, S = stream.size, len(orders)
+    heads = np.cumsum([0] + orders[:-1])
+    p = np.arange(d)
+    i, a, j, b = stream[:, None], lag[:, None], stream[None, :], lag[None, :]
+    # at a == b the lower triangle reads C[(i,0),(j,0)] and the upper its
+    # conjugate, so B is exactly Hermitian
+    lower = (a > b) | ((a == b) & (p[:, None] >= p[None, :]))
+    source = np.where(lower, (heads[i] + a - b) * S + j,
+                      d * S + (heads[j] + b - a) * S + i)
+    s = np.arange(1, max(orders))[None, :]
+    lagged = np.where(s <= lag[:, None], p[:, None] - s, d)
+    return heads, source, lagged
 
 
 @dataclass
@@ -230,7 +284,11 @@ class GramCache:
 
     def update(self, streams: list[Stream], ref_data: np.ndarray) -> None:
         """Rebuild the stale parts in one pass over fixed bin blocks and
-        frame chunks; g is rebuilt whenever C is."""
+        frame chunks; g is rebuilt whenever C is.
+
+        C is accumulated only in its S lag-0 columns and then expanded as
+        B - U U^H from them and the last stacked frame (see the module
+        docstring and _shift_maps)."""
         build_C = not self.holds_gram(streams)
         if not build_C and self.ref is ref_data:
             return
@@ -240,47 +298,64 @@ class GramCache:
         self.streams, self.ref = (), None
         if build_C:
             self.C = None  # free the stale Gram before allocating the new one
-            self.C = np.zeros((K, d, d), dtype=np.complex128)
+            self.C = np.empty((K, d, d), dtype=np.complex128)
+            heads, source, lagged = _shift_maps(streams)
         self.g = np.zeros((K, d), dtype=np.complex128)
         for k0 in range(0, K, GRAM_BLOCK_BINS):
             bins = slice(k0, min(k0 + GRAM_BLOCK_BINS, K))
+            nb = bins.stop - bins.start
+            if build_C:
+                cols = np.zeros((nb, d, len(streams)), dtype=np.complex128)
             for start in range(0, N, CHUNK_FRAMES):
                 stop = min(start + CHUNK_FRAMES, N)
                 X = stack_chunk(streams, start, stop, bins)  # (bins, d, n)
                 if build_C:
-                    self.C[bins] += X @ X.conj().transpose(0, 2, 1)
+                    cols += X @ X[:, heads].conj().transpose(0, 2, 1)
                 self.g[bins] += (X @ ref_data[start:stop, bins].conj().T[:, :, None])[..., 0]
+            if build_C:
+                C = self.C[bins]
+                flat = cols.reshape(nb, -1)
+                # B straight into C; mode="raise" would buffer the output
+                np.take(np.concatenate([flat, flat.conj()], axis=1), source, axis=1,
+                        out=C, mode="clip")
+                # the last chunk ends at frame N-1
+                U = np.concatenate([X[:, :, -1], np.zeros((nb, 1))], axis=1)[:, lagged]
+                C -= U @ U.conj().transpose(0, 2, 1)
         self.streams, self.ref = tuple(streams), ref_data
 
 
 def normal_equations_all_bins(streams: list[Stream], ref_data: np.ndarray,
-                              sigma: np.ndarray,
-                              gram: GramCache | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bin PSD-weighted normal equations, split around c = min(sigma).
+                              sigma: np.ndarray, gram: GramCache | None = None,
+                              bins: slice | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """PSD-weighted normal equations of the bins [bins.start, bins.stop)
+    (default all), split around c = min(sigma) over all bins.
 
     Z = C/c minus a correction over the cells with sigma > c, each weighted
     by 1/c - 1/sigma in [0, 1/c); q likewise (see the module docstring).
     `gram` caches C and g between calls: the parts that are empty or were
     built from other arrays are rebuilt here. Without one, a throwaway Gram
-    is built.
+    is built. Each bin's Z and q do not depend on which other bins share
+    the call.
 
-    Returns Z of shape (K, d, d) and q of shape (K, d).
+    Returns Z of shape (bins, d, d) and q of shape (bins, d).
     """
     if gram is None:
         gram = GramCache()
     gram.update(streams, ref_data)
-    K = ref_data.shape[1]
+    if bins is None:
+        bins = slice(0, ref_data.shape[1])
     c = float(sigma.min())
-    Z = gram.C / c
-    q = gram.g / c
+    Z = gram.C[bins] / c
+    q = gram.g[bins] / c
     # active cells sorted by bin, then frame; x x^H w = (x sqrt(w)) (x sqrt(w))^H
-    bins, frames = np.nonzero(sigma.T > c)
-    s = sigma[frames, bins]
+    rel, frames = np.nonzero(sigma[:, bins].T > c)
+    cell_bins = rel + bins.start
+    s = sigma[frames, cell_bins]
     root = np.sqrt((s - c) / (c * s))
-    X = gather_cells(streams, frames, bins)
+    X = gather_cells(streams, frames, cell_bins)
     X *= root
-    ref_scaled = ref_data[frames, bins].conj() * root
-    bounds = np.searchsorted(bins, np.arange(K + 1))
+    ref_scaled = ref_data[frames, cell_bins].conj() * root
+    bounds = np.searchsorted(rel, np.arange(Z.shape[0] + 1))
     for k in np.flatnonzero(np.diff(bounds)):
         cells = slice(bounds[k], bounds[k + 1])
         Z[k] -= X[:, cells] @ X[:, cells].conj().T
@@ -292,13 +367,15 @@ def normal_equations_all_bins(streams: list[Stream], ref_data: np.ndarray,
 
 def solve_all_bins(Z: np.ndarray, q: np.ndarray, ridge_scale: float,
                    prox_scale: float = 0.0,
-                   prox_to: np.ndarray | None = None) -> np.ndarray:
+                   prox_to: np.ndarray | None = None,
+                   first_bin: int = 0) -> np.ndarray:
     """Solve every bin's system with per-bin ridge ridge_scale*trace(Z)/d.
 
     With prox_scale > 0 the solve is proximally regularized toward prox_to:
     (Z + (ridge + lam) I) w = q + lam prox_to with lam = prox_scale*trace/d.
     Bins whose accumulation is identically zero (silent bins) get zero
-    weights. Returns weights of shape (K, d).
+    weights. Returns weights of shape (K, d). Errors name bins counted from
+    first_bin, the index of Z's first bin in the full band.
 
     Z is consumed: the ridge is added to its diagonal in place and the
     solve runs on Z itself, so no (K, d, d) copy is made unless some bin
@@ -327,19 +404,43 @@ def solve_all_bins(Z: np.ndarray, q: np.ndarray, ridge_scale: float,
         conds = np.linalg.cond(A)
         worst = int(np.argmax(conds))
         raise SolverError(
-            f"singular system at bin {np.flatnonzero(live)[worst]} "
+            f"singular system at bin {first_bin + np.flatnonzero(live)[worst]} "
             f"(condition ~ {conds[worst]:.3e})"
         ) from exc
     residual = np.linalg.norm((A @ w[:, :, None])[..., 0] - rhs, axis=1)
     qn = np.linalg.norm(rhs, axis=1)
     bad = ~np.isfinite(w).all(axis=1) | (residual > SOLVE_RESIDUAL_TOL * np.maximum(qn, 1e-300))
     if np.any(bad):
-        first = int(np.flatnonzero(live)[np.argmax(bad)])
+        first = first_bin + int(np.flatnonzero(live)[np.argmax(bad)])
         raise SolverError(
             f"ill-conditioned solve at bin {first}: relative residual "
             f"{float((residual / np.maximum(qn, 1e-300))[np.argmax(bad)]):.3e}"
         )
     weights[live] = w
+    return weights
+
+
+def solve_weights(streams: list[Stream], ref_data: np.ndarray, sigma: np.ndarray,
+                  gram: GramCache, ridge_scale: float, prox_scale: float = 0.0,
+                  prox_to: np.ndarray | None = None) -> np.ndarray:
+    """Prediction weights (K, d) of the PSD-weighted normal equations.
+
+    Forms and solves Z one bin block at a time, SOLVE_BLOCK_BYTES of Z per
+    block, so beside the cached Gram only one block is live. The weights
+    equal a single full-band block's byte for byte. prox_scale and prox_to
+    are as in solve_all_bins.
+    """
+    K = ref_data.shape[1]
+    d = streams_dim(streams)
+    step = max(1, SOLVE_BLOCK_BYTES // (16 * d * d))  # bins; 16 bytes per complex entry
+    weights = np.empty((K, d), dtype=np.complex128)
+    for k0 in range(0, K, step):
+        bins = slice(k0, min(k0 + step, K))
+        Z, q = normal_equations_all_bins(streams, ref_data, sigma, gram, bins)
+        weights[bins] = solve_all_bins(Z, q, ridge_scale, prox_scale,
+                                       None if prox_to is None else prox_to[bins],
+                                       first_bin=k0)
+        del Z  # consumed by the solve; not kept through the next block
     return weights
 
 
@@ -421,9 +522,7 @@ def run_wpe(observations: list[Spectrogram], ref_channel: int,
         gram = GramCache()
     for _ in range(params.max_iters):
         psd = update_psd(desired, eps)
-        Z, q = normal_equations_all_bins(streams, ref.data, psd.values, gram)
-        weights = solve_all_bins(Z, q, params.ridge_scale)
-        del Z  # consumed by the solve; not kept through the next accumulation
+        weights = solve_weights(streams, ref.data, psd.values, gram, params.ridge_scale)
         new_desired = ref.data - predict_all_bins(streams, weights)
         # an all-zero previous estimate (silent input) has nothing left to change
         change = (convergence_error(new_desired, desired)

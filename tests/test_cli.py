@@ -163,6 +163,24 @@ def test_centralized_dereverb_builds_gram_once(simulated, tmp_path, monkeypatch)
         assert (outdir / f"estimate_node{node:02d}.wav").read_bytes() == expected.read_bytes()
 
 
+def test_dereverb_reports_frames_per_unknown(simulated, tmp_path, capsys):
+    manifest = json.loads((simulated / "manifest.json").read_text())
+    fs, observations = cli._load_observations(manifest, simulated)
+    n_frames = stft(netsim.synchronize(observations, 0)[0][0], cli.STFT_WINDOW, fs).num_frames
+    # three nodes: d = L single, 3L centralized, L + 2 distributed
+    wide = n_frames // 5  # 3L > n_frames / 2
+    for mode, order, unknowns in [("single", 8, 8), ("distributed", 8, 10),
+                                  ("centralized", wide, 3 * wide)]:
+        outdir = tmp_path / mode
+        assert main(["dereverb", "--manifest", str(simulated / "manifest.json"),
+                     "--mode", mode, "--filter-order", str(order), "--delay", "2",
+                     "--max-iters", "1", "--nodes", "0", "--outdir", str(outdir)]) == 0
+        info = json.loads((outdir / "run.json").read_text())
+        assert info["frames_per_unknown"] == n_frames / unknowns
+        warned = "frames per unknown" in capsys.readouterr().err
+        assert warned == (mode == "centralized")
+
+
 def test_fingerprint_covers_solver_and_window_settings(monkeypatch):
     def fingerprint(**params):
         return RunConfig(scenario_path="s.json", mode="distributed",

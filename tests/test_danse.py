@@ -8,7 +8,6 @@ from dwpe.danse import (
     local_solve,
     node_round,
     run_distributed,
-    update_compressor,
 )
 from dwpe.dsp import Spectrogram, WindowSpec
 from dwpe.errors import MissingDataError
@@ -232,18 +231,6 @@ def test_all_zero_inbox_degenerates_to_local_weights(rng):
     np.testing.assert_allclose(local, single.weights, rtol=1e-5, atol=1e-9)
 
 
-def test_update_compressor_copies_weights(rng):
-    _, _, nodes = make_network(rng)
-    node = nodes[0]
-    node.local_weights = rng.standard_normal((WINDOW.num_bins, 3)) + 0j
-    update_compressor(node)
-    np.testing.assert_array_equal(node.compressor, node.local_weights)
-    assert node.compressor is not node.local_weights
-    before = node.compressor.copy()
-    update_compressor(node)  # idempotent without weight change
-    np.testing.assert_array_equal(node.compressor, before)
-
-
 def test_node_round_broadcast_schedule(rng):
     _, _, nodes = make_network(rng)
     node = nodes[0]
@@ -267,9 +254,9 @@ def test_node_round_broadcast_equals_weights(rng):
     node = nodes[0]
     node.inbox[1] = specs[1].data
     payload = node_round(node, 2, collab_period=2)
-    np.testing.assert_array_equal(node.compressor, node.local_weights)
+    # the compressor is the local filter of the broadcast round
     np.testing.assert_array_equal(
-        payload, compress_all_frames(specs[0].data, node.compressor, params)
+        payload, compress_all_frames(specs[0].data, node.local_weights, params)
     )
     # the payload is the local block of the prediction the round subtracted
     cross = predict_all_bins(node.streams()[1:], node.cross_weights)
@@ -317,14 +304,16 @@ def test_run_distributed_ledger_and_inbox(rng):
 
 
 def test_run_distributed_compressor_snapshot_consistency(rng):
-    # a neighbor's inbox entry equals the sender's broadcast-time compressor
-    # applied to the sender's signal, even after further local rounds
+    # a neighbor's inbox entry equals the sender's local filter at its
+    # broadcast round applied to the sender's signal, even after further
+    # local rounds (runs are deterministic, so round 2 is replayed)
     params, specs, _ = make_network(rng, num_nodes=2, frames=16)
+    at_broadcast = run_distributed(specs, params, collab_period=2, max_rounds=2)
     result = run_distributed(specs, params, collab_period=2, max_rounds=3)
-    sender = result.nodes[1]
-    receiver = result.nodes[0]
-    expected = compress_all_frames(specs[1].data, sender.compressor, params)
-    np.testing.assert_array_equal(receiver.inbox[1], expected)
+    broadcast_weights = at_broadcast.nodes[1].local_weights
+    assert not np.array_equal(result.nodes[1].local_weights, broadcast_weights)
+    expected = compress_all_frames(specs[1].data, broadcast_weights, params)
+    np.testing.assert_array_equal(result.nodes[0].inbox[1], expected)
 
 
 def test_run_distributed_trace_rounds_start_at_two(rng):

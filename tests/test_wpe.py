@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwpe import room
+from dwpe import room, wpe
 from dwpe.dsp import Spectrogram, WindowSpec, stft
 from dwpe.errors import InvalidInputError, NumericalError, SolverError
 from dwpe.signals import speech_like
@@ -17,6 +17,7 @@ from dwpe.wpe import (
     resolve_psd_floor,
     run_wpe,
     solve_all_bins,
+    solve_weights,
     stack_chunk,
     update_psd,
     weighted_cost,
@@ -274,6 +275,80 @@ def test_gram_cache_shares_C_across_references(rng):
     Z_fresh, q_fresh = normal_equations_all_bins(new, other_ref, sigma)
     np.testing.assert_array_equal(Z, Z_fresh)
     np.testing.assert_array_equal(q, q_fresh)
+
+
+@pytest.mark.parametrize("frames, shape", [
+    # the distributed shape: a local order-26 stream plus order-1 neighbours
+    (60, [(26, 4), (1, 0), (1, 0), (1, 0)]),
+    # fewer frames than delay + order: the deepest lags never see the signal
+    (9, [(8, 4), (3, 2)]),
+    # a delay-0 stream of order > 1 beside a delayed one
+    (40, [(5, 0), (4, 3)]),
+])
+def test_shift_built_gram_matches_direct(rng, frames, shape):
+    K = 5
+    streams = [(rng.standard_normal((frames, K)) + 1j * rng.standard_normal((frames, K)),
+                order, delay) for order, delay in shape]
+    gram = GramCache()
+    gram.update(streams, streams[0][0])
+    for k in range(K):
+        stacked = stacked_by_loop(streams, k)
+        C_ref = stacked.T @ stacked.conj()
+        assert np.linalg.norm(gram.C[k] - C_ref) <= 1e-13 * np.linalg.norm(C_ref)
+
+
+def blocked_system(rng, K, d, frames=120):
+    """K bins of d/24 order-24 streams with 85 % of the cells floored."""
+    streams = [(rng.standard_normal((frames, K)) + 1j * rng.standard_normal((frames, K)),
+                24, 2) for _ in range(d // 24)]
+    ref = streams[0][0]
+    sigma = np.ones((frames, K))
+    active = rng.random((frames, K)) < 0.15
+    sigma[active] = 10.0 ** rng.uniform(0.0, 2.0, active.sum())
+    return streams, ref, sigma
+
+
+@pytest.mark.parametrize("prox_scale", [0.0, 0.1])
+def test_blocked_solve_equals_one_block(rng, monkeypatch, prox_scale):
+    streams, ref, sigma = blocked_system(rng, 11, 48)
+    sigma *= 1.0 + np.arange(11)  # only the first block holds min(sigma)
+    prox_to = rng.standard_normal((11, 48)) + 1j * rng.standard_normal((11, 48))
+    gram = GramCache()
+    full = solve_weights(streams, ref, sigma, gram, 1e-8, prox_scale, prox_to)
+    Z, q = normal_equations_all_bins(streams, ref, sigma, gram)
+    assert Z.shape[0] == 11  # the default budget holds every bin at once
+    np.testing.assert_array_equal(full, solve_all_bins(Z, q, 1e-8, prox_scale, prox_to))
+    # 3 bins per block, the last one short
+    monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 3 * 16 * 48 * 48)
+    blocked = solve_weights(streams, ref, sigma, gram, 1e-8, prox_scale, prox_to)
+    np.testing.assert_array_equal(blocked, full)
+
+
+def test_blocked_solve_allocates_less_than_half_of_Z(rng, monkeypatch):
+    K, d = 64, 96
+    streams, ref, sigma = blocked_system(rng, K, d)
+    gram = GramCache()
+    gram.update(streams, ref)
+    monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 4 * 16 * d * d)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        solve_weights(streams, ref, sigma, gram, 1e-8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < K * d * d * 16 / 2
+
+
+def test_blocked_solve_names_the_full_band_bin(rng, monkeypatch):
+    streams, ref, _ = blocked_system(rng, 6, 24)
+    sigma = np.ones(ref.shape)  # all floored: Z = C
+    gram = GramCache()
+    gram.update(streams, ref)
+    gram.C[4] = 1.0  # rank one with a nonzero trace
+    monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 2 * 16 * 24 * 24)
+    with pytest.raises(SolverError, match="bin 4"):
+        solve_weights(streams, ref, sigma, gram, 0.0)
 
 
 def test_solve_identity():
