@@ -1,5 +1,10 @@
 """Command-line front door: simulate, dereverb, evaluate, report.
 
+The verbs are file I/O around the library: `dereverb` reads the simulated
+observation WAVs, runs `pipeline.run` and writes its estimates, run.json,
+the transmission ledger and the convergence trace; `evaluate` scores them
+against `room.early_reference`.
+
 All outputs are deterministic functions of (config, seed). Every CSV row
 carries the scenario name, mode and a parameter fingerprint. Exit codes:
 0 success, 2 configuration/input error, 3 I/O error, 4 numerical failure.
@@ -12,81 +17,23 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.io import wavfile
 
-from . import complexity, danse, netsim, room, wpe
-from .dsp import Spectrogram, WindowSpec, istft, stft
-from .errors import (
-    ConfigurationError,
-    DwpeError,
-    InvalidInputError,
-    NumericalError,
-    SolverError,
-)
+from . import complexity, netsim, pipeline, room, wpe
+from .errors import ConfigurationError, DwpeError, InvalidInputError, NumericalError, SolverError
 from .metrics import cepstral_distance, fw_segmental_snr
+from .pipeline import STFT_WINDOW, RunConfig
 from .signals import speech_like
-
-# STFT framing of every dereverberation run; part of the fingerprint.
-STFT_WINDOW = WindowSpec()
 
 # Frames per unknown below which dereverb warns: a per-bin fit this close
 # to square absorbs the desired speech into the prediction.
 MIN_FRAMES_PER_UNKNOWN = 2.0
-
-
-@dataclass
-class RunConfig:
-    """Everything a dereverberation run depends on."""
-
-    scenario_path: str
-    mode: str
-    params: wpe.WpeParams = field(default_factory=wpe.WpeParams)
-    collab_period: int = 2
-    report_nodes: tuple[int, ...] = room.DEFAULT_REPORT_NODES
-    outdir: str = "out"
-    seed: int = 0
-    ref_channel: int = 0
-
-    def __post_init__(self):
-        if self.mode not in netsim.MODES:
-            raise ConfigurationError(
-                f"unknown mode {self.mode!r}; expected {netsim.MODES}"
-            )
-        if self.mode == "distributed" and self.collab_period < 1:
-            raise ConfigurationError(
-                f"collab_period must be >= 1 for distributed mode, got {self.collab_period}"
-            )
-        if not self.report_nodes:
-            raise ConfigurationError("at least one report node required")
-
-    def run_params(self) -> dict:
-        """Every solver setting of the run: all WpeParams fields plus the
-        collaboration period. Recorded in run.json and fingerprinted."""
-        return {**asdict(self.params), "collab_period": self.collab_period}
-
-    def fingerprint(self) -> str:
-        blob = json.dumps(
-            {
-                **self.run_params(),
-                "scenario": os.path.basename(self.scenario_path),
-                "mode": self.mode,
-                "frame_len": STFT_WINDOW.frame_len,
-                "hop": STFT_WINDOW.hop,
-                "window_kind": STFT_WINDOW.window_kind,
-                "seed": self.seed,
-                "ref": self.ref_channel,
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
 
 def read_wav(path) -> tuple[int, np.ndarray]:
@@ -185,113 +132,60 @@ def _load_observations(manifest: dict, manifest_dir: Path) -> tuple[int, list[np
 
 def dereverb(config: RunConfig, manifest: dict, manifest_dir: Path,
              outdir: Path) -> dict:
-    """Synchronize, transform, dereverberate in the configured mode, and
-    write per-node estimates plus trace and transmission ledger."""
+    """Run `pipeline.run` on the manifest's observations and write per-node
+    estimates plus run inventory, transmission ledger and, in distributed
+    mode, the convergence trace."""
     fs, observations = _load_observations(manifest, manifest_dir)
-    num_nodes = len(observations)
-    for node in config.report_nodes:
-        if not (0 <= node < num_nodes):
-            raise InvalidInputError(f"report node {node} out of range for {num_nodes} nodes")
-    aligned, lags = netsim.synchronize(observations, config.ref_channel)
-    specs = [stft(sig, STFT_WINDOW, fs) for sig in aligned]
-    n_frames, n_bins = specs[0].num_frames, specs[0].num_bins
-    total_len = aligned[0].size
-    # unknowns per bin of one solve, which fits them to n_frames frames
-    unknowns = {
-        "single": config.params.filter_order,
-        "centralized": complexity.centralized_filter_dimension(
-            num_nodes, config.params.filter_order),
-        "distributed": complexity.distributed_filter_dimension(
-            num_nodes, config.params.filter_order),
-    }[config.mode]
-    frames_per_unknown = n_frames / unknowns
-    if frames_per_unknown < MIN_FRAMES_PER_UNKNOWN:
+    result = pipeline.run(observations, fs, config)
+    if result.frames_per_unknown < MIN_FRAMES_PER_UNKNOWN:
         print(
-            f"warning: {config.mode} mode fits {unknowns} unknowns per bin to "
-            f"{n_frames} frames ({frames_per_unknown:.2f} frames per unknown); "
-            f"the prediction may absorb the desired speech",
+            f"warning: {config.mode} mode fits {result.unknowns} unknowns per bin to "
+            f"{result.num_frames} frames ({result.frames_per_unknown:.2f} frames per "
+            f"unknown); the prediction may absorb the desired speech",
             file=sys.stderr,
         )
-
-    estimates: dict[int, str] = {}
-    psd_floors: dict[str, float] = {}
-    run_info: dict = {
-        "mode": config.mode,
-        "scenario_name": manifest["scenario_name"],
-        "num_nodes": num_nodes,
-        "sample_rate": fs,
-        "lags": lags,
-        "report_nodes": list(config.report_nodes),
-        "params": config.run_params(),
-        "window": {"frame_len": STFT_WINDOW.frame_len, "hop": STFT_WINDOW.hop},
-        "fingerprint": config.fingerprint(),
-        "frames_per_unknown": frames_per_unknown,
-    }
-
-    def emit(node: int, desired: Spectrogram) -> None:
-        estimate = istft(desired)[:total_len]
-        name = f"estimate_node{node:02d}.wav"
-        write_wav(outdir / name, fs, estimate)
-        estimates[node] = name
-
-    def run_node(channels, ref, node, gram=None):
-        try:
-            return wpe.run_wpe(channels, ref, config.params, gram)
-        except (SolverError, NumericalError) as exc:
-            raise type(exc)(f"node {node}: {exc}") from exc
-
-    if config.mode == "single":
-        ledger = netsim.TransmissionLedger(mode="single")
-        converged = []
-        for node in config.report_nodes:
-            result = run_node([specs[node]], 0, node)
-            emit(node, result.desired)
-            psd_floors[str(node)] = result.psd_floor
-            converged.append(result.trace.converged)
-        run_info["converged"] = all(converged)
-    elif config.mode == "centralized":
-        ledger = netsim.TransmissionLedger(mode="centralized")
-        converged = []
-        # every report node predicts from the same gathered streams, so they
-        # share one Gram C; only g follows the reference
-        gram = wpe.GramCache()
-        for node in config.report_nodes:
-            result = run_node(specs, node, node, gram)
-            emit(node, result.desired)
-            psd_floors[str(node)] = result.psd_floor
-            converged.append(result.trace.converged)
-            for sender in range(num_nodes):
-                if sender != node:
-                    ledger.record(0, sender, node,
-                                  config.params.filter_order * n_frames * n_bins)
-        run_info["converged"] = all(converged)
-    else:
-        result = danse.run_distributed(
-            specs, config.params, collab_period=config.collab_period,
-        )
-        ledger = result.ledger
-        for node in range(num_nodes):
-            emit(node, result.desired[node])
-            psd_floors[str(node)] = result.nodes[node].psd_floor
-        result.trace.to_csv(outdir / "convergence.csv")
-        run_info["rounds_run"] = result.rounds_run
-        run_info["converged"] = result.converged
-
-    if not run_info["converged"]:
+    if not result.converged:
         print(
             f"warning: {config.mode} run did not reach the convergence "
             f"tolerance within max_iters; outputs written anyway",
             file=sys.stderr,
         )
 
-    ledger.to_csv(outdir / "transmissions.csv")
-    run_info["per_frame_bin_transmissions"] = netsim.count_transmissions(
-        config.mode, num_nodes, config.params.filter_order
-    )
-    run_info["estimates"] = {str(k): v for k, v in estimates.items()}
-    run_info["psd_floors"] = psd_floors
+    estimates = {}
+    for node, estimate in result.estimates.items():
+        estimates[str(node)] = f"estimate_node{node:02d}.wav"
+        write_wav(outdir / estimates[str(node)], fs, estimate)
+    result.ledger.to_csv(outdir / "transmissions.csv")
+    if result.trace is not None:
+        result.trace.to_csv(outdir / "convergence.csv")
+    run_info = {
+        "mode": config.mode,
+        "scenario_name": manifest["scenario_name"],
+        "num_nodes": len(observations),
+        "sample_rate": fs,
+        "lags": result.lags,
+        "report_nodes": list(config.report_nodes),
+        "params": config.run_params(),
+        "window": {"frame_len": STFT_WINDOW.frame_len, "hop": STFT_WINDOW.hop},
+        "fingerprint": config.fingerprint(),
+        "frames_per_unknown": result.frames_per_unknown,
+        **({} if result.rounds_run is None else {"rounds_run": result.rounds_run}),
+        "converged": result.converged,
+        "per_frame_bin_transmissions": netsim.count_transmissions(
+            config.mode, len(observations), config.params.filter_order),
+        "estimates": estimates,
+        "psd_floors": {str(node): v for node, v in result.psd_floors.items()},
+    }
     (outdir / "run.json").write_text(json.dumps(run_info, indent=2) + "\n")
     return run_info
+
+
+def _int_list(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigurationError(
+            f"{flag} expects comma-separated integers, got {text!r}") from None
 
 
 def _params_from_args(args) -> wpe.WpeParams:
@@ -315,7 +209,7 @@ def cmd_dereverb(args) -> int:
         num_nodes = int(manifest["num_nodes"])
         nodes = tuple(n for n in room.DEFAULT_REPORT_NODES if n < num_nodes) or (0,)
     else:
-        nodes = tuple(int(v) for v in args.nodes.split(","))
+        nodes = _int_list(args.nodes, "--nodes")
     config = RunConfig(
         scenario_path=manifest.get("scenario_path", ""),
         mode=args.mode,
@@ -349,11 +243,7 @@ def evaluate(manifest: dict, manifest_dir: Path, run_info: dict, run_dir: Path,
     for name in manifest["rirs"]:
         _, taps = read_wav(manifest_dir / name)
         rir = room.ImpulseResponse(taps=np.asarray(taps, dtype=np.float64), sample_rate=fs)
-        if early_boundary < len(rir):
-            early, _ = room.split_early_late(rir, early_boundary)
-        else:
-            early = rir  # RIR shorter than the boundary: all of it is early
-        references.append(room.render_observation(clean, fs, early))
+        references.append(room.early_reference(clean, rir, early_boundary))
     references = netsim.apply_lags(references, lags)
     aligned_obs = netsim.apply_lags(observations, lags)
 
@@ -450,7 +340,7 @@ def report_tables(outdir: Path, filter_order: int, node_counts: list[int],
 
 def cmd_report(args) -> int:
     outdir = _resolve_outdir(args.outdir, "out/report")
-    node_counts = [int(v) for v in args.node_counts.split(",")]
+    node_counts = list(_int_list(args.node_counts, "--node-counts"))
     report_tables(outdir, args.filter_order, node_counts, args.scenario_name)
     if args.run:
         run_dir = Path(args.run).parent

@@ -177,14 +177,13 @@ class DistributedResult:
 
 
 def run_distributed(observations: list[Spectrogram], params: WpeParams,
-                    collab_period: int = 2,
-                    max_rounds: int | None = None) -> DistributedResult:
+                    collab_period: int = 2) -> DistributedResult:
     """Batch distributed dereverberation over a fully-connected network.
 
     All nodes execute their rounds between synchronization barriers;
     broadcasts submitted in round r are readable from round r+1 on. Stops
-    after max_rounds (default params.max_iters) or once every node's desired
-    signal changes by less than params.convergence_tol between rounds.
+    after params.max_iters rounds or once every node's desired signal
+    changes by less than params.convergence_tol between rounds.
     """
     if not observations:
         raise InvalidInputError("at least one observation channel required")
@@ -192,7 +191,6 @@ def run_distributed(observations: list[Spectrogram], params: WpeParams,
     if len(shapes) != 1:
         raise InvalidInputError(f"observation shapes differ: {sorted(shapes)}")
     num_nodes = len(observations)
-    rounds = max_rounds if max_rounds is not None else params.max_iters
     nodes = [
         NodeState(node_id=i, num_nodes=num_nodes, local_spec=obs, params=params)
         for i, obs in enumerate(observations)
@@ -201,7 +199,7 @@ def run_distributed(observations: list[Spectrogram], params: WpeParams,
     trace = ConvergenceTrace()
     converged = False
     rounds_run = 0
-    for round_index in range(1, rounds + 1):
+    for round_index in range(1, params.max_iters + 1):
         previous = [node.desired for node in nodes]
         messages = []
         for node in nodes:

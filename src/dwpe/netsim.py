@@ -20,12 +20,11 @@ MODES = ("single", "centralized", "distributed")
 
 @dataclass(frozen=True)
 class Message:
-    """One transmission: a broadcast (recipient None) or point-to-point."""
+    """One broadcast transmission."""
 
     sender: int
     round_index: int
     payload: np.ndarray
-    recipient: int | None = None
 
     @property
     def payload_size(self) -> int:
@@ -78,13 +77,7 @@ def deliver_round(messages: list[Message], num_nodes: int,
         seen.add(msg.sender)
     inboxes: dict[int, list[Message]] = {i: [] for i in range(num_nodes)}
     for msg in sorted(messages, key=lambda m: m.sender):
-        if msg.recipient is None:
-            recipients = [i for i in range(num_nodes) if i != msg.sender]
-        else:
-            if not (0 <= msg.recipient < num_nodes):
-                raise InvalidInputError(f"recipient {msg.recipient} out of range")
-            recipients = [msg.recipient]
-        for rec in recipients:
+        for rec in (i for i in range(num_nodes) if i != msg.sender):
             inboxes[rec].append(msg)
             if ledger is not None:
                 ledger.record(msg.round_index, msg.sender, rec, msg.payload_size)

@@ -1,0 +1,146 @@
+"""One in-memory dereverberation run, the same for every mode.
+
+`run` synchronizes the observations to the reference node, transforms them,
+dereverberates in the configured mode and returns per-node time-domain
+estimates with the run's ledger and diagnostics. It reads and writes no
+file; `dwpe.cli` wraps it in WAV/JSON/CSV I/O.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+from dataclasses import asdict, dataclass, field
+
+import numpy as np
+
+from . import complexity, danse, netsim, room, wpe
+from .dsp import WindowSpec, istft, stft
+from .errors import ConfigurationError, InvalidInputError, NumericalError, SolverError
+from .metrics import ConvergenceTrace
+
+# STFT framing of every dereverberation run; part of the fingerprint.
+STFT_WINDOW = WindowSpec()
+
+
+@dataclass
+class RunConfig:
+    """Everything a dereverberation run depends on."""
+
+    scenario_path: str
+    mode: str
+    params: wpe.WpeParams = field(default_factory=wpe.WpeParams)
+    collab_period: int = 2
+    report_nodes: tuple[int, ...] = room.DEFAULT_REPORT_NODES
+    outdir: str = "out"
+    seed: int = 0
+    ref_channel: int = 0
+
+    def __post_init__(self):
+        if self.mode not in netsim.MODES:
+            raise ConfigurationError(
+                f"unknown mode {self.mode!r}; expected {netsim.MODES}"
+            )
+        if self.mode == "distributed" and self.collab_period < 1:
+            raise ConfigurationError(
+                f"collab_period must be >= 1 for distributed mode, got {self.collab_period}"
+            )
+        if not self.report_nodes:
+            raise ConfigurationError("at least one report node required")
+        if len(set(self.report_nodes)) != len(self.report_nodes):
+            raise ConfigurationError(f"duplicate report nodes in {self.report_nodes}")
+
+    def run_params(self) -> dict:
+        """Every solver setting of the run: all WpeParams fields plus the
+        collaboration period. Recorded in run.json and fingerprinted."""
+        return {**asdict(self.params), "collab_period": self.collab_period}
+
+    def fingerprint(self) -> str:
+        blob = json.dumps(
+            {
+                **self.run_params(),
+                "scenario": os.path.basename(self.scenario_path),
+                "mode": self.mode,
+                "frame_len": STFT_WINDOW.frame_len,
+                "hop": STFT_WINDOW.hop,
+                "window_kind": STFT_WINDOW.window_kind,
+                "seed": self.seed,
+                "ref": self.ref_channel,
+            },
+            sort_keys=True,
+        )
+        return hashlib.sha1(blob.encode()).hexdigest()[:12]
+
+
+@dataclass
+class RunResult:
+    """What one run produced, keyed by node id in reporting order."""
+
+    estimates: dict[int, np.ndarray]  # time domain, as long as the observations
+    lags: list[int]
+    ledger: netsim.TransmissionLedger
+    psd_floors: dict[int, float]
+    converged: bool
+    num_frames: int
+    unknowns: int  # unknowns per bin of one solve
+    trace: ConvergenceTrace | None = None  # distributed mode only
+    rounds_run: int | None = None  # distributed mode only
+
+    @property
+    def frames_per_unknown(self) -> float:
+        return self.num_frames / self.unknowns
+
+
+def run(observations: list[np.ndarray], sample_rate: int,
+        config: RunConfig) -> RunResult:
+    """Synchronize, transform and dereverberate in the configured mode.
+
+    Single and centralized mode estimate the report nodes; distributed mode
+    estimates every node. Each estimate is trimmed to the observation length.
+    """
+    num_nodes = len(observations)
+    for node in config.report_nodes:
+        if not (0 <= node < num_nodes):
+            raise InvalidInputError(f"report node {node} out of range for {num_nodes} nodes")
+    params = config.params
+    aligned, lags = netsim.synchronize(observations, config.ref_channel)
+    total_len = aligned[0].size
+    specs = [stft(sig, STFT_WINDOW, sample_rate) for sig in aligned]
+    del aligned  # not needed past the transform; frees M signals before the solves
+    n_frames, n_bins = specs[0].num_frames, specs[0].num_bins
+    unknowns = {
+        "single": params.filter_order,
+        "centralized": complexity.centralized_filter_dimension(num_nodes, params.filter_order),
+        "distributed": complexity.distributed_filter_dimension(num_nodes, params.filter_order),
+    }[config.mode]
+    if config.mode == "distributed":
+        dist = danse.run_distributed(specs, params, collab_period=config.collab_period)
+        return RunResult(
+            {node: istft(desired)[:total_len] for node, desired in enumerate(dist.desired)},
+            lags, dist.ledger, {node.node_id: node.psd_floor for node in dist.nodes},
+            dist.converged, n_frames, unknowns, dist.trace, dist.rounds_run)
+
+    estimates: dict[int, np.ndarray] = {}
+    psd_floors: dict[int, float] = {}
+    ledger = netsim.TransmissionLedger(mode=config.mode)
+    centralized = config.mode == "centralized"
+    # every centralized report node predicts from the same gathered streams,
+    # so they share one Gram C; only g follows the reference
+    gram = wpe.GramCache() if centralized else None
+    converged = []
+    for node in config.report_nodes:
+        channels, ref = (specs, node) if centralized else ([specs[node]], 0)
+        try:
+            result = wpe.run_wpe(channels, ref, params, gram)
+        except (SolverError, NumericalError) as exc:
+            raise type(exc)(f"node {node}: {exc}") from exc
+        estimates[node] = istft(result.desired)[:total_len]
+        psd_floors[node] = result.psd_floor
+        converged.append(result.trace.converged)
+        if centralized:
+            # every other node ships its delayed-vector stream to this one
+            for sender in (i for i in range(num_nodes) if i != node):
+                ledger.record(0, sender, node, params.filter_order * n_frames * n_bins)
+    return RunResult(estimates, lags, ledger, psd_floors, all(converged),
+                     n_frames, unknowns)

@@ -226,6 +226,15 @@ def split_early_late(rir: ImpulseResponse, boundary: int) -> tuple[ImpulseRespon
     )
 
 
+def early_reference(clean: np.ndarray, rir: ImpulseResponse, boundary: int) -> np.ndarray:
+    """Clean signal convolved with the RIR's first `boundary` taps: the
+    target dereverberation is scored against. An RIR no longer than the
+    boundary is early throughout."""
+    if boundary < len(rir):
+        rir, _ = split_early_late(rir, boundary)
+    return render_observation(clean, rir.sample_rate, rir)
+
+
 def estimate_t60(rir: ImpulseResponse) -> float:
     """Reverberation time from the Schroeder energy-decay curve.
 

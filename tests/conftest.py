@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dwpe import room
 from dwpe.dsp import WindowSpec
 
 
@@ -18,3 +19,13 @@ def small_window():
 @pytest.fixture
 def default_window():
     return WindowSpec()
+
+
+@pytest.fixture(scope="session")
+def small_scenario():
+    """Three far-spread nodes, short RIRs: fast but real reverberation."""
+    return room.RoomScenario(
+        room_dims=(6.0, 5.0, 3.0), source_pos=(2.6, 2.4, 1.5),
+        mic_positions=[(0.6, 1.8, 1.4), (5.4, 2.6, 1.4), (2.4, 0.6, 1.4)],
+        t60=0.4, sample_rate=16000, rir_length=4096, name="small-3node",
+    )

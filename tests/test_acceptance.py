@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from dwpe import danse, dsp, netsim, room, signals, wpe
+from dwpe import danse, dsp, netsim, pipeline, room, signals, wpe
 from dwpe.complexity import (
     beta_report,
     centralized_filter_dimension,
@@ -23,6 +23,7 @@ from oracles import gaussian_elimination_solve
 
 FS = 16000
 REPORT_NODES = (0, 3, 6)
+SCENARIO = "scenarios/simulated_12node.json"
 
 
 def ok(num, message):
@@ -39,19 +40,8 @@ def rirs(scenario):
     return [room.image_method_rir(scenario, i) for i in range(scenario.num_nodes)]
 
 
-def render_network(rirs, clean):
-    observations = [room.render_observation(clean, FS, r) for r in rirs]
-    aligned, lags = netsim.synchronize(observations, 0)
-    specs = [dsp.stft(sig, dsp.WindowSpec(), FS) for sig in aligned]
-    return aligned, lags, specs
-
-
-def references_for(rirs, clean, lags, boundary):
-    refs = []
-    for rir in rirs:
-        early, _ = room.split_early_late(rir, boundary)
-        refs.append(room.render_observation(clean, FS, early))
-    return netsim.apply_lags(refs, lags)
+def observe(rirs, clean):
+    return [room.render_observation(clean, FS, r) for r in rirs]
 
 
 def test_criterion_1_transmission_accounting():
@@ -192,11 +182,20 @@ def test_criterion_7_single_node_reduction():
 def test_criterion_8_directional_quality(scenario, rirs):
     t0 = time.time()
     clean = signals.speech_like(6.0, FS, seed=7)
-    aligned, lags, specs = render_network(rirs, clean)
-    window = dsp.WindowSpec()
-    boundary = 4 * window.hop
-    refs = references_for(rirs, clean, lags, boundary)
-    total = aligned[0].size
+    observations = observe(rirs, clean)
+    boundary = 4 * pipeline.STFT_WINDOW.hop
+
+    def run(mode, params):
+        config = pipeline.RunConfig(SCENARIO, mode, params=params, report_nodes=REPORT_NODES)
+        return pipeline.run(observations, FS, config)
+
+    single = run("single", wpe.WpeParams(delay=4, filter_order=26, max_iters=30,
+                                         convergence_tol=1e-3))
+    dist = run("distributed", wpe.WpeParams(delay=4, filter_order=26, max_iters=24,
+                                            convergence_tol=0.0))
+    aligned = netsim.apply_lags(observations, dist.lags)
+    refs = netsim.apply_lags(
+        [room.early_reference(clean, rir, boundary) for rir in rirs], dist.lags)
 
     def score(node, estimate):
         ref = refs[node]
@@ -204,16 +203,10 @@ def test_criterion_8_directional_quality(scenario, rirs):
         return (cepstral_distance(ref[:n], estimate[:n], FS),
                 fw_segmental_snr(ref[:n], estimate[:n], FS))
 
-    single_params = wpe.WpeParams(delay=4, filter_order=26, max_iters=30,
-                                  convergence_tol=1e-3)
-    dist_params = wpe.WpeParams(delay=4, filter_order=26, max_iters=24,
-                                convergence_tol=0.0)
-    dist = danse.run_distributed(specs, dist_params, collab_period=2)
     for node in REPORT_NODES:
         cd_u, fsnr_u = score(node, aligned[node])
-        single = wpe.run_wpe([specs[node]], 0, single_params)
-        cd_s, fsnr_s = score(node, dsp.istft(single.desired)[:total])
-        cd_d, fsnr_d = score(node, dsp.istft(dist.desired[node])[:total])
+        cd_s, fsnr_s = score(node, single.estimates[node])
+        cd_d, fsnr_d = score(node, dist.estimates[node])
         assert fsnr_d > fsnr_s + 0.2, f"node {node}: F-SNR dist {fsnr_d} vs single {fsnr_s}"
         assert fsnr_s > fsnr_u + 0.2, f"node {node}: F-SNR single {fsnr_s} vs unproc {fsnr_u}"
         assert cd_d < cd_s - 0.1, f"node {node}: CD dist {cd_d} vs single {cd_s}"
@@ -228,8 +221,10 @@ def test_criterion_9_convergence_traces(scenario, rirs):
     params = wpe.WpeParams(delay=4, filter_order=26, max_iters=30,
                            convergence_tol=0.0, relaxation_decay=0.85)
     for m in (6, 9, 12):
-        _, _, specs = render_network(rirs[:m], clean)
-        result = danse.run_distributed(specs, params, collab_period=1, max_rounds=30)
+        # distributed mode reports every node; report node 0 is in range for all m
+        config = pipeline.RunConfig(SCENARIO, "distributed", params=params,
+                                    collab_period=1, report_nodes=(0,))
+        result = pipeline.run(observe(rirs[:m], clean), FS, config)
         for node in range(m):
             errors = result.trace.per_node(node)
             rounds = np.asarray(result.trace.rounds[node])

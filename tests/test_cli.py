@@ -6,22 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dwpe import cli, netsim, room, wpe
+from dwpe import cli, netsim, pipeline, room, wpe
 from dwpe.cli import RunConfig, main, read_wav, write_wav
 from dwpe.dsp import WindowSpec, istft, stft
 from dwpe.signals import speech_like
 
 
 @pytest.fixture(scope="module")
-def small_scenario_file(tmp_path_factory):
-    """Three far-spread nodes, short RIRs: fast but real reverberation."""
+def small_scenario_file(small_scenario, tmp_path_factory):
     path = tmp_path_factory.mktemp("scen") / "small.json"
-    scen = room.RoomScenario(
-        room_dims=(6.0, 5.0, 3.0), source_pos=(2.6, 2.4, 1.5),
-        mic_positions=[(0.6, 1.8, 1.4), (5.4, 2.6, 1.4), (2.4, 0.6, 1.4)],
-        t60=0.4, sample_rate=16000, rir_length=4096, name="small-3node",
-    )
-    room.scenario_to_file(scen, path)
+    room.scenario_to_file(small_scenario, path)
     return path
 
 
@@ -192,7 +186,7 @@ def test_fingerprint_covers_solver_and_window_settings(monkeypatch):
     assert fingerprint(ridge_scale=1e-6) != base
     assert fingerprint(relaxation=0.5) != base
     assert fingerprint(relaxation_decay=0.8) != base
-    monkeypatch.setattr(cli, "STFT_WINDOW", WindowSpec(frame_len=256, hop=64))
+    monkeypatch.setattr(pipeline, "STFT_WINDOW", WindowSpec(frame_len=256, hop=64))
     assert fingerprint() != base
 
 
@@ -218,6 +212,47 @@ def test_dereverb_bad_report_node(simulated, tmp_path):
     assert main(["dereverb", "--manifest", str(simulated / "manifest.json"),
                  "--mode", "single", "--nodes", "7",
                  "--outdir", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("nodes", ["0,x", ""])
+def test_dereverb_malformed_nodes_is_config_error(simulated, tmp_path, nodes):
+    assert main(["dereverb", "--manifest", str(simulated / "manifest.json"),
+                 "--mode", "single", "--nodes", nodes,
+                 "--outdir", str(tmp_path / "x")]) == 2
+
+
+def test_dereverb_duplicate_nodes_is_config_error(simulated, tmp_path):
+    # a repeated node would run, and bill the ledger, twice for one estimate
+    outdir = tmp_path / "x"
+    assert main(["dereverb", "--manifest", str(simulated / "manifest.json"),
+                 "--mode", "centralized", "--nodes", "0,0",
+                 "--outdir", str(outdir)]) == 2
+    assert not (outdir / "transmissions.csv").exists()
+
+
+def test_report_malformed_node_counts_is_config_error(tmp_path):
+    assert main(["report", "--filter-order", "26", "--node-counts", "6,x",
+                 "--outdir", str(tmp_path / "x")]) == 2
+
+
+RUN_JSON_KEYS = [
+    "mode", "scenario_name", "num_nodes", "sample_rate", "lags", "report_nodes",
+    "params", "window", "fingerprint", "frames_per_unknown", "converged",
+    "per_frame_bin_transmissions", "estimates", "psd_floors",
+]
+
+
+@pytest.mark.parametrize("mode", netsim.MODES)
+def test_run_json_keys(simulated, tmp_path, mode):
+    outdir = tmp_path / mode
+    assert main(["dereverb", "--manifest", str(simulated / "manifest.json"),
+                 "--mode", mode, "--filter-order", "6", "--delay", "2",
+                 "--max-iters", "1", "--nodes", "0", "--outdir", str(outdir)]) == 0
+    keys = list(json.loads((outdir / "run.json").read_text()))
+    expected = list(RUN_JSON_KEYS)
+    if mode == "distributed":
+        expected.insert(expected.index("converged"), "rounds_run")
+    assert keys == expected
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -292,7 +294,7 @@ def test_run_distributed_m1_identical_to_single(rng):
 
 def test_run_distributed_ledger_and_inbox(rng):
     params, specs, _ = make_network(rng, num_nodes=3, frames=16)
-    result = run_distributed(specs, params, collab_period=2, max_rounds=4)
+    result = run_distributed(specs, replace(params, max_iters=4), collab_period=2)
     # broadcasts land on even rounds only
     assert result.ledger.rounds_with_traffic() == [2, 4]
     # every broadcast round moves one scalar per (n, k) per directed pair
@@ -308,8 +310,8 @@ def test_run_distributed_compressor_snapshot_consistency(rng):
     # broadcast round applied to the sender's signal, even after further
     # local rounds (runs are deterministic, so round 2 is replayed)
     params, specs, _ = make_network(rng, num_nodes=2, frames=16)
-    at_broadcast = run_distributed(specs, params, collab_period=2, max_rounds=2)
-    result = run_distributed(specs, params, collab_period=2, max_rounds=3)
+    at_broadcast = run_distributed(specs, replace(params, max_iters=2), collab_period=2)
+    result = run_distributed(specs, replace(params, max_iters=3), collab_period=2)
     broadcast_weights = at_broadcast.nodes[1].local_weights
     assert not np.array_equal(result.nodes[1].local_weights, broadcast_weights)
     expected = compress_all_frames(specs[1].data, broadcast_weights, params)
@@ -318,7 +320,7 @@ def test_run_distributed_compressor_snapshot_consistency(rng):
 
 def test_run_distributed_trace_rounds_start_at_two(rng):
     params, specs, _ = make_network(rng, num_nodes=2, frames=16)
-    result = run_distributed(specs, params, collab_period=2, max_rounds=5)
+    result = run_distributed(specs, replace(params, max_iters=5), collab_period=2)
     for node_id in (0, 1):
         assert result.trace.rounds[node_id][0] == 2
         assert len(result.trace.per_node(node_id)) == result.rounds_run - 1
@@ -338,7 +340,7 @@ def test_run_distributed_deterministic(seed, num_nodes):
 
 def test_distributed_solve_dimension(rng):
     params, specs, _ = make_network(rng, num_nodes=3, frames=16)
-    result = run_distributed(specs, params, collab_period=1, max_rounds=3)
+    result = run_distributed(specs, replace(params, max_iters=3), collab_period=1)
     node = result.nodes[0]
     assert node.local_weights.shape == (WINDOW.num_bins, params.filter_order)
     assert node.cross_weights.shape == (WINDOW.num_bins, 2)

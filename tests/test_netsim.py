@@ -59,12 +59,6 @@ def test_deliver_duplicate_sender_protocol_error():
         deliver_round(msgs, num_nodes=3)
 
 
-def test_deliver_point_to_point():
-    msg = Message(sender=0, round_index=1, payload=np.ones(3), recipient=2)
-    inboxes = deliver_round([msg], num_nodes=3)
-    assert len(inboxes[2]) == 1 and len(inboxes[1]) == 0
-
-
 def test_ledger_counts_units(tmp_path):
     ledger = TransmissionLedger(mode="distributed")
     msgs = [Message(sender=i, round_index=2, payload=np.ones(10)) for i in range(3)]
