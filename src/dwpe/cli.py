@@ -5,7 +5,8 @@ observation WAVs, runs `pipeline.run` and writes its estimates, run.json,
 the transmission ledger and the convergence trace; `evaluate` scores them
 against `room.early_reference`.
 
-All outputs are deterministic functions of (config, seed). Every CSV row
+All outputs are deterministic functions of (config, seed); `dereverb`
+fingerprints the seed that `simulate` recorded in the manifest. Every CSV row
 carries the scenario name, mode and a parameter fingerprint. Exit codes:
 0 success, 2 configuration/input error, 3 I/O error, 4 numerical failure.
 
@@ -40,7 +41,9 @@ def read_wav(path) -> tuple[int, np.ndarray]:
     rate, data = wavfile.read(path)
     if data.ndim != 1:
         raise InvalidInputError(f"{path}: expected mono audio, got shape {data.shape}")
-    if data.dtype == np.int16:
+    if data.dtype == np.uint8:  # 8-bit PCM is unsigned, centred on 128
+        data = (data.astype(np.float64) - 128.0) / 128.0
+    elif data.dtype == np.int16:
         data = data.astype(np.float64) / 32768.0
     elif data.dtype == np.int32:
         data = data.astype(np.float64) / 2147483648.0
@@ -217,7 +220,7 @@ def cmd_dereverb(args) -> int:
         collab_period=args.collab_period,
         report_nodes=nodes,
         outdir=str(outdir),
-        seed=args.seed,
+        seed=int(manifest.get("seed", 0)),
         ref_channel=args.ref,
     )
     info = dereverb(config, manifest, manifest_path.parent, outdir)
@@ -386,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="report nodes, comma separated (default: 0,3,6 "
                           "clipped to the network size)")
     der.add_argument("--ref", type=int, default=0, help="synchronization reference node")
-    der.add_argument("--seed", type=int, default=0)
     der.add_argument("--outdir", default=None)
     der.set_defaults(func=cmd_dereverb)
 

@@ -27,7 +27,6 @@ from .metrics import ConvergenceTrace, convergence_error
 from .netsim import Message, TransmissionLedger, deliver_round
 from .wpe import (
     GramCache,
-    PsdEstimate,
     Stream,
     WpeParams,
     predict_all_bins,
@@ -39,17 +38,20 @@ from .wpe import (
 
 @dataclass
 class NodeState:
-    """Everything one node owns: signal, filters, PSD, inbox, and the
-    unweighted Gram of its current streams (rebuilt by the kernel
-    whenever the inbox holds new payload arrays)."""
+    """Everything one node owns: signal, filter, inbox, and the unweighted
+    Gram of its current streams (rebuilt by the kernel whenever the inbox
+    holds new payload arrays).
+
+    weights is the node's one filter in the row order of streams(): the
+    filter_order local taps, then one weight per neighbor in ascending id
+    order once cross-node data has arrived.
+    """
 
     node_id: int
     num_nodes: int
     local_spec: Spectrogram
     params: WpeParams
-    local_weights: np.ndarray = field(init=False)
-    cross_weights: np.ndarray = field(init=False)
-    psd: PsdEstimate | None = field(init=False, default=None)
+    weights: np.ndarray = field(init=False)
     inbox: dict[int, np.ndarray] = field(init=False, default_factory=dict)
     desired: np.ndarray = field(init=False)
     psd_floor: float = field(init=False)
@@ -61,36 +63,26 @@ class NodeState:
                 f"node_id {self.node_id} out of range for {self.num_nodes} nodes"
             )
         K = self.local_spec.num_bins
-        L = self.params.filter_order
-        self.local_weights = np.zeros((K, L), dtype=np.complex128)
-        self.cross_weights = np.zeros((K, self.num_nodes - 1), dtype=np.complex128)
+        self.weights = np.zeros((K, self.params.filter_order), dtype=np.complex128)
         # zero-initialized filters make the first desired estimate the observation
         self.desired = self.local_spec.data.copy()
         self.psd_floor = resolve_psd_floor(self.local_spec.data, self.params.psd_floor)
 
-    @property
-    def neighbor_ids(self) -> list[int]:
-        return [j for j in range(self.num_nodes) if j != self.node_id]
-
-    def check_inbox(self) -> bool:
-        """True when cross-node data is available; raises on a partial inbox."""
-        if not self.inbox:
-            return False
-        missing = [j for j in self.neighbor_ids if j not in self.inbox]
-        if missing:
-            raise MissingDataError(
-                f"node {self.node_id}: no compressed data from neighbor {missing[0]}"
-            )
-        return True
-
     def streams(self) -> list[Stream]:
         """Extended observation as kernel streams: local delayed block first,
-        then one compressed stream per neighbor in ascending id order."""
+        then, once any cross-node data has arrived, one compressed stream per
+        neighbor in ascending id order; raises on a partial inbox."""
         out: list[Stream] = [
             (self.local_spec.data, self.params.filter_order, self.params.delay)
         ]
-        if self.check_inbox():
-            for j in self.neighbor_ids:
+        if self.inbox:
+            for j in range(self.num_nodes):
+                if j == self.node_id:
+                    continue
+                if j not in self.inbox:
+                    raise MissingDataError(
+                        f"node {self.node_id}: no compressed data from neighbor {j}"
+                    )
                 out.append((self.inbox[j], 1, 0))
         return out
 
@@ -104,36 +96,6 @@ def compress_all_frames(data: np.ndarray, compressor: np.ndarray,
     return predict_all_bins([(data, params.filter_order, params.delay)], compressor)
 
 
-def local_solve(node: NodeState) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form per-bin solve of the node's extended system.
-
-    Dimension filter_order + (M-1) once cross-node data has arrived; before
-    the first broadcast the cross block is unidentifiable and only the local
-    filter_order-dimensional system is solved (cross weights stay zero).
-
-    With cross-node data the solve is proximally regularized toward the
-    node's current weights: (Z + lam I) w = q + lam w_prev. Directions Z
-    barely constrains stay where they were instead of wandering with every
-    new compressor snapshot, while any fixed point still satisfies Z w = q
-    exactly, so the solution is unbiased.
-    """
-    if node.psd is None:
-        raise InvalidInputError("PSD estimate required before solving")
-    streams = node.streams()
-    L = node.params.filter_order
-    # without cross-node data there is no proximal pull (prox_to=None)
-    w_prev = (np.concatenate([node.local_weights, node.cross_weights], axis=1)
-              if len(streams) > 1 else None)
-    weights = solve_weights(streams, node.local_spec.data, node.psd.values, node.gram,
-                            node.params.ridge_scale, node.params.prox_scale, w_prev)
-    local = weights[:, :L]
-    if weights.shape[1] > L:
-        cross = weights[:, L:]
-    else:
-        cross = np.zeros((weights.shape[0], node.num_nodes - 1), dtype=np.complex128)
-    return local, cross
-
-
 def node_round(node: NodeState, round_index: int,
                collab_period: int) -> np.ndarray | None:
     """One full local round: PSD update, weight solve, desired re-prediction;
@@ -142,25 +104,39 @@ def node_round(node: NodeState, round_index: int,
     prediction the round has just made: the compressor is the local filter
     of this round, applied to the same delayed frames.
 
-    Once cross-node data is in play the weight update moves toward the
-    solved value with the geometrically decaying step of params.step_size;
-    simultaneous exact updates across the network need not settle, while the
-    damped update keeps every per-round solve's fixed point unchanged.
+    The per-bin solve has dimension filter_order + (M-1) once cross-node data
+    has arrived; the first such round widens the filter once with zero cross
+    weights. Before that the cross block is unidentifiable, so only the local
+    system is solved and taken as is.
+
+    With cross-node data the solve is proximally regularized toward the
+    current weights, (Z + lam I) w = q + lam w_prev: directions Z barely
+    constrains stay where they were instead of wandering with every new
+    compressor snapshot, while any fixed point still satisfies Z w = q. The
+    weights then move toward the solution with the geometrically decaying
+    step of params.step_size; simultaneous exact updates across the network
+    need not settle, while the damped update keeps the fixed point unchanged.
     """
     if collab_period < 1:
         raise InvalidInputError(f"collab_period must be >= 1, got {collab_period}")
-    node.psd = update_psd(node.desired, node.psd_floor)
-    solved_local, solved_cross = local_solve(node)
-    cross = node.streams()[1:]
+    psd = update_psd(node.desired, node.psd_floor)
+    streams = node.streams()
+    data, L = node.local_spec.data, node.params.filter_order
+    cross = len(streams) > 1
+    if cross and node.weights.shape[1] == L:
+        node.weights = np.pad(node.weights, ((0, 0), (0, len(streams) - 1)))
+    # without cross-node data there is no proximal pull (prox_to=None)
+    solved = solve_weights(streams, data, psd.values, node.gram, node.params.ridge_scale,
+                           node.params.prox_scale, node.weights if cross else None)
     if cross:
         mu = node.params.step_size(round_index)
-        node.local_weights = (1.0 - mu) * node.local_weights + mu * solved_local
-        node.cross_weights = (1.0 - mu) * node.cross_weights + mu * solved_cross
+        node.weights = (1.0 - mu) * node.weights + mu * solved
     else:
-        node.local_weights, node.cross_weights = solved_local, solved_cross
-    local_late = compress_all_frames(node.local_spec.data, node.local_weights, node.params)
-    late = local_late + predict_all_bins(cross, node.cross_weights) if cross else local_late
-    node.desired = node.local_spec.data - late
+        node.weights = solved
+    local_late = compress_all_frames(data, node.weights[:, :L], node.params)
+    late = (local_late + predict_all_bins(streams[1:], node.weights[:, L:])
+            if cross else local_late)
+    node.desired = data - late
     if round_index % collab_period == 0:
         return local_late
     return None

@@ -297,32 +297,6 @@ def scenario_from_file(path) -> RoomScenario:
     )
 
 
-def default_simulated_scenario() -> RoomScenario:
-    """The shipped 12-node scenario: one talker and four 3-mic linear arrays
-    in a 6 x 5 x 3 m room at T60 0.83 s.
-
-    The geometry approximates the dispersed-array layout the pipeline was
-    designed around (exact positions are not published); every microphone is
-    modeled as its own node. Nodes 0-2 form array 1, 3-5 array 2, 6-8
-    array 3, 9-11 array 4.
-    """
-    arrays = [
-        [(0.60, 1.80, 1.40), (0.60, 1.90, 1.40), (0.60, 2.00, 1.40)],
-        [(5.40, 2.60, 1.40), (5.40, 2.70, 1.40), (5.40, 2.80, 1.40)],
-        [(2.40, 0.60, 1.40), (2.50, 0.60, 1.40), (2.60, 0.60, 1.40)],
-        [(3.00, 4.40, 1.40), (3.10, 4.40, 1.40), (3.20, 4.40, 1.40)],
-    ]
-    return RoomScenario(
-        room_dims=(6.0, 5.0, 3.0),
-        source_pos=(2.60, 2.40, 1.50),
-        mic_positions=[m for arr in arrays for m in arr],
-        t60=0.83,
-        sample_rate=16000,
-        rir_length=8192,
-        name="simulated-12node",
-    )
-
-
 # Reporting nodes used by the experiment harness: one per array of the
-# default scenario (arrays 1, 2 and 3).
+# shipped scenario, scenarios/simulated_12node.json (arrays 1, 2 and 3).
 DEFAULT_REPORT_NODES = (0, 3, 6)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,13 @@ def small_window():
 @pytest.fixture
 def default_window():
     return WindowSpec()
+
+
+@pytest.fixture(scope="session")
+def shipped_scenario():
+    """The shipped 12-node room, read from its scenario file."""
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "simulated_12node.json"
+    return room.scenario_from_file(path)
 
 
 @pytest.fixture(scope="session")

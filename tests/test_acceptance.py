@@ -31,13 +31,9 @@ def ok(num, message):
 
 
 @pytest.fixture(scope="module")
-def scenario():
-    return room.default_simulated_scenario()
-
-
-@pytest.fixture(scope="module")
-def rirs(scenario):
-    return [room.image_method_rir(scenario, i) for i in range(scenario.num_nodes)]
+def rirs(shipped_scenario):
+    return [room.image_method_rir(shipped_scenario, i)
+            for i in range(shipped_scenario.num_nodes)]
 
 
 def observe(rirs, clean):
@@ -179,7 +175,7 @@ def test_criterion_7_single_node_reduction():
           f"({time.time()-t0:.1f}s)")
 
 
-def test_criterion_8_directional_quality(scenario, rirs):
+def test_criterion_8_directional_quality(rirs):
     t0 = time.time()
     clean = signals.speech_like(6.0, FS, seed=7)
     observations = observe(rirs, clean)
@@ -215,7 +211,7 @@ def test_criterion_8_directional_quality(scenario, rirs):
           f"required margins ({time.time()-t0:.0f}s)")
 
 
-def test_criterion_9_convergence_traces(scenario, rirs):
+def test_criterion_9_convergence_traces(rirs):
     t0 = time.time()
     clean = signals.speech_like(4.0, FS, seed=11)
     params = wpe.WpeParams(delay=4, filter_order=26, max_iters=30,

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from dwpe import cli, netsim, pipeline, room, wpe
 from dwpe.cli import RunConfig, main, read_wav, write_wav
@@ -190,6 +191,26 @@ def test_fingerprint_covers_solver_and_window_settings(monkeypatch):
     assert fingerprint() != base
 
 
+def test_dereverb_fingerprints_the_manifest_seed(small_scenario_file, tmp_path):
+    simdir, outdir = tmp_path / "sim", tmp_path / "run"
+    assert main(["simulate", "--scenario", str(small_scenario_file), "--duration", "0.5",
+                 "--seed", "5", "--outdir", str(simdir)]) == 0
+    args = ["dereverb", "--manifest", str(simdir / "manifest.json"), "--mode", "single",
+            "--filter-order", "4", "--delay", "2", "--max-iters", "1", "--nodes", "0",
+            "--outdir", str(outdir)]
+    assert main(args) == 0
+    info = json.loads((outdir / "run.json").read_text())
+    params = wpe.WpeParams(delay=2, filter_order=4, max_iters=1, convergence_tol=1e-4)
+
+    def fingerprint(seed):
+        return RunConfig(str(small_scenario_file), "single", params=params,
+                         report_nodes=(0,), seed=seed).fingerprint()
+
+    assert info["fingerprint"] == fingerprint(5) != fingerprint(0)
+    with pytest.raises(SystemExit):  # the seed is the input's, not a flag
+        main(args + ["--seed", "5"])
+
+
 def test_fingerprint_is_stable():
     # earlier runs' metrics.csv rows and run.json files must keep matching
     config = RunConfig("scenarios/simulated_12node.json", "distributed")
@@ -359,6 +380,20 @@ def test_outdir_env_override(small_scenario_file, tmp_path, monkeypatch):
     monkeypatch.setenv("DWPE_OUTDIR", str(target))
     assert main(["report", "--filter-order", "26", "--node-counts", "6"]) == 0
     assert (target / "betas.csv").exists()
+
+
+def test_read_wav_8bit_is_centred(tmp_path):
+    # 8-bit PCM is unsigned: 128 is silence, 0 and 255 the extremes
+    path = tmp_path / "u8.wav"
+    sine = np.sin(2 * np.pi * 440 * np.arange(1600) / 16000)
+    wavfile.write(path, 16000, np.round(128 + 127 * sine).astype(np.uint8))
+    rate, back = read_wav(path)
+    assert rate == 16000
+    assert back.dtype == np.float64
+    np.testing.assert_allclose(back, sine * 127 / 128, atol=0.5 / 128)
+    assert abs(back.mean()) < 1e-2
+    wavfile.write(path, 16000, np.array([0, 128, 255], dtype=np.uint8))
+    np.testing.assert_array_equal(read_wav(path)[1], [-1.0, 0.0, 127 / 128])
 
 
 def test_wav_roundtrip(tmp_path, rng):

@@ -7,17 +7,18 @@ from hypothesis import given, settings, strategies as st
 from dwpe.danse import (
     NodeState,
     compress_all_frames,
-    local_solve,
     node_round,
     run_distributed,
 )
 from dwpe.dsp import Spectrogram, WindowSpec
 from dwpe.errors import MissingDataError
 from dwpe.wpe import (
+    GramCache,
     WpeParams,
     gather_cells,
     predict_all_bins,
     run_wpe,
+    solve_weights,
     streams_dim,
     update_psd,
 )
@@ -126,10 +127,10 @@ def test_local_predict_single_node_matches_predict_desired(rng):
     _, specs, nodes = make_network(rng, num_nodes=1)
     node = nodes[0]
     node_round(node, 1, collab_period=2)
-    assert np.linalg.norm(node.local_weights) > 0
+    assert np.linalg.norm(node.weights) > 0
     stacked = stacked_by_loop(node.streams(), 2)
     for n in (0, 6, 11):
-        expected = specs[0].data[n, 2] - np.vdot(node.local_weights[2], stacked[n])
+        expected = specs[0].data[n, 2] - np.vdot(node.weights[2], stacked[n])
         assert node.desired[n, 2] == pytest.approx(expected)
 
 
@@ -139,43 +140,48 @@ def test_local_predict_matches_explicit_compressed_path(rng):
     g = rng.standard_normal((WINDOW.num_bins, 3)) + 1j * rng.standard_normal((WINDOW.num_bins, 3))
     node.inbox[1] = compress_all_frames(specs[1].data, g, params)
     node_round(node, 1, collab_period=2)
-    assert np.linalg.norm(node.cross_weights) > 0
+    assert np.linalg.norm(node.weights[:, 3:]) > 0
     k = 4
     local = stacked_by_loop([(specs[0].data, 3, 2)], k)
     neighbor = stacked_by_loop([(specs[1].data, 3, 2)], k)
-    weights = np.concatenate([node.local_weights[k], node.cross_weights[k]])
     for n in (3, 7, 11):
         extended = np.concatenate([local[n], [np.vdot(g[k], neighbor[n])]])
-        expected = specs[0].data[n, k] - np.vdot(weights, extended)
+        expected = specs[0].data[n, k] - np.vdot(node.weights[k], extended)
         assert node.desired[n, k] == pytest.approx(expected)
 
+
+# The local_solve tests check the node's per-bin solve, which runs inside
+# node_round on the node's streams() and its Gram.
 
 def test_local_solve_single_node_reduces_to_centralized(rng):
     params, specs, nodes = make_network(rng, num_nodes=1, frames=20)
     node = nodes[0]
-    node.psd = update_psd(node.desired, node.psd_floor)
-    local, cross = local_solve(node)
-    assert cross.shape == (WINDOW.num_bins, 0)
+    node_round(node, 1, collab_period=2)
+    assert node.weights.shape == (WINDOW.num_bins, 3)
     result = run_wpe(specs, 0, WpeParams(delay=2, filter_order=3, max_iters=1,
                                          convergence_tol=0.0,
                                          psd_floor=node.psd_floor))
-    np.testing.assert_array_equal(local, result.weights)
+    np.testing.assert_array_equal(node.weights, result.weights)
+    np.testing.assert_array_equal(node.desired, result.desired.data)
 
 
 def test_local_solve_matches_double_loop_oracle(rng):
+    # the first round with an inbox takes the full step (step_size(1) == 1),
+    # so the weights are the solved ones
     params, specs, nodes = make_network(rng, num_nodes=2, frames=6,
                                         filter_order=2, delay=1,
                                         ridge_scale=0.0, prox_scale=0.0)
     node = nodes[0]
     g = rng.standard_normal((WINDOW.num_bins, 2)) + 1j * rng.standard_normal((WINDOW.num_bins, 2))
     node.inbox[1] = compress_all_frames(specs[1].data, g, params)
-    node.psd = update_psd(node.desired, node.psd_floor)
-    local, cross = local_solve(node)
+    psd = update_psd(node.desired, node.psd_floor)
+    node_round(node, 1, collab_period=2)
     k = 3
     stacked = stacked_by_loop(node.streams(), k)
-    Z, q = normal_equations_direct(stacked, specs[0].data[:, k], node.psd.values[:, k])
+    Z, q = normal_equations_direct(stacked, specs[0].data[:, k], psd.values[:, k])
     w = np.linalg.solve(Z, q)
-    got = np.concatenate([local[k], cross[k]])
+    got = node.weights[k]
+    assert got.shape == (3,)
     assert np.linalg.norm(Z @ got - q) <= 1e-10 * np.linalg.norm(q)
     np.testing.assert_allclose(got, w, rtol=1e-8)
 
@@ -187,13 +193,12 @@ def test_local_solve_sigma_scale_invariance(rng):
     g = rng.standard_normal((WINDOW.num_bins, 3)) + 1j * rng.standard_normal((WINDOW.num_bins, 3))
     node.inbox[1] = compress_all_frames(specs[1].data, g, params)
     sigma = np.abs(rng.standard_normal((10, WINDOW.num_bins))) + 0.3
-    from dwpe.wpe import PsdEstimate
 
-    node.psd = PsdEstimate(values=sigma, floor=1e-6)
-    w1 = np.concatenate(local_solve(node), axis=1)
-    node.psd = PsdEstimate(values=4.0 * sigma, floor=1e-6)
-    w2 = np.concatenate(local_solve(node), axis=1)
-    np.testing.assert_allclose(w1, w2, rtol=1e-9)
+    def solve(scale):
+        return solve_weights(node.streams(), specs[0].data, scale * sigma, node.gram,
+                             params.ridge_scale)
+
+    np.testing.assert_allclose(solve(1.0), solve(4.0), rtol=1e-9)
 
 
 def test_local_solve_rebuilds_gram_for_new_inbox(rng):
@@ -205,18 +210,19 @@ def test_local_solve_rebuilds_gram_for_new_inbox(rng):
         return compress_all_frames(specs[j].data, g, params)
 
     node.inbox = {1: payload(1), 2: payload(2)}
-    node.psd = update_psd(node.desired, node.psd_floor)
-    local_solve(node)
+    node_round(node, 1, collab_period=5)
     gram = node.gram.C
-    local_solve(node)
+    node_round(node, 2, collab_period=5)
     assert node.gram.C is gram  # same streams: the Gram is kept
     node.inbox[2] = payload(2)
-    got = np.concatenate(local_solve(node), axis=1)
     fresh = NodeState(node_id=0, num_nodes=3, local_spec=specs[0], params=params)
     fresh.inbox = dict(node.inbox)
-    fresh.psd = node.psd
-    want = np.concatenate(local_solve(fresh), axis=1)
-    np.testing.assert_array_equal(got, want)
+    fresh.weights, fresh.desired = node.weights.copy(), node.desired.copy()
+    node_round(node, 3, collab_period=5)
+    assert node.gram.C is not gram
+    node_round(fresh, 3, collab_period=5)
+    np.testing.assert_array_equal(node.weights, fresh.weights)
+    np.testing.assert_array_equal(node.desired, fresh.desired)
 
 
 def test_all_zero_inbox_degenerates_to_local_weights(rng):
@@ -224,13 +230,36 @@ def test_all_zero_inbox_degenerates_to_local_weights(rng):
                                         prox_scale=0.0)
     node = nodes[0]
     node.inbox[1] = np.zeros_like(specs[0].data)
-    node.psd = update_psd(node.desired, node.psd_floor)
-    local, cross = local_solve(node)
-    np.testing.assert_allclose(cross, 0, atol=1e-20)
+    node_round(node, 1, collab_period=2)
+    np.testing.assert_allclose(node.weights[:, 3:], 0, atol=1e-20)
     single = run_wpe([specs[0]], 0, WpeParams(delay=2, filter_order=3, max_iters=1,
                                               convergence_tol=0.0,
                                               psd_floor=node.psd_floor))
-    np.testing.assert_allclose(local, single.weights, rtol=1e-5, atol=1e-9)
+    np.testing.assert_allclose(node.weights[:, :3], single.weights, rtol=1e-5, atol=1e-9)
+
+
+def test_node_round_damped_update(rng):
+    # after the first inbox the weights move a step mu = step_size(r) from the
+    # previous ones toward the solve, which is pulled toward the previous ones
+    params, specs, nodes = make_network(rng, num_nodes=2, frames=20,
+                                        relaxation_decay=0.5)
+    node = nodes[0]
+    node_round(node, 1, collab_period=2)
+    assert node.weights.shape == (WINDOW.num_bins, 3)
+    g = rng.standard_normal((WINDOW.num_bins, 3)) + 1j * rng.standard_normal((WINDOW.num_bins, 3))
+    node.inbox[1] = compress_all_frames(specs[1].data, g, params)
+    for r in (2, 3):
+        w_prev = node.weights
+        if r == 2:  # widened once, with zero cross weights
+            w_prev = np.pad(w_prev, ((0, 0), (0, 1)))
+        psd = update_psd(node.desired, node.psd_floor)
+        solved = solve_weights(node.streams(), specs[0].data, psd.values, GramCache(),
+                               params.ridge_scale, params.prox_scale, w_prev)
+        mu = params.step_size(r)
+        assert mu == 0.5 ** (r - 1)
+        node_round(node, r, collab_period=2)
+        assert not np.allclose(solved, w_prev)
+        np.testing.assert_array_equal(node.weights, (1.0 - mu) * w_prev + mu * solved)
 
 
 def test_node_round_broadcast_schedule(rng):
@@ -258,10 +287,10 @@ def test_node_round_broadcast_equals_weights(rng):
     payload = node_round(node, 2, collab_period=2)
     # the compressor is the local filter of the broadcast round
     np.testing.assert_array_equal(
-        payload, compress_all_frames(specs[0].data, node.local_weights, params)
+        payload, compress_all_frames(specs[0].data, node.weights[:, :3], params)
     )
     # the payload is the local block of the prediction the round subtracted
-    cross = predict_all_bins(node.streams()[1:], node.cross_weights)
+    cross = predict_all_bins(node.streams()[1:], node.weights[:, 3:])
     np.testing.assert_allclose(node.desired, specs[0].data - payload - cross,
                                rtol=1e-12, atol=1e-12)
 
@@ -312,8 +341,8 @@ def test_run_distributed_compressor_snapshot_consistency(rng):
     params, specs, _ = make_network(rng, num_nodes=2, frames=16)
     at_broadcast = run_distributed(specs, replace(params, max_iters=2), collab_period=2)
     result = run_distributed(specs, replace(params, max_iters=3), collab_period=2)
-    broadcast_weights = at_broadcast.nodes[1].local_weights
-    assert not np.array_equal(result.nodes[1].local_weights, broadcast_weights)
+    broadcast_weights = at_broadcast.nodes[1].weights[:, :3]
+    assert not np.array_equal(result.nodes[1].weights[:, :3], broadcast_weights)
     expected = compress_all_frames(specs[1].data, broadcast_weights, params)
     np.testing.assert_array_equal(result.nodes[0].inbox[1], expected)
 
@@ -342,10 +371,9 @@ def test_distributed_solve_dimension(rng):
     params, specs, _ = make_network(rng, num_nodes=3, frames=16)
     result = run_distributed(specs, replace(params, max_iters=3), collab_period=1)
     node = result.nodes[0]
-    assert node.local_weights.shape == (WINDOW.num_bins, params.filter_order)
-    assert node.cross_weights.shape == (WINDOW.num_bins, 2)
+    assert node.weights.shape == (WINDOW.num_bins, params.filter_order + 2)
     # some cross weight is actually in use after the first broadcast
-    assert np.linalg.norm(node.cross_weights) > 0
+    assert np.linalg.norm(node.weights[:, params.filter_order:]) > 0
 
 
 def test_silent_observation_gives_silent_output(rng):

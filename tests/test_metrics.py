@@ -111,10 +111,10 @@ def test_metrics_alignment_symmetry(utterance, rng):
 
 
 @pytest.fixture(scope="module")
-def reverberant_pair():
+def reverberant_pair(shipped_scenario):
     """Early-reflection reference and reverberant observation of the
     shipped room's node 0."""
-    scen = room.default_simulated_scenario()
+    scen = shipped_scenario
     clean = speech_like(2.0, scen.sample_rate, seed=11)
     rir = room.image_method_rir(scen, 0)
     early, _ = room.split_early_late(rir, 512)

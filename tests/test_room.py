@@ -6,7 +6,6 @@ from dwpe.errors import ConfigurationError, InvalidInputError
 from dwpe.room import (
     ImpulseResponse,
     RoomScenario,
-    default_simulated_scenario,
     estimate_t60,
     image_method_rir,
     reflection_coefficient,
@@ -84,15 +83,15 @@ def test_mirror_symmetric_mics_identical_magnitudes():
     np.testing.assert_allclose(np.abs(rir_a.taps), np.abs(rir_b.taps), atol=1e-12)
 
 
-def test_rir_deterministic():
-    scen = default_simulated_scenario()
+def test_rir_deterministic(shipped_scenario):
+    scen = shipped_scenario
     a = image_method_rir(scen, 2)
     b = image_method_rir(scen, 2)
     assert np.array_equal(a.taps, b.taps)
 
 
-def test_rir_highpass_matches_per_sample_loop():
-    scen = default_simulated_scenario()
+def test_rir_highpass_matches_per_sample_loop(shipped_scenario):
+    scen = shipped_scenario
     for mic in (0, 7):
         raw = image_method_rir(scen, mic, highpass=False).taps
         want = image_highpass_direct(raw, scen.sample_rate)
@@ -100,13 +99,12 @@ def test_rir_highpass_matches_per_sample_loop():
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_rir_energy_decays():
-    scen = default_simulated_scenario()
-    assert image_method_rir(scen, 0).energy_decays()
+def test_rir_energy_decays(shipped_scenario):
+    assert image_method_rir(shipped_scenario, 0).energy_decays()
 
 
-def test_default_scenario_t60_within_15_percent():
-    scen = default_simulated_scenario()
+def test_default_scenario_t60_within_15_percent(shipped_scenario):
+    scen = shipped_scenario
     for mic in (0, 3):
         rir = image_method_rir(scen, mic)
         est = schroeder_t60(rir.taps, scen.sample_rate)
@@ -182,8 +180,8 @@ def test_split_convolution_linearity(seed, boundary):
     np.testing.assert_allclose(parts, whole, atol=1e-10)
 
 
-def test_scenario_file_roundtrip(tmp_path):
-    scen = default_simulated_scenario()
+def test_scenario_file_roundtrip(tmp_path, shipped_scenario):
+    scen = shipped_scenario
     path = tmp_path / "scen.json"
     scenario_to_file(scen, path)
     loaded = scenario_from_file(path)
@@ -207,8 +205,8 @@ def test_scenario_file_missing_key(tmp_path):
         scenario_from_file(path)
 
 
-def test_subset_scenario():
-    scen = default_simulated_scenario()
+def test_subset_scenario(shipped_scenario):
+    scen = shipped_scenario
     sub = scen.subset(range(6))
     assert sub.num_nodes == 6
     assert sub.mic_positions == scen.mic_positions[:6]

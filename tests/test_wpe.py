@@ -222,8 +222,8 @@ def test_split_kernel_matches_oracle_without_floored_cells(rng):
     assert worst_relative_error(streams, ref, sigma, range(6)) <= 1e-12
 
 
-def test_split_kernel_matches_oracle_on_shipped_room():
-    scen = room.default_simulated_scenario()
+def test_split_kernel_matches_oracle_on_shipped_room(shipped_scenario):
+    scen = shipped_scenario
     clean = speech_like(1.0, scen.sample_rate, seed=11)
     specs = [
         stft(room.render_observation(clean, scen.sample_rate,
