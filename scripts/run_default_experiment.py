@@ -3,8 +3,10 @@
 single and distributed dereverberation modes, evaluate, and emit the report
 tables.
 
-Roughly 6-8 minutes on a laptop with the defaults. Pass an output directory
-and optionally a clean-speech duration in seconds:
+Runs from a source checkout without an install: it imports `dwpe` from
+./src. With the default 6 s of speech it takes about 33 s on a shared 2-core
+x86-64 machine (12 s at 1.5 s of speech). Pass an output directory and
+optionally a clean-speech duration in seconds:
 
     python scripts/run_default_experiment.py out/experiment 6.0
 """
@@ -12,13 +14,16 @@ and optionally a clean-speech duration in seconds:
 import sys
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
 from dwpe.cli import main as cli_main
 
 
 def main() -> int:
     outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out/experiment")
     duration = sys.argv[2] if len(sys.argv) > 2 else "6.0"
-    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "simulated_12node.json"
+    scenario = ROOT / "scenarios" / "simulated_12node.json"
     simdir = outdir / "sim"
 
     rc = cli_main([
@@ -49,7 +54,6 @@ def main() -> int:
     return cli_main([
         "report", "--filter-order", "26", "--node-counts", "6,9,12",
         "--scenario-name", "simulated", "--outdir", str(outdir / "report"),
-        "--run", str(outdir / "distributed" / "run.json"),
     ])
 
 

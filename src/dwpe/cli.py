@@ -317,39 +317,48 @@ def cmd_evaluate(args) -> int:
 
 def report_tables(outdir: Path, filter_order: int, node_counts: list[int],
                   scenario: str) -> None:
-    """Closed-form transmission and complexity tables (no audio needed)."""
-    with open(outdir / "transmissions_table.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "num_nodes", "filter_order", "mode",
-                         "per_frame_bin_transmissions"])
-        for m in node_counts:
-            for mode in netsim.MODES:
-                writer.writerow([
-                    scenario, m, filter_order, mode,
-                    netsim.count_transmissions(mode, m, filter_order),
-                ])
-    with open(outdir / "reductions.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "num_nodes", "filter_order",
-                         "reduction_percent"])
-        for m in node_counts:
-            writer.writerow([
-                scenario, m, filter_order,
-                repr(100.0 * netsim.transmission_reduction(m, filter_order)),
-            ])
-    complexity.beta_table_csv(outdir / "betas.csv", filter_order, node_counts,
-                              scenario=scenario)
+    """Closed-form transmission, reduction and beta tables (no audio needed).
+
+    Every row is built before any file is opened, so a node count or filter
+    order the closed forms reject leaves no partial table behind. Betas are
+    per node; every node runs its own solve, so the network-wide distributed
+    count is num_nodes times the per-node one (the *_network columns).
+    """
+    def beta_row(m: int) -> list:
+        rep = complexity.beta_report(m, filter_order)
+        per_node = (rep.beta_mul, rep.beta_div, rep.beta_solve)
+        return [scenario, m, filter_order, *map(repr, per_node),
+                *(repr(v * m) for v in per_node)]
+
+    tables = {
+        "transmissions_table.csv": (
+            ["scenario", "num_nodes", "filter_order", "mode",
+             "per_frame_bin_transmissions"],
+            [[scenario, m, filter_order, mode,
+              netsim.count_transmissions(mode, m, filter_order)]
+             for m in node_counts for mode in netsim.MODES]),
+        "reductions.csv": (
+            ["scenario", "num_nodes", "filter_order", "reduction_percent"],
+            [[scenario, m, filter_order,
+              repr(100.0 * netsim.transmission_reduction(m, filter_order))]
+             for m in node_counts]),
+        "betas.csv": (
+            ["scenario", "num_nodes", "filter_order",
+             "beta_mul", "beta_div", "beta_solve",
+             "beta_mul_network", "beta_div_network", "beta_solve_network"],
+            [beta_row(m) for m in node_counts]),
+    }
+    for name, (header, rows) in tables.items():
+        with open(outdir / name, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
 
 
 def cmd_report(args) -> int:
     outdir = _resolve_outdir(args.outdir, "out/report")
     node_counts = list(_int_list(args.node_counts, "--node-counts"))
     report_tables(outdir, args.filter_order, node_counts, args.scenario_name)
-    if args.run:
-        run_dir = Path(args.run).parent
-        trace = run_dir / "convergence.csv"
-        if trace.exists():
-            (outdir / "convergence.csv").write_text(trace.read_text())
     print(f"wrote closed-form tables to {outdir}")
     return 0
 
@@ -404,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--filter-order", type=int, required=True)
     rep.add_argument("--node-counts", required=True, help="e.g. 6,9,12")
     rep.add_argument("--scenario-name", default="scenario")
-    rep.add_argument("--run", default=None, help="run.json to pull convergence from")
     rep.add_argument("--outdir", default=None)
     rep.set_defaults(func=cmd_report)
     return parser

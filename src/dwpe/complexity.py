@@ -1,19 +1,17 @@
-"""Closed-form operation counts for centralized vs distributed dereverberation.
+"""Closed-form filter dimensions and the distributed-over-centralized
+reduction factors (the betas).
 
-Counting convention (fixed here and used consistently by the report tooling):
+Counting convention:
 
 * The centralized accumulation is counted over the stacked observation of
   dimension M*L: per frame, M*L divisions apply the PSD reciprocal to the
   stacked vector and (M*L)^2 multiplications form its weighted outer product.
 * The distributed per-node accumulation is counted over the augmented vector
   that carries the local reference column through the same pass, dimension
-  L + (M-1) + 1 = L + M: per frame, L+M divisions and (L+M)^2 multiplications.
-  A single-node network runs plain single-channel WPE, so its count collapses
-  to the centralized M=1 count.
+  L + (M-1) + 1 = L + M: per frame, L+M divisions and (L+M)^2
+  multiplications. The solved dimension is one less, L + M - 1.
 * The weight solve is modeled by the leading cubic term of Gaussian
-  elimination; `solve_cost` additionally reports the exact multiply/divide
-  tally of a textbook elimination (factorization plus both substitutions)
-  for instrumentation checks.
+  elimination.
 
 Under this convention all three reduction factors are powers of the single
 ratio (L+M)/(M*L): squared for multiplications, linear for divisions, cubed
@@ -22,12 +20,9 @@ for the solve.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-
-ACCUMULATION_MODES = ("centralized", "distributed")
 
 
 def centralized_filter_dimension(num_nodes: int, filter_order: int) -> int:
@@ -47,68 +42,6 @@ def _check_ml(num_nodes: int, filter_order: int) -> None:
         raise InvalidInputError(f"num_nodes must be >= 1, got {num_nodes}")
     if filter_order < 1:
         raise InvalidInputError(f"filter_order must be >= 1, got {filter_order}")
-
-
-def counted_dimension(mode: str, num_nodes: int, filter_order: int) -> int:
-    """Dimension the operation counts are taken over (see module docstring)."""
-    _check_ml(num_nodes, filter_order)
-    if mode == "centralized":
-        return num_nodes * filter_order
-    if mode == "distributed":
-        if num_nodes == 1:
-            return filter_order
-        return filter_order + num_nodes
-    raise InvalidInputError(
-        f"unknown mode {mode!r}; expected one of {ACCUMULATION_MODES}"
-    )
-
-
-@dataclass(frozen=True)
-class OpCount:
-    """Exact integer operation counts for one frequency bin."""
-
-    multiplications: int
-    divisions: int
-    solve_cost: int
-    dimension: int
-
-    def __post_init__(self):
-        if min(self.multiplications, self.divisions, self.solve_cost) < 0:
-            raise InvalidInputError("operation counts must be non-negative")
-
-
-def elimination_op_tally(dimension: int) -> int:
-    """Exact multiply+divide count of Gaussian elimination with forward and
-    back substitution on a dimension-d system: (d^3 - d)/3 + d^2."""
-    d = dimension
-    if d < 1:
-        raise InvalidInputError(f"dimension must be >= 1, got {d}")
-    return (d**3 - d) // 3 + d * d
-
-
-def count_accumulation_ops(mode: str, num_nodes: int, filter_order: int,
-                           num_frames: int) -> OpCount:
-    """Per-bin cost of accumulating the normal equations over num_frames."""
-    if num_frames < 1:
-        raise InvalidInputError(f"num_frames must be >= 1, got {num_frames}")
-    d = counted_dimension(mode, num_nodes, filter_order)
-    return OpCount(
-        multiplications=num_frames * d * d,
-        divisions=num_frames * d,
-        solve_cost=elimination_op_tally(d),
-        dimension=d,
-    )
-
-
-def count_solve_ops(mode: str, num_nodes: int, filter_order: int) -> OpCount:
-    """Per-bin cost of the closed-form weight solve."""
-    d = counted_dimension(mode, num_nodes, filter_order)
-    return OpCount(
-        multiplications=0,
-        divisions=0,
-        solve_cost=elimination_op_tally(d),
-        dimension=d,
-    )
 
 
 @dataclass(frozen=True)
@@ -131,10 +64,8 @@ class BetaReport:
 def beta_report(num_nodes: int, filter_order: int) -> BetaReport:
     """Reduction factors of the distributed mode relative to centralized.
 
-    The solve ratio uses the leading cubic cost term, so all three factors
-    are powers of (L+M)/(M*L). Requires num_nodes >= 2 (single-node networks
-    have nothing to reduce) and filter_order >= 3 so the distributed
-    dimension is actually smaller.
+    Requires num_nodes >= 2 (single-node networks have nothing to reduce)
+    and filter_order >= 3 so the distributed dimension is actually smaller.
     """
     if num_nodes < 2:
         raise InvalidInputError(
@@ -144,9 +75,8 @@ def beta_report(num_nodes: int, filter_order: int) -> BetaReport:
         raise InvalidInputError(
             f"beta_report needs filter_order >= 3, got {filter_order}"
         )
-    d_cent = counted_dimension("centralized", num_nodes, filter_order)
-    d_dist = counted_dimension("distributed", num_nodes, filter_order)
-    ratio = d_dist / d_cent
+    ratio = (filter_order + num_nodes) / centralized_filter_dimension(
+        num_nodes, filter_order)
     return BetaReport(
         num_nodes=num_nodes,
         filter_order=filter_order,
@@ -154,30 +84,3 @@ def beta_report(num_nodes: int, filter_order: int) -> BetaReport:
         beta_div=ratio,
         beta_solve=ratio**3,
     )
-
-
-def beta_table_csv(path, filter_order: int, node_counts: list[int],
-                   scenario: str = "scenario") -> list[BetaReport]:
-    """Emit the reduction factors for several network sizes as CSV.
-
-    Ratios are per node; the network-wide distributed count is num_nodes
-    times the per-node count (every node runs its own solve), reported in
-    the *_network columns.
-    """
-    reports = [beta_report(m, filter_order) for m in node_counts]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "scenario", "num_nodes", "filter_order",
-            "beta_mul", "beta_div", "beta_solve",
-            "beta_mul_network", "beta_div_network", "beta_solve_network",
-        ])
-        for rep in reports:
-            writer.writerow([
-                scenario, rep.num_nodes, rep.filter_order,
-                repr(rep.beta_mul), repr(rep.beta_div), repr(rep.beta_solve),
-                repr(rep.beta_mul * rep.num_nodes),
-                repr(rep.beta_div * rep.num_nodes),
-                repr(rep.beta_solve * rep.num_nodes),
-            ])
-    return reports

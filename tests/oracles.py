@@ -148,46 +148,6 @@ def mel_band_powers(frame: np.ndarray, bank: np.ndarray, n_fft: int) -> np.ndarr
     return bank @ power
 
 
-def elimination_tally(dim: int) -> int:
-    """Multiply+divide count of a literal elimination with substitutions."""
-    count = 0
-    for col in range(dim - 1):
-        for row in range(col + 1, dim):
-            count += 1                 # pivot-ratio division
-            count += dim - col - 1     # row-update multiplications
-    for row in range(dim):             # forward substitution
-        count += row
-    for row in range(dim):             # back substitution
-        count += dim - row - 1
-        count += 1                     # diagonal division
-    return count
-
-
-def accumulation_tally(mode: str, num_nodes: int, filter_order: int,
-                       num_frames: int) -> tuple[int, int]:
-    """(multiplications, divisions) of the documented accumulation loops.
-
-    Centralized: scale the stacked vector by the PSD reciprocal, then take
-    its weighted Gram matrix. Distributed: the same pass over the augmented
-    vector that carries the node's reference column.
-    """
-    if mode == "centralized":
-        d = num_nodes * filter_order
-    elif mode == "distributed":
-        d = filter_order if num_nodes == 1 else filter_order + num_nodes
-    else:
-        raise ValueError(mode)
-    muls = 0
-    divs = 0
-    for _ in range(num_frames):
-        for _ in range(d):
-            divs += 1          # element / sigma
-        for _ in range(d):
-            for _ in range(d):
-                muls += 1      # scaled element * conj(element)
-    return muls, divs
-
-
 def _metric_frames(x: np.ndarray, frame_len: int, hop: int) -> list:
     return [x[start : start + frame_len]
             for start in range(0, x.size - frame_len + 1, hop)]

@@ -9,6 +9,7 @@ from scipy.io import wavfile
 
 from dwpe import cli, netsim, pipeline, room, wpe
 from dwpe.cli import RunConfig, main, read_wav, write_wav
+from dwpe.complexity import beta_report
 from dwpe.dsp import WindowSpec, istft, stft
 from dwpe.signals import speech_like
 
@@ -302,6 +303,35 @@ def test_evaluate_outputs_rows(simulated, dereverbed, tmp_path):
     assert all(r["fingerprint"] for r in rows)
 
 
+def test_evaluate_boundary_past_rir_scores_unprocessed_as_exact(
+        simulated, dereverbed, tmp_path):
+    # 300 ms is 4800 taps, past the 4096-tap RIRs: the whole RIR is early,
+    # so each observation is its own reference
+    outdir = tmp_path / "eval"
+    assert main(["evaluate", "--manifest", str(simulated / "manifest.json"),
+                 "--run", str(dereverbed / "run.json"), "--early-ms", "300",
+                 "--outdir", str(outdir)]) == 0
+    with open(outdir / "metrics.csv") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["mode"] == "unprocessed"]
+    assert len(rows) == 4  # 3 nodes and their mean
+    for row in rows:
+        assert f"{float(row['cd']):.3f}" == "0.000"
+        assert f"{float(row['fsnr']):.3f}" == "35.000"
+
+
+def test_evaluate_zero_boundary_is_config_error(simulated, dereverbed, tmp_path, capsys):
+    assert main(["evaluate", "--manifest", str(simulated / "manifest.json"),
+                 "--run", str(dereverbed / "run.json"), "--early-ms", "0",
+                 "--outdir", str(tmp_path)]) == 2
+    assert "boundary 0 out of range" in capsys.readouterr().err
+
+
+def test_dereverb_bad_reference_is_config_error(simulated, tmp_path, capsys):
+    assert main(["dereverb", "--manifest", str(simulated / "manifest.json"),
+                 "--mode", "single", "--ref", "7", "--outdir", str(tmp_path)]) == 2
+    assert "reference 7 out of range" in capsys.readouterr().err
+
+
 def test_evaluate_identity_estimate_hits_metric_bounds(tmp_path):
     # hand-built run whose estimates equal the references exactly
     fs = 16000
@@ -373,6 +403,36 @@ def test_report_real_geometry(tmp_path):
         reductions = {int(r["num_nodes"]): float(r["reduction_percent"])
                       for r in csv.DictReader(fh)}
     assert reductions[8] == pytest.approx(97.5, abs=0.005)
+
+
+def test_report_betas_table(tmp_path):
+    outdir = tmp_path / "rep"
+    assert main(["report", "--filter-order", "26", "--node-counts", "6,9,12",
+                 "--scenario-name", "simulated", "--outdir", str(outdir)]) == 0
+    with open(outdir / "betas.csv") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert reader.fieldnames == [
+        "scenario", "num_nodes", "filter_order",
+        "beta_mul", "beta_div", "beta_solve",
+        "beta_mul_network", "beta_div_network", "beta_solve_network",
+    ]
+    assert [int(r["num_nodes"]) for r in rows] == [6, 9, 12]
+    for row in rows:
+        m = int(row["num_nodes"])
+        rep = beta_report(m, 26)
+        assert (row["scenario"], int(row["filter_order"])) == ("simulated", 26)
+        for name in ("beta_mul", "beta_div", "beta_solve"):
+            assert float(row[name]) == getattr(rep, name)
+            assert float(row[f"{name}_network"]) == getattr(rep, name) * m
+
+
+@pytest.mark.parametrize("order,counts", [("26", "1,6"), ("2", "6"), ("26", "0")])
+def test_failed_report_writes_no_table(tmp_path, order, counts):
+    outdir = tmp_path / "rep"
+    assert main(["report", "--filter-order", order, "--node-counts", counts,
+                 "--outdir", str(outdir)]) == 2
+    assert list(outdir.glob("*.csv")) == []
 
 
 def test_outdir_env_override(small_scenario_file, tmp_path, monkeypatch):

@@ -1,24 +1,13 @@
-import csv
-
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dwpe.complexity import (
     BetaReport,
-    OpCount,
     beta_report,
-    beta_table_csv,
     centralized_filter_dimension,
-    count_accumulation_ops,
-    count_solve_ops,
-    counted_dimension,
     distributed_filter_dimension,
-    elimination_op_tally,
 )
 from dwpe.errors import InvalidInputError
-
-from oracles import accumulation_tally, elimination_tally
 
 TABLE_DIMS = [
     # (num_nodes, filter_order, distributed dim, centralized dim)
@@ -50,38 +39,6 @@ def test_filter_dimensions_published(m, order, dist_dim, cent_dim):
 def test_dimension_validation():
     with pytest.raises(InvalidInputError):
         distributed_filter_dimension(0, 26)
-    with pytest.raises(InvalidInputError):
-        counted_dimension("hybrid", 4, 26)
-
-
-def test_counted_dimension_m1_collapses():
-    assert counted_dimension("distributed", 1, 26) == counted_dimension("centralized", 1, 26) == 26
-
-
-def test_accumulation_counts_m1_identical():
-    cent = count_accumulation_ops("centralized", 1, 8, 50)
-    dist = count_accumulation_ops("distributed", 1, 8, 50)
-    assert (cent.multiplications, cent.divisions) == (dist.multiplications, dist.divisions)
-
-
-def test_accumulation_counts_match_instrumented_loops():
-    for mode in ("centralized", "distributed"):
-        got = count_accumulation_ops(mode, 2, 2, 3)
-        muls, divs = accumulation_tally(mode, 2, 2, 3)
-        assert got.multiplications == muls
-        assert got.divisions == divs
-
-
-def test_solve_tally_matches_instrumented_elimination():
-    for dim in (1, 2, 4, 7):
-        assert elimination_op_tally(dim) == elimination_tally(dim)
-    got = count_solve_ops("centralized", 2, 2)
-    assert got.solve_cost == elimination_tally(4)
-
-
-def test_opcount_rejects_negative():
-    with pytest.raises(InvalidInputError):
-        OpCount(multiplications=-1, divisions=0, solve_cost=0, dimension=1)
 
 
 @pytest.mark.parametrize("m,order,bmul,bdiv,bsolve", TABLE_BETA)
@@ -96,9 +53,7 @@ def test_beta_published_rounding(m, order, bmul, bdiv, bsolve):
 def test_beta_solve_cubic_identity():
     for m, order, *_ in TABLE_BETA:
         rep = beta_report(m, order)
-        ratio = counted_dimension("distributed", m, order) / counted_dimension(
-            "centralized", m, order
-        )
+        ratio = (order + m) / (m * order)
         assert rep.beta_solve == pytest.approx(ratio**3, rel=1e-14)
         assert rep.beta_mul == pytest.approx(ratio**2, rel=1e-14)
         assert rep.beta_div == pytest.approx(ratio, rel=1e-14)
@@ -128,28 +83,6 @@ def test_beta_monotone_in_nodes(order):
             assert rep.beta_div <= last.beta_div
             assert rep.beta_solve <= last.beta_solve
         last = rep
-
-
-def test_beta_counts_consistent_with_accumulation():
-    # the ratio of the closed-form accumulation counts reproduces the betas
-    for m, order, *_ in TABLE_BETA:
-        cent = count_accumulation_ops("centralized", m, order, 100)
-        dist = count_accumulation_ops("distributed", m, order, 100)
-        rep = beta_report(m, order)
-        assert dist.multiplications / cent.multiplications == pytest.approx(rep.beta_mul)
-        assert dist.divisions / cent.divisions == pytest.approx(rep.beta_div)
-
-
-def test_beta_csv_schema(tmp_path):
-    path = tmp_path / "betas.csv"
-    reports = beta_table_csv(path, 26, [6, 9, 12], scenario="simulated")
-    assert len(reports) == 3
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    assert [int(r["num_nodes"]) for r in rows] == [6, 9, 12]
-    for row, rep in zip(rows, reports):
-        assert float(row["beta_solve"]) == rep.beta_solve
-        assert float(row["beta_mul_network"]) == pytest.approx(rep.beta_mul * rep.num_nodes)
 
 
 def test_beta_report_type_validates():
