@@ -62,6 +62,20 @@ def _resolve_outdir(given: str | None, fallback: str) -> Path:
     return out
 
 
+def _read_json(path: Path, keys: tuple[str, ...]) -> dict:
+    """The JSON object in `path` holding every top-level key in `keys`."""
+    try:
+        data = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigurationError(f"{path} must hold a JSON object")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise ConfigurationError(f"{path} missing keys: {missing}")
+    return data
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -207,7 +221,8 @@ def _params_from_args(args) -> wpe.WpeParams:
 def cmd_dereverb(args) -> int:
     outdir = _resolve_outdir(args.outdir, "out/dereverb")
     manifest_path = Path(args.manifest)
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _read_json(manifest_path,
+                          ("num_nodes", "sample_rate", "observations", "scenario_name"))
     if args.nodes is None:
         num_nodes = int(manifest["num_nodes"])
         nodes = tuple(n for n in room.DEFAULT_REPORT_NODES if n < num_nodes) or (0,)
@@ -297,9 +312,11 @@ def evaluate(manifest: dict, manifest_dir: Path, run_info: dict, run_dir: Path,
 def cmd_evaluate(args) -> int:
     outdir = _resolve_outdir(args.outdir, "out/evaluate")
     manifest_path = Path(args.manifest)
-    manifest = json.loads(manifest_path.read_text())
+    manifest = _read_json(manifest_path,
+                          ("sample_rate", "observations", "clean", "rirs", "scenario_name"))
     run_path = Path(args.run)
-    run_info = json.loads(run_path.read_text())
+    run_info = _read_json(run_path,
+                          ("mode", "lags", "params", "window", "estimates", "fingerprint"))
     boundary = None
     if args.early_ms is not None:
         boundary = int(round(args.early_ms * manifest["sample_rate"] / 1000.0))

@@ -41,16 +41,6 @@ class TransmissionLedger:
     def record(self, round_index: int, sender: int, recipient: int, units: int) -> None:
         self.rows.append((round_index, self.mode, sender, recipient, units))
 
-    @property
-    def total_units(self) -> int:
-        return sum(r[4] for r in self.rows)
-
-    def units_in_round(self, round_index: int) -> int:
-        return sum(r[4] for r in self.rows if r[0] == round_index)
-
-    def rounds_with_traffic(self) -> list[int]:
-        return sorted({r[0] for r in self.rows})
-
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

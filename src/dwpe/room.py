@@ -9,7 +9,7 @@ sample; the speed of sound is fixed at 343 m/s.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,18 +19,14 @@ from .errors import ConfigurationError, InvalidInputError
 
 SPEED_OF_SOUND = 343.0
 
-_SCENARIO_KEYS = {
-    "name", "room_dims", "source_pos", "mic_positions", "t60", "sample_rate",
-    "rir_length",
-}
-
 
 @dataclass
 class RoomScenario:
     """Geometry and acoustics of one simulated room.
 
     Every microphone is its own network node, so len(mic_positions) is the
-    node count M.
+    node count M. The fields are also the schema of a scenario file (see
+    `scenario_from_file`).
     """
 
     room_dims: tuple[float, float, float]
@@ -58,6 +54,10 @@ class RoomScenario:
             raise ConfigurationError("scenario needs at least one microphone")
         if self.t60 <= 0:
             raise ConfigurationError(f"t60 must be positive, got {self.t60}")
+        for key in ("sample_rate", "rir_length"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+                raise ConfigurationError(f"{key} must be a positive integer, got {value!r}")
         if self.rir_length < self.sample_rate * self.t60 / 2:
             raise ConfigurationError(
                 f"rir_length {self.rir_length} too short to capture the decay "
@@ -67,15 +67,6 @@ class RoomScenario:
     @property
     def num_nodes(self) -> int:
         return len(self.mic_positions)
-
-    def subset(self, mic_indices) -> "RoomScenario":
-        """Scenario restricted to a subset of microphones."""
-        picked = [self.mic_positions[i] for i in mic_indices]
-        return RoomScenario(
-            room_dims=self.room_dims, source_pos=self.source_pos,
-            mic_positions=picked, t60=self.t60, sample_rate=self.sample_rate,
-            rir_length=self.rir_length, name=f"{self.name}-{len(picked)}node",
-        )
 
 
 @dataclass
@@ -89,17 +80,6 @@ class ImpulseResponse:
             raise InvalidInputError("impulse response must be a non-empty 1-D array")
         if not np.all(np.isfinite(self.taps)):
             raise InvalidInputError("impulse response contains non-finite taps")
-
-    def __len__(self) -> int:
-        return self.taps.size
-
-    def energy_decays(self) -> bool:
-        """True when the trailing 10% of taps carry less energy than the
-        leading 10% (the decay property of a physical RIR)."""
-        tenth = max(1, self.taps.size // 10)
-        head = float(np.sum(self.taps[:tenth] ** 2))
-        tail = float(np.sum(self.taps[-tenth:] ** 2))
-        return tail < head
 
 
 def reflection_coefficient(scenario: RoomScenario) -> float:
@@ -205,34 +185,16 @@ def render_observation(clean: np.ndarray, sample_rate: int,
     return full[: clean.size]
 
 
-def split_early_late(rir: ImpulseResponse, boundary: int) -> tuple[ImpulseResponse, ImpulseResponse]:
-    """Split an RIR at a tap boundary into early and late parts.
-
-    Both parts keep the original length with zeros outside their segment, so
-    early.taps + late.taps reproduces the original exactly and convolution
-    with each part stays time-aligned.
-    """
-    if not (0 < boundary < len(rir)):
-        raise InvalidInputError(
-            f"boundary {boundary} out of range (0, {len(rir)})"
-        )
-    early = np.zeros_like(rir.taps)
-    late = np.zeros_like(rir.taps)
-    early[:boundary] = rir.taps[:boundary]
-    late[boundary:] = rir.taps[boundary:]
-    return (
-        ImpulseResponse(taps=early, sample_rate=rir.sample_rate),
-        ImpulseResponse(taps=late, sample_rate=rir.sample_rate),
-    )
-
-
 def early_reference(clean: np.ndarray, rir: ImpulseResponse, boundary: int) -> np.ndarray:
     """Clean signal convolved with the RIR's first `boundary` taps: the
     target dereverberation is scored against. An RIR no longer than the
     boundary is early throughout."""
-    if boundary < len(rir):
-        rir, _ = split_early_late(rir, boundary)
-    return render_observation(clean, rir.sample_rate, rir)
+    if boundary <= 0:
+        raise InvalidInputError(f"boundary {boundary} out of range: must be at least 1 tap")
+    taps = rir.taps.copy()
+    taps[boundary:] = 0.0
+    return render_observation(clean, rir.sample_rate,
+                              ImpulseResponse(taps=taps, sample_rate=rir.sample_rate))
 
 
 def estimate_t60(rir: ImpulseResponse) -> float:
@@ -257,44 +219,31 @@ def estimate_t60(rir: ImpulseResponse) -> float:
     return 3.0 * (t_lo - t_hi)
 
 
-def scenario_to_file(scenario: RoomScenario, path) -> None:
-    payload = {
-        "name": scenario.name,
-        "room_dims": list(scenario.room_dims),
-        "source_pos": list(scenario.source_pos),
-        "mic_positions": [list(p) for p in scenario.mic_positions],
-        "t60": scenario.t60,
-        "sample_rate": scenario.sample_rate,
-        "rir_length": scenario.rir_length,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
-
-
 def scenario_from_file(path) -> RoomScenario:
-    """Load a scenario from its JSON description; unknown keys are errors."""
+    """Load a scenario from its JSON description.
+
+    The keys are the `RoomScenario` fields: unknown keys are errors, those
+    without a default are required, and `name` defaults to the file stem.
+    """
     try:
         raw = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"scenario file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError(f"scenario file {path} must hold a JSON object")
-    unknown = set(raw) - _SCENARIO_KEYS
+    schema = fields(RoomScenario)
+    unknown = set(raw) - {f.name for f in schema}
     if unknown:
         raise ConfigurationError(
             f"unknown scenario keys in {path}: {sorted(unknown)}"
         )
-    missing = {"room_dims", "source_pos", "mic_positions", "t60"} - set(raw)
+    missing = {f.name for f in schema if f.default is MISSING} - set(raw)
     if missing:
         raise ConfigurationError(f"scenario file {path} missing keys: {sorted(missing)}")
-    return RoomScenario(
-        room_dims=raw["room_dims"],
-        source_pos=raw["source_pos"],
-        mic_positions=raw["mic_positions"],
-        t60=raw["t60"],
-        sample_rate=raw.get("sample_rate", 16000),
-        rir_length=raw.get("rir_length", 8192),
-        name=raw.get("name", Path(path).stem),
-    )
+    try:
+        return RoomScenario(**{"name": Path(path).stem, **raw})
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"scenario file {path} has a malformed value: {exc}") from exc
 
 
 # Reporting nodes used by the experiment harness: one per array of the

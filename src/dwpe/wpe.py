@@ -472,10 +472,7 @@ def weighted_cost(desired: np.ndarray, sigma: np.ndarray) -> float:
 class WpeTrace:
     """Per-iteration diagnostics of a dereverberation run."""
 
-    relative_change: list[float] = field(default_factory=list)
     cost: list[float] = field(default_factory=list)
-    weight_norm: list[float] = field(default_factory=list)
-    min_sigma: list[float] = field(default_factory=list)
     iterations: int = 0
     converged: bool = False
 
@@ -529,10 +526,7 @@ def run_wpe(observations: list[Spectrogram], ref_channel: int,
                   if np.linalg.norm(desired) > 0 else 0.0)
         desired = new_desired
         trace.iterations += 1
-        trace.relative_change.append(change)
         trace.cost.append(weighted_cost(desired, psd.values))
-        trace.weight_norm.append(float(np.linalg.norm(weights)))
-        trace.min_sigma.append(float(psd.values.min()))
         if change < params.convergence_tol:
             trace.converged = True
             break

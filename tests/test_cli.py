@@ -17,7 +17,7 @@ from dwpe.signals import speech_like
 @pytest.fixture(scope="module")
 def small_scenario_file(small_scenario, tmp_path_factory):
     path = tmp_path_factory.mktemp("scen") / "small.json"
-    room.scenario_to_file(small_scenario, path)
+    path.write_text(json.dumps(dataclasses.asdict(small_scenario)))
     return path
 
 
@@ -47,7 +47,7 @@ def test_simulate_single_node(tmp_path):
         mic_positions=[(3.5, 2.5, 1.4)], t60=0.3, sample_rate=16000,
         rir_length=3000, name="one-node",
     )
-    room.scenario_to_file(scen, scen_path)
+    scen_path.write_text(json.dumps(dataclasses.asdict(scen)))
     outdir = tmp_path / "out"
     assert main(["simulate", "--scenario", str(scen_path), "--duration", "1.0",
                  "--outdir", str(outdir)]) == 0
@@ -77,6 +77,55 @@ def test_simulate_unknown_scenario_key_is_config_error(tmp_path):
                     '"carpet": true}')
     assert main(["simulate", "--scenario", str(path),
                  "--outdir", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("key,value", [
+    ("room_dims", "abc"), ("t60", "x"), ("mic_positions", 3), ("sample_rate", 0),
+    ("sample_rate", -16000), ("rir_length", 8192.5),
+])
+def test_simulate_malformed_scenario_value_is_config_error(tmp_path, capsys, key, value):
+    raw = {"room_dims": [4, 4, 3], "source_pos": [1, 1, 1],
+           "mic_positions": [[2, 2, 1]], "t60": 0.3, "rir_length": 3000, key: value}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["simulate", "--scenario", str(path), "--duration", "0.5",
+                 "--outdir", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def _broken_json(source: Path, target: Path, drop: str | None) -> Path:
+    """Copy of the JSON file `source` at `target`, without the key `drop`,
+    or cut short into invalid JSON when `drop` is None."""
+    text = source.read_text()
+    if drop is None:
+        text = text[: len(text) // 2]
+    else:
+        data = json.loads(text)
+        del data[drop]
+        text = json.dumps(data)
+    target.write_text(text)
+    return target
+
+
+@pytest.mark.parametrize("drop", [None, "observations", "sample_rate"])
+def test_dereverb_malformed_manifest_is_config_error(simulated, tmp_path, capsys, drop):
+    manifest = _broken_json(simulated / "manifest.json", tmp_path / "manifest.json", drop)
+    assert main(["dereverb", "--manifest", str(manifest), "--mode", "single",
+                 "--outdir", str(tmp_path / "o")]) == 2
+    assert str(manifest) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("broken,drop", [
+    ("manifest.json", None), ("manifest.json", "rirs"),
+    ("run.json", None), ("run.json", "lags"),
+])
+def test_evaluate_malformed_json_is_config_error(simulated, dereverbed, tmp_path, capsys,
+                                                 broken, drop):
+    paths = {"manifest.json": simulated / "manifest.json", "run.json": dereverbed / "run.json"}
+    paths[broken] = _broken_json(paths[broken], tmp_path / broken, drop)
+    assert main(["evaluate", "--manifest", str(paths["manifest.json"]),
+                 "--run", str(paths["run.json"]), "--outdir", str(tmp_path / "o")]) == 2
+    assert str(paths[broken]) in capsys.readouterr().err
 
 
 def test_dereverb_single_mode(simulated, tmp_path):

@@ -117,8 +117,7 @@ def reverberant_pair(shipped_scenario):
     scen = shipped_scenario
     clean = speech_like(2.0, scen.sample_rate, seed=11)
     rir = room.image_method_rir(scen, 0)
-    early, _ = room.split_early_late(rir, 512)
-    reference = room.render_observation(clean, scen.sample_rate, early)
+    reference = room.early_reference(clean, rir, 512)
     observation = room.render_observation(clean, scen.sample_rate, rir)
     n = min(reference.size, observation.size)
     return reference[:n], observation[:n]

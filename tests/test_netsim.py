@@ -64,8 +64,8 @@ def test_ledger_counts_units(tmp_path):
     msgs = [Message(sender=i, round_index=2, payload=np.ones(10)) for i in range(3)]
     deliver_round(msgs, num_nodes=3, ledger=ledger)
     # 3 senders x 2 receivers x 10 scalars
-    assert ledger.total_units == 60
-    assert ledger.units_in_round(2) == 60
+    assert [r[0] for r in ledger.rows] == [2] * 6
+    assert sum(r[4] for r in ledger.rows) == 60
     path = tmp_path / "ledger.csv"
     ledger.to_csv(path)
     lines = path.read_text().strip().splitlines()

@@ -487,14 +487,6 @@ def test_run_wpe_deterministic(rng):
     np.testing.assert_array_equal(w1, w2)
 
 
-def test_run_wpe_floor_respected_in_trace(rng):
-    ref, other, _ = make_reverb_pair(rng, frames=200)
-    params = WpeParams(delay=2, filter_order=3, max_iters=3, convergence_tol=0.0,
-                       psd_floor=0.05)
-    result = run_wpe([ref, other], 0, params)
-    assert all(m >= 0.05 for m in result.trace.min_sigma)
-
-
 def test_run_wpe_wls_optimality(rng):
     # perturbing the solved weights never decreases the weighted quadratic
     # cost evaluated with the sigma that solve used (one iteration: the
