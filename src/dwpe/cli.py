@@ -62,17 +62,39 @@ def _resolve_outdir(given: str | None, fallback: str) -> Path:
     return out
 
 
-def _read_json(path: Path, keys: tuple[str, ...]) -> dict:
-    """The JSON object in `path` holding every top-level key in `keys`."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What the verbs read from manifest.json and run.json, by kind: a
+# description for the error message and its check.
+INT = ("an integer", _is_int)
+STR = ("a string", lambda v: isinstance(v, str))
+NAMES = ("a list of strings",
+         lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v))
+INTS = ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v)))
+NAME_MAP = ("an object of strings",
+            lambda v: isinstance(v, dict) and all(isinstance(x, str) for x in v.values()))
+
+
+def _read_json(path: Path, schema: dict[str, tuple]) -> dict:
+    """The JSON object in `path`, with every dotted key of `schema` present
+    and of its kind."""
     try:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"{path} must hold a JSON object")
-    missing = [key for key in keys if key not in data]
-    if missing:
-        raise ConfigurationError(f"{path} missing keys: {missing}")
+    for key, (kind, check) in schema.items():
+        value = data
+        for part in key.split("."):
+            if not isinstance(value, dict) or part not in value:
+                raise ConfigurationError(f"{path} missing key {key!r}")
+            value = value[part]
+        if not check(value):
+            raise ConfigurationError(
+                f"{path}: {key!r} must be {kind}, got {type(value).__name__}")
     return data
 
 
@@ -137,7 +159,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_observations(manifest: dict, manifest_dir: Path) -> tuple[int, list[np.ndarray]]:
-    fs = int(manifest["sample_rate"])
+    fs = manifest["sample_rate"]
     signals = []
     for name in manifest["observations"]:
         rate, data = read_wav(manifest_dir / name)
@@ -150,8 +172,8 @@ def _load_observations(manifest: dict, manifest_dir: Path) -> tuple[int, list[np
 def dereverb(config: RunConfig, manifest: dict, manifest_dir: Path,
              outdir: Path) -> dict:
     """Run `pipeline.run` on the manifest's observations and write per-node
-    estimates plus run inventory, transmission ledger and, in distributed
-    mode, the convergence trace."""
+    estimates plus run inventory, transmission ledger and the per-node,
+    per-round convergence trace."""
     fs, observations = _load_observations(manifest, manifest_dir)
     result = pipeline.run(observations, fs, config)
     if result.frames_per_unknown < MIN_FRAMES_PER_UNKNOWN:
@@ -173,8 +195,12 @@ def dereverb(config: RunConfig, manifest: dict, manifest_dir: Path,
         estimates[str(node)] = f"estimate_node{node:02d}.wav"
         write_wav(outdir / estimates[str(node)], fs, estimate)
     result.ledger.to_csv(outdir / "transmissions.csv")
-    if result.trace is not None:
-        result.trace.to_csv(outdir / "convergence.csv")
+    with open(outdir / "convergence.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["node", "round", "change", "cost"])
+        for node, trace in result.traces.items():
+            for round_index, (change, cost) in enumerate(zip(trace.change, trace.cost), 1):
+                writer.writerow([node, round_index, repr(change), repr(cost)])
     run_info = {
         "mode": config.mode,
         "scenario_name": manifest["scenario_name"],
@@ -186,7 +212,7 @@ def dereverb(config: RunConfig, manifest: dict, manifest_dir: Path,
         "window": {"frame_len": STFT_WINDOW.frame_len, "hop": STFT_WINDOW.hop},
         "fingerprint": config.fingerprint(),
         "frames_per_unknown": result.frames_per_unknown,
-        **({} if result.rounds_run is None else {"rounds_run": result.rounds_run}),
+        "rounds_run": result.rounds_run,
         "converged": result.converged,
         "per_frame_bin_transmissions": netsim.count_transmissions(
             config.mode, len(observations), config.params.filter_order),
@@ -221,10 +247,10 @@ def _params_from_args(args) -> wpe.WpeParams:
 def cmd_dereverb(args) -> int:
     outdir = _resolve_outdir(args.outdir, "out/dereverb")
     manifest_path = Path(args.manifest)
-    manifest = _read_json(manifest_path,
-                          ("num_nodes", "sample_rate", "observations", "scenario_name"))
+    manifest = _read_json(manifest_path, {"num_nodes": INT, "sample_rate": INT,
+                                          "observations": NAMES, "scenario_name": STR})
     if args.nodes is None:
-        num_nodes = int(manifest["num_nodes"])
+        num_nodes = manifest["num_nodes"]
         nodes = tuple(n for n in room.DEFAULT_REPORT_NODES if n < num_nodes) or (0,)
     else:
         nodes = _int_list(args.nodes, "--nodes")
@@ -312,11 +338,16 @@ def evaluate(manifest: dict, manifest_dir: Path, run_info: dict, run_dir: Path,
 def cmd_evaluate(args) -> int:
     outdir = _resolve_outdir(args.outdir, "out/evaluate")
     manifest_path = Path(args.manifest)
-    manifest = _read_json(manifest_path,
-                          ("sample_rate", "observations", "clean", "rirs", "scenario_name"))
+    manifest = _read_json(manifest_path, {"sample_rate": INT, "observations": NAMES,
+                                          "clean": STR, "rirs": NAMES, "scenario_name": STR})
     run_path = Path(args.run)
-    run_info = _read_json(run_path,
-                          ("mode", "lags", "params", "window", "estimates", "fingerprint"))
+    run_info = _read_json(run_path, {"mode": STR, "lags": INTS, "params.delay": INT,
+                                     "window.hop": INT, "estimates": NAME_MAP,
+                                     "fingerprint": STR})
+    unknown = sorted(set(run_info["estimates"])
+                     - {str(node) for node in range(len(manifest["observations"]))})
+    if unknown:
+        raise ConfigurationError(f"{run_path}: estimates for unknown nodes {unknown}")
     boundary = None
     if args.early_ms is not None:
         boundary = int(round(args.early_ms * manifest["sample_rate"] / 1000.0))

@@ -12,7 +12,8 @@ and both subtracts and sends it. All prediction runs through
 wpe.predict_all_bins.
 
 A single-node network runs exactly the single-channel code path of the wpe
-module: same kernels, same operation order, bit-identical output.
+module: same kernels, same operation order, the same trace and stop rule,
+bit-identical output.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ import numpy as np
 
 from .dsp import Spectrogram
 from .errors import InvalidInputError, MissingDataError
-from .metrics import ConvergenceTrace, convergence_error
 from .netsim import Message, TransmissionLedger, deliver_round
 from .wpe import (
     GramCache,
     Stream,
     WpeParams,
+    WpeTrace,
     predict_all_bins,
     resolve_psd_floor,
     solve_weights,
@@ -38,9 +39,9 @@ from .wpe import (
 
 @dataclass
 class NodeState:
-    """Everything one node owns: signal, filter, inbox, and the unweighted
-    Gram of its current streams (rebuilt by the kernel whenever the inbox
-    holds new payload arrays).
+    """Everything one node owns: signal, filter, inbox, trace, and the
+    unweighted Gram of its current streams (rebuilt by the kernel whenever
+    the inbox holds new payload arrays).
 
     weights is the node's one filter in the row order of streams(): the
     filter_order local taps, then one weight per neighbor in ascending id
@@ -56,6 +57,7 @@ class NodeState:
     desired: np.ndarray = field(init=False)
     psd_floor: float = field(init=False)
     gram: GramCache = field(init=False, default_factory=GramCache)
+    trace: WpeTrace = field(init=False, default_factory=WpeTrace)
 
     def __post_init__(self):
         if not (0 <= self.node_id < self.num_nodes):
@@ -98,11 +100,12 @@ def compress_all_frames(data: np.ndarray, compressor: np.ndarray,
 
 def node_round(node: NodeState, round_index: int,
                collab_period: int) -> np.ndarray | None:
-    """One full local round: PSD update, weight solve, desired re-prediction;
-    on every collab_period-th round also return the compressed payload to
-    broadcast. The payload is the local block of the late-reverberation
-    prediction the round has just made: the compressor is the local filter
-    of this round, applied to the same delayed frames.
+    """One full local round: PSD update, weight solve, desired re-prediction
+    recorded in the node's trace; on every collab_period-th round also
+    return the compressed payload to broadcast. The payload is the local
+    block of the late-reverberation prediction the round has just made: the
+    compressor is the local filter of this round, applied to the same
+    delayed frames.
 
     The per-bin solve has dimension filter_order + (M-1) once cross-node data
     has arrived; the first such round widens the filter once with zero cross
@@ -136,7 +139,8 @@ def node_round(node: NodeState, round_index: int,
     local_late = compress_all_frames(data, node.weights[:, :L], node.params)
     late = (local_late + predict_all_bins(streams[1:], node.weights[:, L:])
             if cross else local_late)
-    node.desired = data - late
+    previous, node.desired = node.desired, data - late
+    node.trace.record(previous, node.desired, psd.values, node.params.convergence_tol)
     if round_index % collab_period == 0:
         return local_late
     return None
@@ -144,12 +148,10 @@ def node_round(node: NodeState, round_index: int,
 
 @dataclass
 class DistributedResult:
-    desired: list[Spectrogram]
-    trace: ConvergenceTrace
-    ledger: TransmissionLedger
+    """The node states (estimate, filter, trace, PSD floor) and the ledger."""
+
     nodes: list[NodeState]
-    rounds_run: int
-    converged: bool
+    ledger: TransmissionLedger
 
 
 def run_distributed(observations: list[Spectrogram], params: WpeParams,
@@ -157,9 +159,11 @@ def run_distributed(observations: list[Spectrogram], params: WpeParams,
     """Batch distributed dereverberation over a fully-connected network.
 
     All nodes execute their rounds between synchronization barriers;
-    broadcasts submitted in round r are readable from round r+1 on. Stops
-    after params.max_iters rounds or once every node's desired signal
-    changes by less than params.convergence_tol between rounds.
+    broadcasts submitted in round r are readable from round r+1 on. Runs at
+    most params.max_iters rounds and stops after the first round in which
+    every node has converged by the stop rule of run_wpe (WpeTrace.record):
+    its previous estimate was all zero or its desired signal changed by less
+    than params.convergence_tol.
     """
     if not observations:
         raise InvalidInputError("at least one observation channel required")
@@ -172,11 +176,7 @@ def run_distributed(observations: list[Spectrogram], params: WpeParams,
         for i, obs in enumerate(observations)
     ]
     ledger = TransmissionLedger(mode="distributed")
-    trace = ConvergenceTrace()
-    converged = False
-    rounds_run = 0
     for round_index in range(1, params.max_iters + 1):
-        previous = [node.desired for node in nodes]
         messages = []
         for node in nodes:
             payload = node_round(node, round_index, collab_period)
@@ -189,24 +189,6 @@ def run_distributed(observations: list[Spectrogram], params: WpeParams,
         for node in nodes:
             for msg in inboxes[node.node_id]:
                 node.inbox[msg.sender] = msg.payload
-        rounds_run = round_index
-        changes = []
-        for node, prev in zip(nodes, previous):
-            # an all-zero previous estimate (silent node) has nothing left to change
-            change = (convergence_error(node.desired, prev)
-                      if np.linalg.norm(prev) > 0 else 0.0)
-            changes.append(change)
-            if round_index >= 2:
-                trace.add(node.node_id, round_index, change)
-        if all(c < params.convergence_tol for c in changes):
-            converged = True
+        if all(node.trace.converged for node in nodes):
             break
-    template = observations[0]
-    desired = [
-        Spectrogram(node.desired, template.sample_rate, template.window)
-        for node in nodes
-    ]
-    return DistributedResult(
-        desired=desired, trace=trace, ledger=ledger, nodes=nodes,
-        rounds_run=rounds_run, converged=converged,
-    )
+    return DistributedResult(nodes=nodes, ledger=ledger)

@@ -1,4 +1,4 @@
-"""Objective dereverberation quality measures and convergence traces.
+"""Objective dereverberation quality measures and the change between estimates.
 
 Cepstral distance and frequency-weighted segmental SNR follow the usual
 reverberation-evaluation conventions: 25 ms frames with 10 ms hop, LPC order
@@ -8,9 +8,6 @@ convolved with the early part of the RIR.
 """
 
 from __future__ import annotations
-
-import csv
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,38 +21,6 @@ CD_CLAMP = (0.0, 10.0)
 FSNR_CLAMP = (-10.0, 35.0)
 MEL_BANDS = 23
 FSNR_WEIGHT_EXPONENT = 0.2
-
-
-@dataclass
-class ConvergenceTrace:
-    """Round-over-round relative change of each node's desired signal."""
-
-    errors: dict[int, list[float]] = field(default_factory=dict)
-    rounds: dict[int, list[int]] = field(default_factory=dict)
-
-    def add(self, node: int, round_index: int, value: float) -> None:
-        self.errors.setdefault(node, [])
-        self.rounds.setdefault(node, [])
-        if round_index in self.rounds[node]:
-            raise InvalidInputError(
-                f"duplicate trace value for node {node}, round {round_index}"
-            )
-        self.errors[node].append(float(value))
-        self.rounds[node].append(int(round_index))
-
-    def per_node(self, node: int) -> np.ndarray:
-        return np.asarray(self.errors.get(node, []), dtype=np.float64)
-
-    def nodes(self) -> list[int]:
-        return sorted(self.errors)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node", "round", "error"])
-            for node in self.nodes():
-                for rnd, err in zip(self.rounds[node], self.errors[node]):
-                    writer.writerow([node, rnd, repr(err)])
 
 
 def convergence_error(current: np.ndarray, previous: np.ndarray) -> float:

@@ -16,9 +16,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import complexity, danse, netsim, room, wpe
-from .dsp import WindowSpec, istft, stft
+from .dsp import Spectrogram, WindowSpec, istft, stft
 from .errors import ConfigurationError, InvalidInputError, NumericalError, SolverError
-from .metrics import ConvergenceTrace
 
 # STFT framing of every dereverberation run; part of the fingerprint.
 STFT_WINDOW = WindowSpec()
@@ -81,11 +80,18 @@ class RunResult:
     lags: list[int]
     ledger: netsim.TransmissionLedger
     psd_floors: dict[int, float]
-    converged: bool
+    traces: dict[int, wpe.WpeTrace]
     num_frames: int
     unknowns: int  # unknowns per bin of one solve
-    trace: ConvergenceTrace | None = None  # distributed mode only
-    rounds_run: int | None = None  # distributed mode only
+
+    @property
+    def converged(self) -> bool:
+        """Every estimated node converged in its last round."""
+        return all(trace.converged for trace in self.traces.values())
+
+    @property
+    def rounds_run(self) -> int:
+        return max(trace.iterations for trace in self.traces.values())
 
     @property
     def frames_per_unknown(self) -> float:
@@ -114,33 +120,36 @@ def run(observations: list[np.ndarray], sample_rate: int,
         "centralized": complexity.centralized_filter_dimension(num_nodes, params.filter_order),
         "distributed": complexity.distributed_filter_dimension(num_nodes, params.filter_order),
     }[config.mode]
+    estimates: dict[int, np.ndarray] = {}
+    traces: dict[int, wpe.WpeTrace] = {}
+    psd_floors: dict[int, float] = {}
+
+    def keep(node: int, desired: np.ndarray, trace: wpe.WpeTrace, psd_floor: float) -> None:
+        # transformed on arrival, so a single or centralized run holds one
+        # node's spectrogram estimate at a time
+        estimates[node] = istft(Spectrogram(desired, sample_rate, STFT_WINDOW))[:total_len]
+        traces[node], psd_floors[node] = trace, psd_floor
+
     if config.mode == "distributed":
         dist = danse.run_distributed(specs, params, collab_period=config.collab_period)
-        return RunResult(
-            {node: istft(desired)[:total_len] for node, desired in enumerate(dist.desired)},
-            lags, dist.ledger, {node.node_id: node.psd_floor for node in dist.nodes},
-            dist.converged, n_frames, unknowns, dist.trace, dist.rounds_run)
-
-    estimates: dict[int, np.ndarray] = {}
-    psd_floors: dict[int, float] = {}
-    ledger = netsim.TransmissionLedger(mode=config.mode)
-    centralized = config.mode == "centralized"
-    # every centralized report node predicts from the same gathered streams,
-    # so they share one Gram C; only g follows the reference
-    gram = wpe.GramCache() if centralized else None
-    converged = []
-    for node in config.report_nodes:
-        channels, ref = (specs, node) if centralized else ([specs[node]], 0)
-        try:
-            result = wpe.run_wpe(channels, ref, params, gram)
-        except (SolverError, NumericalError) as exc:
-            raise type(exc)(f"node {node}: {exc}") from exc
-        estimates[node] = istft(result.desired)[:total_len]
-        psd_floors[node] = result.psd_floor
-        converged.append(result.trace.converged)
-        if centralized:
-            # every other node ships its delayed-vector stream to this one
-            for sender in (i for i in range(num_nodes) if i != node):
-                ledger.record(0, sender, node, params.filter_order * n_frames * n_bins)
-    return RunResult(estimates, lags, ledger, psd_floors, all(converged),
-                     n_frames, unknowns)
+        ledger = dist.ledger
+        for state in dist.nodes:
+            keep(state.node_id, state.desired, state.trace, state.psd_floor)
+    else:
+        ledger = netsim.TransmissionLedger(mode=config.mode)
+        centralized = config.mode == "centralized"
+        # every centralized report node predicts from the same gathered
+        # streams, so they share one Gram C; only g follows the reference
+        gram = wpe.GramCache() if centralized else None
+        for node in config.report_nodes:
+            channels, ref = (specs, node) if centralized else ([specs[node]], 0)
+            try:
+                result = wpe.run_wpe(channels, ref, params, gram)
+            except (SolverError, NumericalError) as exc:
+                raise type(exc)(f"node {node}: {exc}") from exc
+            keep(node, result.desired.data, result.trace, result.psd_floor)
+            if centralized:
+                # every other node ships its delayed-vector stream to this one
+                for sender in (i for i in range(num_nodes) if i != node):
+                    ledger.record(0, sender, node, params.filter_order * n_frames * n_bins)
+    return RunResult(estimates, lags, ledger, psd_floors, traces, n_frames, unknowns)

@@ -470,11 +470,31 @@ def weighted_cost(desired: np.ndarray, sigma: np.ndarray) -> float:
 
 @dataclass
 class WpeTrace:
-    """Per-iteration diagnostics of a dereverberation run."""
+    """One node's run, one entry per round: the relative change of its
+    desired estimate (round 1 against the observation) and the weighted cost
+    of the new estimate at the PSD the round solved with. converged holds
+    for the last recorded round."""
 
+    change: list[float] = field(default_factory=list)
     cost: list[float] = field(default_factory=list)
-    iterations: int = 0
     converged: bool = False
+
+    @property
+    def iterations(self) -> int:
+        return len(self.change)
+
+    def record(self, previous: np.ndarray, desired: np.ndarray, sigma: np.ndarray,
+               tol: float) -> bool:
+        """Append one round; return whether the node converged in it. The one
+        stop rule of every mode: a node has converged in a round when its
+        previous estimate was all zero or its relative change is below tol,
+        and a run stops after the first round in which all its nodes have."""
+        silent = np.linalg.norm(previous) == 0.0
+        change = 0.0 if silent else convergence_error(desired, previous)
+        self.change.append(change)
+        self.cost.append(weighted_cost(desired, sigma))
+        self.converged = silent or change < tol
+        return self.converged
 
 
 @dataclass
@@ -490,9 +510,10 @@ def run_wpe(observations: list[Spectrogram], ref_channel: int,
     """Batch WPE over M observation channels.
 
     Alternates the PSD update with the per-bin closed-form weight solve and
-    the desired-signal re-prediction until the desired spectrogram changes by
-    less than convergence_tol (relative Frobenius) or max_iters is reached.
-    M = 1 is the single-channel variant.
+    the desired-signal re-prediction. Stops after max_iters rounds or the
+    first round in which the node converged (WpeTrace.record): its previous
+    estimate was all zero or changed by less than convergence_tol (relative
+    Frobenius). M = 1 is the single-channel variant.
 
     `gram` lets runs over the same observation arrays share one Gram C
     (see GramCache); without one, the run keeps its own.
@@ -511,28 +532,17 @@ def run_wpe(observations: list[Spectrogram], ref_channel: int,
         (obs.data, params.filter_order, params.delay) for obs in observations
     ]
     eps = resolve_psd_floor(ref.data, params.psd_floor)
-    desired = ref.data.copy()
+    desired = ref.data
     trace = WpeTrace()
-    weights = np.zeros((ref.num_bins, streams_dim(streams)), dtype=np.complex128)
-    ref_norm = float(np.linalg.norm(ref.data))
     if gram is None:
         gram = GramCache()
     for _ in range(params.max_iters):
         psd = update_psd(desired, eps)
         weights = solve_weights(streams, ref.data, psd.values, gram, params.ridge_scale)
-        new_desired = ref.data - predict_all_bins(streams, weights)
-        # an all-zero previous estimate (silent input) has nothing left to change
-        change = (convergence_error(new_desired, desired)
-                  if np.linalg.norm(desired) > 0 else 0.0)
-        desired = new_desired
-        trace.iterations += 1
-        trace.cost.append(weighted_cost(desired, psd.values))
-        if change < params.convergence_tol:
-            trace.converged = True
+        previous, desired = desired, ref.data - predict_all_bins(streams, weights)
+        if trace.record(previous, desired, psd.values, params.convergence_tol):
             break
-        if ref_norm == 0.0:
-            trace.converged = True
-            break
+        del previous  # not held through the next round's solve
     return WpeResult(
         desired=Spectrogram(desired, ref.sample_rate, ref.window),
         trace=trace,

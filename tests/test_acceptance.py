@@ -169,8 +169,8 @@ def test_criterion_7_single_node_reduction():
     params = wpe.WpeParams(delay=4, filter_order=12, max_iters=6, convergence_tol=1e-6)
     single = wpe.run_wpe([spec], 0, params)
     dist = danse.run_distributed([spec], params, collab_period=2)
-    assert single.trace.iterations == dist.rounds_run
-    assert np.array_equal(single.desired.data, dist.desired[0].data)
+    assert single.trace.iterations == dist.nodes[0].trace.iterations
+    assert np.array_equal(single.desired.data, dist.nodes[0].desired)
     ok(7, f"M=1 distributed output is elementwise identical to single-channel "
           f"({time.time()-t0:.1f}s)")
 
@@ -222,8 +222,8 @@ def test_criterion_9_convergence_traces(rirs):
                                     collab_period=1, report_nodes=(0,))
         result = pipeline.run(observe(rirs[:m], clean), FS, config)
         for node in range(m):
-            errors = result.trace.per_node(node)
-            rounds = np.asarray(result.trace.rounds[node])
+            errors = np.asarray(result.traces[node].change)
+            rounds = np.arange(1, errors.size + 1)
             below = errors < 1e-3
             assert np.any(below), f"M={m} node {node} never reached 1e-3"
             assert rounds[int(np.argmax(below))] <= 30

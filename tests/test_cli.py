@@ -93,36 +93,66 @@ def test_simulate_malformed_scenario_value_is_config_error(tmp_path, capsys, key
     assert capsys.readouterr().err.startswith("error:")
 
 
-def _broken_json(source: Path, target: Path, drop: str | None) -> Path:
-    """Copy of the JSON file `source` at `target`, without the key `drop`,
-    or cut short into invalid JSON when `drop` is None."""
+def _broken_json(source: Path, target: Path, edit: str | tuple | None) -> Path:
+    """Copy of the JSON file `source` at `target`: cut short into invalid
+    JSON when `edit` is None, without the dotted key `edit` when it is a
+    string, and with the dotted key edit[0] set to edit[1] otherwise."""
     text = source.read_text()
-    if drop is None:
+    if edit is None:
         text = text[: len(text) // 2]
     else:
         data = json.loads(text)
-        del data[drop]
+        *parents, last = (edit if isinstance(edit, str) else edit[0]).split(".")
+        owner = data
+        for part in parents:
+            owner = owner[part]
+        if isinstance(edit, str):
+            del owner[last]
+        else:
+            owner[last] = edit[1]
         text = json.dumps(data)
     target.write_text(text)
     return target
 
 
-@pytest.mark.parametrize("drop", [None, "observations", "sample_rate"])
-def test_dereverb_malformed_manifest_is_config_error(simulated, tmp_path, capsys, drop):
-    manifest = _broken_json(simulated / "manifest.json", tmp_path / "manifest.json", drop)
+@pytest.mark.parametrize("edit", [
+    None, "observations", "sample_rate",
+    pytest.param(("observations", 5), id="observations=5"),
+    pytest.param(("observations", [0, 1, 2]), id="observations=ints"),
+    pytest.param(("sample_rate", "16000"), id="sample_rate=str"),
+    pytest.param(("num_nodes", "x"), id="num_nodes=str"),
+])
+def test_dereverb_malformed_manifest_is_config_error(simulated, tmp_path, capsys, edit):
+    manifest = _broken_json(simulated / "manifest.json", tmp_path / "manifest.json", edit)
     assert main(["dereverb", "--manifest", str(manifest), "--mode", "single",
                  "--outdir", str(tmp_path / "o")]) == 2
     assert str(manifest) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("broken,drop", [
+@pytest.mark.parametrize("broken,edit", [
     ("manifest.json", None), ("manifest.json", "rirs"),
     ("run.json", None), ("run.json", "lags"),
+    pytest.param("manifest.json", ("rirs", 5), id="manifest.json-rirs=5"),
+    pytest.param("manifest.json", ("observations", "x.wav"),
+                 id="manifest.json-observations=str"),
+    ("run.json", "params.delay"), ("run.json", "window.hop"),
+    pytest.param("run.json", ("params", 4), id="run.json-params=int"),
+    pytest.param("run.json", ("params.delay", 4.5), id="run.json-params.delay=float"),
+    pytest.param("run.json", ("window.hop", "2"), id="run.json-window.hop=str"),
+    pytest.param("run.json", ("lags", 0), id="run.json-lags=int"),
+    pytest.param("run.json", ("estimates", ["estimate_node00.wav"]),
+                 id="run.json-estimates=list"),
+    pytest.param("run.json", ("estimates", {"x": "estimate_node00.wav"}),
+                 id="run.json-estimates=bad-node"),
+    pytest.param("run.json", ("estimates", {"3": "estimate_node00.wav"}),
+                 id="run.json-estimates=node-outside"),
+    pytest.param("run.json", ("estimates", {"01": "estimate_node00.wav"}),
+                 id="run.json-estimates=padded-node"),
 ])
 def test_evaluate_malformed_json_is_config_error(simulated, dereverbed, tmp_path, capsys,
-                                                 broken, drop):
+                                                 broken, edit):
     paths = {"manifest.json": simulated / "manifest.json", "run.json": dereverbed / "run.json"}
-    paths[broken] = _broken_json(paths[broken], tmp_path / broken, drop)
+    paths[broken] = _broken_json(paths[broken], tmp_path / broken, edit)
     assert main(["evaluate", "--manifest", str(paths["manifest.json"]),
                  "--run", str(paths["run.json"]), "--outdir", str(tmp_path / "o")]) == 2
     assert str(paths[broken]) in capsys.readouterr().err
@@ -308,7 +338,7 @@ def test_report_malformed_node_counts_is_config_error(tmp_path):
 
 RUN_JSON_KEYS = [
     "mode", "scenario_name", "num_nodes", "sample_rate", "lags", "report_nodes",
-    "params", "window", "fingerprint", "frames_per_unknown", "converged",
+    "params", "window", "fingerprint", "frames_per_unknown", "rounds_run", "converged",
     "per_frame_bin_transmissions", "estimates", "psd_floors",
 ]
 
@@ -318,12 +348,16 @@ def test_run_json_keys(simulated, tmp_path, mode):
     outdir = tmp_path / mode
     assert main(["dereverb", "--manifest", str(simulated / "manifest.json"),
                  "--mode", mode, "--filter-order", "6", "--delay", "2",
-                 "--max-iters", "1", "--nodes", "0", "--outdir", str(outdir)]) == 0
-    keys = list(json.loads((outdir / "run.json").read_text()))
-    expected = list(RUN_JSON_KEYS)
-    if mode == "distributed":
-        expected.insert(expected.index("converged"), "rounds_run")
-    assert keys == expected
+                 "--max-iters", "2", "--convergence-tol", "0", "--nodes", "0",
+                 "--outdir", str(outdir)]) == 0
+    info = json.loads((outdir / "run.json").read_text())
+    assert list(info) == RUN_JSON_KEYS
+    # convergence.csv holds rounds 1 .. rounds_run of every estimated node
+    with open(outdir / "convergence.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["node", "round", "change", "cost"]
+    assert [(row["node"], int(row["round"])) for row in rows] == [
+        (node, r) for node in info["estimates"] for r in range(1, info["rounds_run"] + 1)]
 
 
 @pytest.fixture(scope="module")

@@ -318,7 +318,8 @@ def test_run_distributed_m1_identical_to_single(rng):
     params = WpeParams(delay=2, filter_order=3, max_iters=5, convergence_tol=1e-7)
     single = run_wpe([spec], 0, params)
     dist = run_distributed([spec], params, collab_period=2)
-    np.testing.assert_array_equal(single.desired.data, dist.desired[0].data)
+    np.testing.assert_array_equal(single.desired.data, dist.nodes[0].desired)
+    assert dist.nodes[0].trace == single.trace
 
 
 def test_run_distributed_ledger_and_inbox(rng):
@@ -348,12 +349,14 @@ def test_run_distributed_compressor_snapshot_consistency(rng):
     np.testing.assert_array_equal(result.nodes[0].inbox[1], expected)
 
 
-def test_run_distributed_trace_rounds_start_at_two(rng):
+def test_run_distributed_trace_rounds_start_at_one(rng):
+    # round 1 is recorded against the observation, as in run_wpe
     params, specs, _ = make_network(rng, num_nodes=2, frames=16)
     result = run_distributed(specs, replace(params, max_iters=5), collab_period=2)
-    for node_id in (0, 1):
-        assert result.trace.rounds[node_id][0] == 2
-        assert len(result.trace.per_node(node_id)) == result.rounds_run - 1
+    for node in result.nodes:
+        assert len(node.trace.change) == len(node.trace.cost) == 5
+        assert node.trace.change[0] > 0
+        assert not node.trace.converged
 
 
 @settings(max_examples=10, deadline=None)
@@ -364,8 +367,8 @@ def test_run_distributed_deterministic(seed, num_nodes):
     specs = [random_spec(rng, 10) for _ in range(num_nodes)]
     a = run_distributed(specs, params, collab_period=2)
     b = run_distributed(specs, params, collab_period=2)
-    for da, db in zip(a.desired, b.desired):
-        np.testing.assert_array_equal(da.data, db.data)
+    for na, nb in zip(a.nodes, b.nodes):
+        np.testing.assert_array_equal(na.desired, nb.desired)
 
 
 def test_distributed_solve_dimension(rng):
@@ -378,16 +381,20 @@ def test_distributed_solve_dimension(rng):
 
 
 def test_silent_observation_gives_silent_output(rng):
-    # an all-zero previous estimate has no relative change: it must count as
-    # converged, not raise
+    # an all-zero previous estimate has no relative change: it counts as
+    # converged, not raise, even at tolerance 0, in run_wpe and in every
+    # node of a distributed run alike
     silent = Spectrogram(np.zeros((16, WINDOW.num_bins), dtype=complex), 16000, WINDOW)
-    params = WpeParams(delay=2, filter_order=3, max_iters=4)
-    single = run_wpe([silent], 0, params)
-    assert single.trace.converged
-    assert np.all(single.desired.data == 0)
-    alone = run_distributed([silent], params, collab_period=2)
-    assert alone.converged
-    assert np.all(alone.desired[0].data == 0)
-    pair = run_distributed([silent, random_spec(rng, 16)], params, collab_period=2)
-    assert pair.rounds_run == 4
-    assert np.all(pair.desired[0].data == 0)
+    for tol in (1e-4, 0.0):
+        params = WpeParams(delay=2, filter_order=3, max_iters=4, convergence_tol=tol)
+        single = run_wpe([silent], 0, params)
+        assert single.trace.converged and single.trace.iterations == 1
+        assert np.all(single.desired.data == 0)
+        alone = run_distributed([silent], params, collab_period=2).nodes[0]
+        assert alone.trace.converged and alone.trace.iterations == 1
+        assert alone.trace == single.trace
+        assert np.all(alone.desired == 0)
+        pair = run_distributed([silent, random_spec(rng, 16)], params, collab_period=2)
+        assert [node.trace.iterations for node in pair.nodes] == [4, 4]
+        assert pair.nodes[0].trace.converged and not pair.nodes[1].trace.converged
+        assert np.all(pair.nodes[0].desired == 0)

@@ -7,7 +7,6 @@ from dwpe.errors import InvalidInputError, UndefinedMetricError
 from dwpe.metrics import (
     FSNR_CLAMP,
     MEL_BANDS,
-    ConvergenceTrace,
     _mel_filterbank,
     cepstral_distance,
     convergence_error,
@@ -187,20 +186,4 @@ def test_convergence_error_zero_denominator():
 def test_convergence_error_shape_mismatch():
     with pytest.raises(InvalidInputError):
         convergence_error(np.ones((2, 2)), np.ones((3, 2)))
-
-
-def test_trace_one_value_per_node_round(tmp_path):
-    trace = ConvergenceTrace()
-    trace.add(0, 2, 0.5)
-    trace.add(0, 3, 0.25)
-    trace.add(1, 2, 0.4)
-    with pytest.raises(InvalidInputError):
-        trace.add(0, 2, 0.1)
-    np.testing.assert_array_equal(trace.per_node(0), [0.5, 0.25])
-    assert trace.nodes() == [0, 1]
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "node,round,error"
-    assert len(lines) == 4
 

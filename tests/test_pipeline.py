@@ -31,8 +31,9 @@ def test_run_writes_nothing(observations, tmp_path, monkeypatch, mode, nodes):
     for node, estimate in result.estimates.items():
         assert estimate.shape == observations[node].shape
         assert np.all(np.isfinite(estimate))
-    assert (result.trace is None) == (mode != "distributed")
-    assert (result.rounds_run is None) == (mode != "distributed")
+    assert list(result.traces) == nodes
+    for trace in result.traces.values():
+        assert len(trace.change) == len(trace.cost) == result.rounds_run
 
 
 @pytest.mark.parametrize("mode", ["single", "centralized", "distributed"])
