@@ -8,7 +8,6 @@ from .errors import (
     InvalidInputError,
     MissingDataError,
     NumericalError,
-    ProtocolError,
     SolverError,
     UndefinedLagError,
     UndefinedMetricError,

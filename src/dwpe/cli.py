@@ -183,7 +183,7 @@ def dereverb(config: RunConfig, manifest: dict, manifest_dir: Path,
             f"unknown); the prediction may absorb the desired speech",
             file=sys.stderr,
         )
-    if not result.converged:
+    if config.params.convergence_tol > 0 and not result.converged:
         print(
             f"warning: {config.mode} run did not reach the convergence "
             f"tolerance within max_iters; outputs written anyway",
@@ -283,17 +283,6 @@ def evaluate(manifest: dict, manifest_dir: Path, run_info: dict, run_dir: Path,
     if early_boundary is None:
         early_boundary = run_info["params"]["delay"] * run_info["window"]["hop"]
 
-    references = []
-    for name in manifest["rirs"]:
-        _, taps = read_wav(manifest_dir / name)
-        rir = room.ImpulseResponse(taps=np.asarray(taps, dtype=np.float64), sample_rate=fs)
-        references.append(room.early_reference(clean, rir, early_boundary))
-    references = netsim.apply_lags(references, lags)
-    aligned_obs = netsim.apply_lags(observations, lags)
-
-    nodes = sorted(int(k) for k in run_info["estimates"])
-    rows = []
-
     def score(mode: str, node: int, estimate: np.ndarray) -> dict:
         ref = references[node]
         n = min(ref.size, estimate.size)
@@ -308,8 +297,15 @@ def evaluate(manifest: dict, manifest_dir: Path, run_info: dict, run_dir: Path,
             "fingerprint": run_info["fingerprint"],
         }
 
+    nodes = sorted(int(k) for k in run_info["estimates"])
+    references, rows = {}, []
     for node in nodes:
-        rows.append(score("unprocessed", node, aligned_obs[node]))
+        _, taps = read_wav(manifest_dir / manifest["rirs"][node])
+        rir = room.ImpulseResponse(taps=np.asarray(taps, dtype=np.float64), sample_rate=fs)
+        early = room.early_reference(clean, rir, early_boundary)
+        references[node], observation = netsim.apply_lags(
+            [early, observations[node]], [lags[node]] * 2)
+        rows.append(score("unprocessed", node, observation))
     for node in nodes:
         _, estimate = read_wav(run_dir / run_info["estimates"][str(node)])
         rows.append(score(run_info["mode"], node, estimate))
@@ -326,12 +322,9 @@ def evaluate(manifest: dict, manifest_dir: Path, run_info: dict, run_dir: Path,
         })
 
     with open(outdir / "metrics.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh, fieldnames=["scenario", "mode", "node", "cd", "fsnr", "fingerprint"]
-        )
+        writer = csv.DictWriter(fh, ["scenario", "mode", "node", "cd", "fsnr", "fingerprint"])
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     return rows
 
 
@@ -344,8 +337,12 @@ def cmd_evaluate(args) -> int:
     run_info = _read_json(run_path, {"mode": STR, "lags": INTS, "params.delay": INT,
                                      "window.hop": INT, "estimates": NAME_MAP,
                                      "fingerprint": STR})
-    unknown = sorted(set(run_info["estimates"])
-                     - {str(node) for node in range(len(manifest["observations"]))})
+    num_nodes = len(manifest["observations"])
+    if len(manifest["rirs"]) != num_nodes:
+        raise ConfigurationError(f"{manifest_path}: one RIR per observation required")
+    if len(run_info["lags"]) != num_nodes:
+        raise ConfigurationError(f"{run_path}: one lag per observation required")
+    unknown = sorted(set(run_info["estimates"]) - {str(node) for node in range(num_nodes)})
     if unknown:
         raise ConfigurationError(f"{run_path}: estimates for unknown nodes {unknown}")
     boundary = None

@@ -75,8 +75,9 @@ def beta_report(num_nodes: int, filter_order: int) -> BetaReport:
         raise InvalidInputError(
             f"beta_report needs filter_order >= 3, got {filter_order}"
         )
-    ratio = (filter_order + num_nodes) / centralized_filter_dimension(
-        num_nodes, filter_order)
+    # the augmented per-node dimension: the solved one plus the reference column
+    ratio = (distributed_filter_dimension(num_nodes, filter_order) + 1) / (
+        centralized_filter_dimension(num_nodes, filter_order))
     return BetaReport(
         num_nodes=num_nodes,
         filter_order=filter_order,

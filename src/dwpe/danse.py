@@ -3,13 +3,14 @@
 Each node predicts its own late reverberation from its local delayed frames
 plus one compressed scalar stream per neighbor. The compressor a node
 broadcasts is its own local prediction filter at the broadcast round,
-refreshed every collab_period rounds; between broadcasts neighbors keep
-using the last received snapshot. Compression is applied to the same delayed
-frames the local prediction uses, so both blocks of the extended observation
-share one time support, and the payload a node broadcasts is the local block
-of the late reverberation it has just predicted: node_round computes it once
-and both subtracts and sends it. All prediction runs through
-wpe.predict_all_bins.
+refreshed every collab_period rounds. A round's broadcasts are one
+{sender: payload} map delivered to every other node, whose inbox keeps the
+last payload of each sender between broadcasts. Compression is applied to
+the same delayed frames the local prediction uses, so both blocks of the
+extended observation share one time support, and the payload a node
+broadcasts is the local block of the late reverberation it has just
+predicted: node_round computes it once and both subtracts and sends it. All
+prediction runs through wpe.predict_all_bins.
 
 A single-node network runs exactly the single-channel code path of the wpe
 module: same kernels, same operation order, the same trace and stop rule,
@@ -24,7 +25,7 @@ import numpy as np
 
 from .dsp import Spectrogram
 from .errors import InvalidInputError, MissingDataError
-from .netsim import Message, TransmissionLedger, deliver_round
+from .netsim import TransmissionLedger, deliver_round
 from .wpe import (
     GramCache,
     Stream,
@@ -159,7 +160,7 @@ def run_distributed(observations: list[Spectrogram], params: WpeParams,
     """Batch distributed dereverberation over a fully-connected network.
 
     All nodes execute their rounds between synchronization barriers;
-    broadcasts submitted in round r are readable from round r+1 on. Runs at
+    payloads broadcast in round r are readable from round r+1 on. Runs at
     most params.max_iters rounds and stops after the first round in which
     every node has converged by the stop rule of run_wpe (WpeTrace.record):
     its previous estimate was all zero or its desired signal changed by less
@@ -177,18 +178,14 @@ def run_distributed(observations: list[Spectrogram], params: WpeParams,
     ]
     ledger = TransmissionLedger(mode="distributed")
     for round_index in range(1, params.max_iters + 1):
-        messages = []
+        payloads = {}
         for node in nodes:
             payload = node_round(node, round_index, collab_period)
             if payload is not None:
-                messages.append(
-                    Message(sender=node.node_id, round_index=round_index,
-                            payload=payload)
-                )
-        inboxes = deliver_round(messages, num_nodes, ledger)
+                payloads[node.node_id] = payload
+        received = deliver_round(payloads, round_index, num_nodes, ledger)
         for node in nodes:
-            for msg in inboxes[node.node_id]:
-                node.inbox[msg.sender] = msg.payload
+            node.inbox.update(received[node.node_id])
         if all(node.trace.converged for node in nodes):
             break
     return DistributedResult(nodes=nodes, ledger=ledger)

@@ -18,10 +18,6 @@ class MissingDataError(DwpeError):
     """A node tried to use cross-node data that has not been delivered."""
 
 
-class ProtocolError(DwpeError):
-    """The round-based message protocol was violated (e.g. duplicate submission)."""
-
-
 class SolverError(DwpeError):
     """A linear system could not be solved to the required residual accuracy."""
 

@@ -1,9 +1,10 @@
 """Deterministic round-based simulator for a fully-connected node network.
 
-Rounds are synchronous barriers: every sender submits at most one broadcast
-per round, delivery hands each node the messages of all other senders ordered
-by sender id, and no loss or latency is modeled. The transmission ledger
-counts complex scalars, the unit the published transmission figures use.
+Rounds are synchronous barriers: a round is one map from each broadcasting
+node to its payload, so a node sends at most one payload per round; delivery
+hands each node the payloads of all other senders by sender id, and no loss
+or latency is modeled. The transmission ledger counts complex scalars, the
+unit the published transmission figures use.
 """
 
 from __future__ import annotations
@@ -13,22 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, ProtocolError, UndefinedLagError
+from .errors import InvalidInputError, UndefinedLagError
 
 MODES = ("single", "centralized", "distributed")
-
-
-@dataclass(frozen=True)
-class Message:
-    """One broadcast transmission."""
-
-    sender: int
-    round_index: int
-    payload: np.ndarray
-
-    @property
-    def payload_size(self) -> int:
-        return int(np.asarray(self.payload).size)
 
 
 @dataclass
@@ -48,30 +36,24 @@ class TransmissionLedger:
             writer.writerows(self.rows)
 
 
-def deliver_round(messages: list[Message], num_nodes: int,
-                  ledger: TransmissionLedger | None = None) -> dict[int, list[Message]]:
-    """Deliver one round of messages to per-node inboxes.
+def deliver_round(payloads: dict[int, np.ndarray], round_index: int, num_nodes: int,
+                  ledger: TransmissionLedger) -> dict[int, dict[int, np.ndarray]]:
+    """Deliver one broadcast round, given as each sender's payload.
 
-    Each broadcast reaches every other node exactly once; inbox order is by
-    sender id regardless of submission order. A sender submitting twice in
-    one round is a protocol error.
+    Every payload reaches every other node once, and the ledger gets one row
+    per (sender, recipient) pair, senders ascending, then recipients
+    ascending. Returns each node's received payloads by sender, ascending;
+    neither depends on the order of `payloads`.
     """
-    seen: set[int] = set()
-    for msg in messages:
-        if not (0 <= msg.sender < num_nodes):
-            raise InvalidInputError(f"sender {msg.sender} out of range")
-        if msg.sender in seen:
-            raise ProtocolError(
-                f"node {msg.sender} submitted twice in round {msg.round_index}"
-            )
-        seen.add(msg.sender)
-    inboxes: dict[int, list[Message]] = {i: [] for i in range(num_nodes)}
-    for msg in sorted(messages, key=lambda m: m.sender):
-        for rec in (i for i in range(num_nodes) if i != msg.sender):
-            inboxes[rec].append(msg)
-            if ledger is not None:
-                ledger.record(msg.round_index, msg.sender, rec, msg.payload_size)
-    return inboxes
+    for sender in payloads:
+        if not (0 <= sender < num_nodes):
+            raise InvalidInputError(f"sender {sender} out of range")
+    received: dict[int, dict[int, np.ndarray]] = {i: {} for i in range(num_nodes)}
+    for sender in sorted(payloads):
+        for recipient in (i for i in range(num_nodes) if i != sender):
+            received[recipient][sender] = payloads[sender]
+            ledger.record(round_index, sender, recipient, payloads[sender].size)
+    return received
 
 
 def count_transmissions(mode: str, num_nodes: int, filter_order: int = 1) -> int:

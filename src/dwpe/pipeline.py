@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import complexity, danse, netsim, room, wpe
+from . import danse, netsim, room, wpe
 from .dsp import Spectrogram, WindowSpec, istft, stft
 from .errors import ConfigurationError, InvalidInputError, NumericalError, SolverError
 
@@ -82,7 +82,7 @@ class RunResult:
     psd_floors: dict[int, float]
     traces: dict[int, wpe.WpeTrace]
     num_frames: int
-    unknowns: int  # unknowns per bin of one solve
+    unknowns: int  # the most unknowns per bin any estimated node solved
 
     @property
     def converged(self) -> bool:
@@ -115,26 +115,24 @@ def run(observations: list[np.ndarray], sample_rate: int,
     specs = [stft(sig, STFT_WINDOW, sample_rate) for sig in aligned]
     del aligned  # not needed past the transform; frees M signals before the solves
     n_frames, n_bins = specs[0].num_frames, specs[0].num_bins
-    unknowns = {
-        "single": params.filter_order,
-        "centralized": complexity.centralized_filter_dimension(num_nodes, params.filter_order),
-        "distributed": complexity.distributed_filter_dimension(num_nodes, params.filter_order),
-    }[config.mode]
     estimates: dict[int, np.ndarray] = {}
     traces: dict[int, wpe.WpeTrace] = {}
     psd_floors: dict[int, float] = {}
+    unknowns: list[int] = []
 
-    def keep(node: int, desired: np.ndarray, trace: wpe.WpeTrace, psd_floor: float) -> None:
+    def keep(node: int, desired: np.ndarray, trace: wpe.WpeTrace, psd_floor: float,
+             weights: np.ndarray) -> None:
         # transformed on arrival, so a single or centralized run holds one
         # node's spectrogram estimate at a time
         estimates[node] = istft(Spectrogram(desired, sample_rate, STFT_WINDOW))[:total_len]
         traces[node], psd_floors[node] = trace, psd_floor
+        unknowns.append(weights.shape[1])
 
     if config.mode == "distributed":
         dist = danse.run_distributed(specs, params, collab_period=config.collab_period)
         ledger = dist.ledger
         for state in dist.nodes:
-            keep(state.node_id, state.desired, state.trace, state.psd_floor)
+            keep(state.node_id, state.desired, state.trace, state.psd_floor, state.weights)
     else:
         ledger = netsim.TransmissionLedger(mode=config.mode)
         centralized = config.mode == "centralized"
@@ -147,9 +145,9 @@ def run(observations: list[np.ndarray], sample_rate: int,
                 result = wpe.run_wpe(channels, ref, params, gram)
             except (SolverError, NumericalError) as exc:
                 raise type(exc)(f"node {node}: {exc}") from exc
-            keep(node, result.desired.data, result.trace, result.psd_floor)
+            keep(node, result.desired.data, result.trace, result.psd_floor, result.weights)
             if centralized:
                 # every other node ships its delayed-vector stream to this one
                 for sender in (i for i in range(num_nodes) if i != node):
                     ledger.record(0, sender, node, params.filter_order * n_frames * n_bins)
-    return RunResult(estimates, lags, ledger, psd_floors, traces, n_frames, unknowns)
+    return RunResult(estimates, lags, ledger, psd_floors, traces, n_frames, max(unknowns))

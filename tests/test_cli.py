@@ -140,6 +140,8 @@ def test_dereverb_malformed_manifest_is_config_error(simulated, tmp_path, capsys
     pytest.param("run.json", ("params.delay", 4.5), id="run.json-params.delay=float"),
     pytest.param("run.json", ("window.hop", "2"), id="run.json-window.hop=str"),
     pytest.param("run.json", ("lags", 0), id="run.json-lags=int"),
+    pytest.param("run.json", ("lags", [0, 0]), id="run.json-lags=short"),
+    pytest.param("manifest.json", ("rirs", ["rir_00.wav"]), id="manifest.json-rirs=short"),
     pytest.param("run.json", ("estimates", ["estimate_node00.wav"]),
                  id="run.json-estimates=list"),
     pytest.param("run.json", ("estimates", {"x": "estimate_node00.wav"}),
@@ -242,18 +244,31 @@ def test_dereverb_reports_frames_per_unknown(simulated, tmp_path, capsys):
     manifest = json.loads((simulated / "manifest.json").read_text())
     fs, observations = cli._load_observations(manifest, simulated)
     n_frames = stft(netsim.synchronize(observations, 0)[0][0], cli.STFT_WINDOW, fs).num_frames
-    # three nodes: d = L single, 3L centralized, L + 2 distributed
+    # three nodes: d = L single, 3L centralized; distributed solves L + 2
+    # once cross-node data has arrived (round 3 at collab_period 2), L before
     wide = n_frames // 5  # 3L > n_frames / 2
-    for mode, order, unknowns in [("single", 8, 8), ("distributed", 8, 10),
-                                  ("centralized", wide, 3 * wide)]:
-        outdir = tmp_path / mode
+    for mode, order, iters, unknowns in [("single", 8, 1, 8), ("distributed", 8, 1, 8),
+                                         ("distributed", 8, 3, 10),
+                                         ("centralized", wide, 1, 3 * wide)]:
+        outdir = tmp_path / f"{mode}{iters}"
         assert main(["dereverb", "--manifest", str(simulated / "manifest.json"),
                      "--mode", mode, "--filter-order", str(order), "--delay", "2",
-                     "--max-iters", "1", "--nodes", "0", "--outdir", str(outdir)]) == 0
+                     "--max-iters", str(iters), "--nodes", "0", "--outdir", str(outdir)]) == 0
         info = json.loads((outdir / "run.json").read_text())
         assert info["frames_per_unknown"] == n_frames / unknowns
         warned = "frames per unknown" in capsys.readouterr().err
         assert warned == (mode == "centralized")
+
+
+@pytest.mark.parametrize("tol,warned", [("0", False), ("1e-12", True)])
+def test_dereverb_warns_only_at_positive_tolerance(simulated, tmp_path, capsys, tol, warned):
+    # one round cannot bring the change below 1e-12; tolerance 0 asks for no stop
+    assert main(["dereverb", "--manifest", str(simulated / "manifest.json"),
+                 "--mode", "single", "--filter-order", "8", "--delay", "2",
+                 "--max-iters", "1", "--convergence-tol", tol, "--nodes", "0",
+                 "--outdir", str(tmp_path)]) == 0
+    assert not json.loads((tmp_path / "run.json").read_text())["converged"]
+    assert ("convergence tolerance" in capsys.readouterr().err) == warned
 
 
 def test_fingerprint_covers_solver_and_window_settings(monkeypatch):

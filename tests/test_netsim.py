@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwpe.errors import InvalidInputError, ProtocolError, UndefinedLagError
+from dwpe.errors import InvalidInputError, UndefinedLagError
 from dwpe.netsim import (
-    Message,
     TransmissionLedger,
     apply_lags,
     count_transmissions,
@@ -18,58 +17,64 @@ from oracles import cross_correlation_argmax
 
 
 def test_deliver_two_nodes_one_broadcast():
-    msg = Message(sender=0, round_index=1, payload=np.ones(4))
-    inboxes = deliver_round([msg], num_nodes=2)
-    assert len(inboxes[1]) == 1
-    assert len(inboxes[0]) == 0
+    payload = np.ones(4)
+    received = deliver_round({0: payload}, 1, 2, TransmissionLedger(mode="distributed"))
+    assert received == {0: {}, 1: {0: payload}}
 
 
 def test_deliver_all_broadcast_twelve_nodes():
-    msgs = [Message(sender=i, round_index=1, payload=np.ones(2)) for i in range(12)]
-    inboxes = deliver_round(msgs, num_nodes=12)
-    for node, box in inboxes.items():
-        assert len(box) == 11
-        assert all(m.sender != node for m in box)
+    payloads = {i: np.full(2, i) for i in range(12)}
+    received = deliver_round(payloads, 1, 12, TransmissionLedger(mode="distributed"))
+    for node, box in received.items():
+        assert list(box) == [j for j in range(12) if j != node]
+        assert all(box[j] is payloads[j] for j in box)
 
 
 def test_deliver_orders_by_sender_regardless_of_submission():
-    msgs = [Message(sender=i, round_index=1, payload=np.ones(1)) for i in (3, 0, 2, 1)]
-    inboxes = deliver_round(msgs, num_nodes=4)
+    ledger = TransmissionLedger(mode="distributed")
+    received = deliver_round({i: np.ones(1) for i in (3, 0, 2, 1)}, 1, 4, ledger)
     for node in range(4):
-        senders = [m.sender for m in inboxes[node]]
-        assert senders == sorted(senders)
+        assert list(received[node]) == [j for j in range(4) if j != node]
+    assert [(r[2], r[3]) for r in ledger.rows] == [
+        (s, t) for s in range(4) for t in range(4) if s != t]
 
 
 @settings(max_examples=20, deadline=None)
-@given(perm=st.permutations(list(range(5))))
-def test_deliver_permutation_invariant(perm):
-    msgs = [Message(sender=i, round_index=1, payload=np.full(2, i)) for i in perm]
-    inboxes = deliver_round(msgs, num_nodes=5)
-    reference = deliver_round(sorted(msgs, key=lambda m: m.sender), num_nodes=5)
+@given(perm=st.permutations(list(range(5))), silent=st.sets(st.integers(0, 4)))
+def test_deliver_permutation_invariant(perm, silent):
+    # ledger rows and inboxes do not depend on the map's insertion order,
+    # also when some nodes send nothing in the round
+    senders = [i for i in perm if i not in silent]
+    ledger, reference_ledger = (TransmissionLedger(mode="distributed") for _ in range(2))
+    received = deliver_round({i: np.full(2, i) for i in senders}, 3, 5, ledger)
+    reference = deliver_round({i: np.full(2, i) for i in sorted(senders)}, 3, 5,
+                              reference_ledger)
+    assert ledger.rows == reference_ledger.rows
     for node in range(5):
-        assert [m.sender for m in inboxes[node]] == [m.sender for m in reference[node]]
+        assert list(received[node]) == list(reference[node])
+        for sender, payload in received[node].items():
+            np.testing.assert_array_equal(payload, reference[node][sender])
 
 
-def test_deliver_duplicate_sender_protocol_error():
-    msgs = [
-        Message(sender=0, round_index=1, payload=np.ones(1)),
-        Message(sender=0, round_index=1, payload=np.ones(1)),
-    ]
-    with pytest.raises(ProtocolError):
-        deliver_round(msgs, num_nodes=3)
+@pytest.mark.parametrize("sender", [-1, 3])
+def test_deliver_sender_out_of_range(sender):
+    ledger = TransmissionLedger(mode="distributed")
+    with pytest.raises(InvalidInputError, match="out of range"):
+        deliver_round({0: np.ones(1), sender: np.ones(1)}, 1, 3, ledger)
+    assert ledger.rows == []  # nothing is delivered from a rejected round
 
 
 def test_ledger_counts_units(tmp_path):
     ledger = TransmissionLedger(mode="distributed")
-    msgs = [Message(sender=i, round_index=2, payload=np.ones(10)) for i in range(3)]
-    deliver_round(msgs, num_nodes=3, ledger=ledger)
+    deliver_round({i: np.ones((5, 2)) for i in range(3)}, 2, 3, ledger)
     # 3 senders x 2 receivers x 10 scalars
     assert [r[0] for r in ledger.rows] == [2] * 6
-    assert sum(r[4] for r in ledger.rows) == 60
+    assert [r[4] for r in ledger.rows] == [10] * 6
     path = tmp_path / "ledger.csv"
     ledger.to_csv(path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "round,mode,from,to,units"
+    assert lines[1] == "2,distributed,0,1,10"
     assert len(lines) == 7
 
 
@@ -189,7 +194,3 @@ def test_apply_lags_negative(rng):
     np.testing.assert_array_equal(out[0][10:], x[:90])
     assert np.all(out[0][:10] == 0)
 
-
-def test_message_payload_size():
-    msg = Message(sender=0, round_index=1, payload=np.ones((4, 5)))
-    assert msg.payload_size == 20
