@@ -34,18 +34,19 @@ a, b >= 1
 
     C[(i,a),(j,b)] = C[(i,a-1),(j,b-1)] - x_(i,a-1)[N-1] conj(x_(j,b-1)[N-1])
 
-(the frame before the signal is zero). GramCache builds C = B - U U^H: B
-extends the lag-0 columns block-Toeplitz-wise, and U holds the last frame
-shifted by 1 .. L-1 lags. A build costs O(N K d S) for the columns plus
-O(K d^2 L) for the expansion, instead of O(N K d^2). It happens once per
-run, once per centralized dereverb (its report nodes share one cache and
-rebuild only the O(N K d) g), and, in distributed mode, whenever a node's
-inbox changes (at each broadcast).
+(the frame before the signal is zero). GramCache therefore keeps only these
+generators, (K, d, S) columns and a (K, d) frame instead of the (K, d, d)
+Gram: 17 MB instead of 400 MB at centralized M=12 (d = 312). A build costs
+O(N K d S) instead of O(N K d^2). It happens once per run, once per
+centralized dereverb (its report nodes share one cache and rebuild only the
+O(N K d) g), and, in distributed mode, whenever a node's inbox changes (at
+each broadcast). GramCache.expand runs the recursion for one bin block, in
+O(d^2) per bin and without a matrix product, whenever Z is formed.
 
 solve_weights forms and solves Z one bin block at a time, sized by
 SOLVE_BLOCK_BYTES, and solve_all_bins consumes each block (the ridge goes
-onto its diagonal in place). So only C and one Z block are live; at
-d <= 37 every bin fits in one block. Per bin, blocking changes no
+onto its diagonal in place). So only the generators and one Z block are
+live; at d <= 37 every bin fits in one block. Per bin, blocking changes no
 operation, so the weights do not depend on the block size.
 
 The subtraction cancels most where unfloored cells with sigma >> c carry
@@ -57,7 +58,9 @@ about 1e-10 in Z and 1e-8 in q.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -77,6 +80,11 @@ GRAM_BLOCK_BINS = 16
 # solve_weights forms and solves at a time: all bins at d <= 37 (K = 257),
 # 21 bins at d = 312.
 SOLVE_BLOCK_BYTES = 32 * 2**20
+
+# Bytes of Gram rows per lag step that GramCache.expand runs its recursion
+# over at a time: small enough to stay in cache (3 bins at d = 312), large
+# enough that at d <= 37 one chunk covers every bin.
+EXPAND_CHUNK_BYTES = 192 * 2**10
 
 # Relative residual above which a per-bin solve is considered failed.
 SOLVE_RESIDUAL_TOL = 1e-8
@@ -193,17 +201,18 @@ def stack_chunk(streams: list[Stream], start: int, stop: int,
     batched matrix products.
     """
     n_chunk = stop - start
-    out = np.zeros((bins.stop - bins.start, streams_dim(streams), n_chunk),
+    out = np.empty((bins.stop - bins.start, streams_dim(streams), n_chunk),
                    dtype=np.complex128)
     row = 0
     for data, order, delay in streams:
         for lag in range(order):
             shift = delay + lag
+            # frames before the signal are zero; when the whole row lies
+            # there, j0 >= n_chunk and this zeroes all of it
             j0 = max(0, shift - start)
-            src_start = start + j0 - shift
-            src_stop = stop - shift
-            if src_stop > src_start:
-                out[:, row, j0 : j0 + (src_stop - src_start)] = data[src_start:src_stop, bins].T
+            out[:, row, :j0] = 0.0
+            if j0 < n_chunk:
+                out[:, row, j0:] = data[start + j0 - shift : stop - shift, bins].T
             row += 1
     return out
 
@@ -228,100 +237,136 @@ def gather_cells(streams: list[Stream], frames: np.ndarray,
     return out
 
 
-def _shift_maps(streams: list[Stream]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index maps that expand a Gram from its shift structure.
-
-    Returns (heads, source, lagged). heads (S,) are the lag-0 rows (j,0).
-    source (d, d) indexes, per bin, the lag-0 columns C[:, heads]
-    flattened row-major to d*S values, followed by their conjugates: entry
-    (i,a),(j,b) is C[(i,a-b),(j,0)] at or below the lag diagonal and
-    conj C[(j,b-a),(i,0)] above it. lagged (d, L-1), with L the largest
-    order, indexes the last stacked frame followed by a zero: column s-1 of
-    row (i,a) is row (i,a-s) when s <= a, else the zero.
-    """
-    orders = [order for _, order, _ in streams]
-    stream = np.repeat(np.arange(len(orders)), orders)
-    lag = np.concatenate([np.arange(order) for order in orders])
-    d, S = stream.size, len(orders)
-    heads = np.cumsum([0] + orders[:-1])
-    p = np.arange(d)
-    i, a, j, b = stream[:, None], lag[:, None], stream[None, :], lag[None, :]
-    # at a == b the lower triangle reads C[(i,0),(j,0)] and the upper its
-    # conjugate, so B is exactly Hermitian
-    lower = (a > b) | ((a == b) & (p[:, None] >= p[None, :]))
-    source = np.where(lower, (heads[i] + a - b) * S + j,
-                      d * S + (heads[j] + b - a) * S + i)
-    s = np.arange(1, max(orders))[None, :]
-    lagged = np.where(s <= lag[:, None], p[:, None] - s, d)
-    return heads, source, lagged
+def _runs(orders: list[int]) -> list[tuple[int, int, int, int]]:
+    """(first stream, first row, order, count) of each run of consecutive
+    streams of equal order: the rows at lag a of such a run are one strided
+    slice."""
+    runs, stream, row = [], 0, 0
+    for order, group in groupby(orders):
+        count = len(list(group))
+        runs.append((stream, row, order, count))
+        stream, row = stream + count, row + order * count
+    return runs
 
 
 @dataclass
 class GramCache:
-    """Unweighted normal equations of one stream set: per bin the Gram
-    C = sum_n x_n x_n^H, shape (K, d, d), and g = sum_n x_n conj(ref_n),
-    shape (K, d).
+    """Unweighted normal equations of one stream set. g = sum_n x_n conj(ref_n)
+    is kept in full, shape (K, d); the Gram C = sum_n x_n x_n^H is kept as the
+    generators of its shift structure: its S lag-0 columns, shape (K, d, S),
+    and the last stacked frame, shape (K, d). expand() rebuilds the Gram of
+    one bin block from them.
 
     Each part is keyed by what it depends on: C by the stream arrays, g by
-    the stream arrays and the reference array (both compared by identity).
-    normal_equations_all_bins rebuilds whatever part is stale, so callers
-    never invalidate it by hand, and one cache can serve every reference
-    of the same streams (the report nodes of a centralized run) with one
-    build of C. Arrays must not be modified in place while a cache built
-    from them is in use.
+    the stream arrays and the reference array, all compared by identity
+    through weak references, so the cache never keeps an array alive and a
+    dead array never matches. normal_equations_all_bins rebuilds whatever
+    part is stale, so callers never invalidate it by hand, and one cache can
+    serve every reference of the same streams (the report nodes of a
+    centralized run) with one build of C. Arrays must not be modified in
+    place while a cache built from them is in use.
     """
 
-    C: np.ndarray | None = None
+    cols: np.ndarray | None = None
+    last: np.ndarray | None = None
     g: np.ndarray | None = None
-    streams: tuple = ()
-    ref: np.ndarray | None = None
+    streams: tuple = ()  # (weakref to data, order, delay) per stream
+    ref: weakref.ref | None = None
 
     def holds_gram(self, streams: list[Stream]) -> bool:
-        return self.C is not None and len(self.streams) == len(streams) and all(
-            a is data and (oa, da) == (order, delay)
-            for (a, oa, da), (data, order, delay) in zip(self.streams, streams)
+        return self.cols is not None and len(self.streams) == len(streams) and all(
+            key() is data and (oa, da) == (order, delay)
+            for (key, oa, da), (data, order, delay) in zip(self.streams, streams)
         )
 
     def update(self, streams: list[Stream], ref_data: np.ndarray) -> None:
         """Rebuild the stale parts in one pass over fixed bin blocks and
-        frame chunks; g is rebuilt whenever C is.
-
-        C is accumulated only in its S lag-0 columns and then expanded as
-        B - U U^H from them and the last stacked frame (see the module
-        docstring and _shift_maps)."""
+        frame chunks; g is rebuilt whenever C is. C's generators are the
+        products with the S lag-0 rows and the last chunk's final frame."""
         build_C = not self.holds_gram(streams)
-        if not build_C and self.ref is ref_data:
+        if not build_C and self.ref is not None and self.ref() is ref_data:
             return
         N, K = ref_data.shape
         d = streams_dim(streams)
         # forget the sources first, so a failed build is never reused
         self.streams, self.ref = (), None
         if build_C:
-            self.C = None  # free the stale Gram before allocating the new one
-            self.C = np.empty((K, d, d), dtype=np.complex128)
-            heads, source, lagged = _shift_maps(streams)
+            self.cols = self.last = None  # free the stale generators first
+            self.cols = np.zeros((K, d, len(streams)), dtype=np.complex128)
+            self.last = np.empty((K, d), dtype=np.complex128)
+            heads = np.cumsum([0] + [order for _, order, _ in streams[:-1]])
         self.g = np.zeros((K, d), dtype=np.complex128)
         for k0 in range(0, K, GRAM_BLOCK_BINS):
             bins = slice(k0, min(k0 + GRAM_BLOCK_BINS, K))
-            nb = bins.stop - bins.start
-            if build_C:
-                cols = np.zeros((nb, d, len(streams)), dtype=np.complex128)
             for start in range(0, N, CHUNK_FRAMES):
                 stop = min(start + CHUNK_FRAMES, N)
                 X = stack_chunk(streams, start, stop, bins)  # (bins, d, n)
                 if build_C:
-                    cols += X @ X[:, heads].conj().transpose(0, 2, 1)
+                    self.cols[bins] += X @ X[:, heads].conj().transpose(0, 2, 1)
                 self.g[bins] += (X @ ref_data[start:stop, bins].conj().T[:, :, None])[..., 0]
             if build_C:
-                C = self.C[bins]
-                flat = cols.reshape(nb, -1)
-                # B straight into C; mode="raise" would buffer the output
-                np.take(np.concatenate([flat, flat.conj()], axis=1), source, axis=1,
-                        out=C, mode="clip")
-                # the last chunk ends at frame N-1
-                U = np.concatenate([X[:, :, -1], np.zeros((nb, 1))], axis=1)[:, lagged]
-                C -= U @ U.conj().transpose(0, 2, 1)
-        self.streams, self.ref = tuple(streams), ref_data
+                self.last[bins] = X[:, :, -1]  # the last chunk ends at frame N-1
+        self.streams = tuple((weakref.ref(data), order, delay)
+                             for data, order, delay in streams)
+        self.ref = weakref.ref(ref_data)
+
+    def expand(self, bins: slice, divisor: float = 1.0) -> np.ndarray:
+        """C / divisor for the bins [bins.start, bins.stop), shape
+        (bins, d, d), exactly Hermitian, from the cached generators in
+        O(d^2) per bin.
+
+        Head rows (i,0) are the conjugated lag-0 columns, except that at or
+        below the diagonal a head-head entry reads the column itself. Every
+        row (i,a), a >= 1, follows from row (i,a-1) by the shift recursion of
+        the module docstring, with its head columns read from the lag-0
+        columns. The products are formed in real arithmetic, re and im each
+        from two rounded products, so entry (q,p) is exactly the conjugate of
+        (p,q) and the diagonal is real; a fused complex multiply would not
+        guarantee either. The recursion carries each lag's unscaled rows in
+        a buffer of its own and writes them to the result times 1/divisor,
+        in real arithmetic; numpy divides a complex array by a real the same
+        way, so the result equals C / divisor to the bit. It runs over
+        EXPAND_CHUNK_BYTES of rows at a time, so it works on rows still in
+        cache.
+        """
+        cols, last = self.cols[bins], self.last[bins]
+        nb, d, S = cols.shape
+        orders = [order for _, order, _ in self.streams]
+        heads = np.cumsum([0] + orders[:-1])
+        head_rows = cols.conj().transpose(0, 2, 1).copy()  # (nb, S, d), unscaled
+        lower_i, lower_j = np.tril_indices(S)
+        head_rows[:, lower_i, heads[lower_j]] = cols[:, heads[lower_i], lower_j]
+        own = np.arange(S)
+        head_rows[:, own, heads] = head_rows[:, own, heads].real  # sum |x|^2
+        scale = 1.0 / divisor
+        C = np.empty((nb, d, d), dtype=np.complex128)
+        C[:, heads, :] = head_rows * scale
+        runs = _runs(orders)
+        width = max((count for _, _, order, count in runs if order > 1), default=1)
+        step = max(1, EXPAND_CHUNK_BYTES // (16 * d * width))
+        for k0 in range(0, nb, step):
+            chunk = slice(k0, k0 + step)
+            Ck, cols_k = C[chunk], cols[chunk]
+            re, im = last[chunk].real, last[chunk].imag
+            col_re, col_im = re[:, None, :-1], im[:, None, :-1]  # column q reads q-1
+            for stream, first, order, count in runs:
+                stop = first + order * count
+                prev = head_rows[chunk, stream : stream + count]
+                for lag in range(1, order):
+                    rows = slice(first + lag, stop, order)
+                    src = slice(first + lag - 1, stop, order)
+                    row_re, row_im = re[:, src, None], im[:, src, None]
+                    p_re = row_re * col_re
+                    p_re += row_im * col_im
+                    p_im = row_im * col_re
+                    p_im -= row_re * col_im
+                    new = np.empty(prev.shape, dtype=np.complex128)
+                    np.subtract(prev.real[..., :-1], p_re, out=new.real[..., 1:])
+                    np.subtract(prev.imag[..., :-1], p_im, out=new.imag[..., 1:])
+                    new[..., heads] = cols_k[:, rows, :]  # column 0 among them
+                    np.multiply(new.view(np.float64), scale, out=Ck[:, rows].view(np.float64))
+                    prev = new
+        return C
 
 
 def normal_equations_all_bins(streams: list[Stream], ref_data: np.ndarray,
@@ -345,7 +390,7 @@ def normal_equations_all_bins(streams: list[Stream], ref_data: np.ndarray,
     if bins is None:
         bins = slice(0, ref_data.shape[1])
     c = float(sigma.min())
-    Z = gram.C[bins] / c
+    Z = gram.expand(bins, c)
     q = gram.g[bins] / c
     # active cells sorted by bin, then frame; x x^H w = (x sqrt(w)) (x sqrt(w))^H
     rel, frames = np.nonzero(sigma[:, bins].T > c)

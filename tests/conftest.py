@@ -1,6 +1,13 @@
+import os
 from pathlib import Path
 
-import numpy as np
+# One BLAS thread per call, fixed before numpy is first imported, as the
+# benchmark does: test times then do not depend on BLAS's own threading, and
+# run_distributed runs its node rounds on the cores instead.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from dwpe import room

@@ -214,9 +214,9 @@ def test_centralized_dereverb_builds_gram_once(simulated, tmp_path, monkeypatch)
     update = wpe.GramCache.update
 
     def counting_update(self, streams, ref_data):
-        before = self.C
+        before = self.cols
         update(self, streams, ref_data)
-        if self.C is not before:
+        if self.cols is not before:
             builds.append(ref_data)
 
     monkeypatch.setattr(wpe.GramCache, "update", counting_update)

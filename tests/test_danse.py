@@ -1,9 +1,12 @@
+import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dwpe import danse
 from dwpe.danse import (
     NodeState,
     compress_all_frames,
@@ -11,7 +14,7 @@ from dwpe.danse import (
     run_distributed,
 )
 from dwpe.dsp import Spectrogram, WindowSpec
-from dwpe.errors import MissingDataError
+from dwpe.errors import MissingDataError, SolverError
 from dwpe.wpe import (
     GramCache,
     WpeParams,
@@ -211,15 +214,15 @@ def test_local_solve_rebuilds_gram_for_new_inbox(rng):
 
     node.inbox = {1: payload(1), 2: payload(2)}
     node_round(node, 1, collab_period=5)
-    gram = node.gram.C
+    gram = node.gram.cols
     node_round(node, 2, collab_period=5)
-    assert node.gram.C is gram  # same streams: the Gram is kept
+    assert node.gram.cols is gram  # same streams: the Gram is kept
     node.inbox[2] = payload(2)
     fresh = NodeState(node_id=0, num_nodes=3, local_spec=specs[0], params=params)
     fresh.inbox = dict(node.inbox)
     fresh.weights, fresh.desired = node.weights.copy(), node.desired.copy()
     node_round(node, 3, collab_period=5)
-    assert node.gram.C is not gram
+    assert node.gram.cols is not gram
     node_round(fresh, 3, collab_period=5)
     np.testing.assert_array_equal(node.weights, fresh.weights)
     np.testing.assert_array_equal(node.desired, fresh.desired)
@@ -398,3 +401,93 @@ def test_silent_observation_gives_silent_output(rng):
         assert [node.trace.iterations for node in pair.nodes] == [4, 4]
         assert pair.nodes[0].trace.converged and not pair.nodes[1].trace.converged
         assert np.all(pair.nodes[0].desired == 0)
+
+
+def test_run_distributed_same_bytes_for_any_worker_count(rng, monkeypatch):
+    params, specs, _ = make_network(rng, num_nodes=4, frames=16, max_iters=5)
+    runs = []
+    for workers in (1, 3):
+        monkeypatch.setattr(danse, "worker_count", lambda num_nodes, w=workers: w)
+        runs.append(run_distributed(specs, params, collab_period=2))
+    serial, pooled = runs
+    assert serial.ledger.rows == pooled.ledger.rows
+    for a, b in zip(serial.nodes, pooled.nodes):
+        np.testing.assert_array_equal(a.desired, b.desired)
+        np.testing.assert_array_equal(a.weights, b.weights)
+        assert a.trace == b.trace  # change and cost, float for float
+
+
+@pytest.mark.parametrize("cpus, env, num_nodes, expected", [
+    (2, {}, 12, 1),                                  # unpinned BLAS fills the cores
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 12, 2),
+    (2, {"OPENBLAS_NUM_THREADS": "2"}, 12, 1),
+    (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),        # never more than M
+    (8, {"OMP_NUM_THREADS": "2"}, 12, 4),
+    (8, {"OPENBLAS_NUM_THREADS": "x", "MKL_NUM_THREADS": "4"}, 12, 2),  # first integer
+    (1, {"OPENBLAS_NUM_THREADS": "1"}, 12, 1),
+])
+def test_worker_count_rule(monkeypatch, cpus, env, num_nodes, expected):
+    for name in danse.BLAS_THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(danse.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    assert danse.worker_count(num_nodes) == expected
+    # where the affinity call does not exist, the CPU count stands in
+    monkeypatch.delattr(danse.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(danse.os, "cpu_count", lambda: cpus)
+    assert danse.worker_count(num_nodes) == expected
+
+
+def test_node_error_propagates_and_no_worker_outlives_the_run(rng, monkeypatch):
+    params, specs, _ = make_network(rng, num_nodes=4, frames=16, max_iters=3)
+    monkeypatch.setattr(danse, "worker_count", lambda num_nodes: 3)
+    solve = danse.solve_weights
+
+    def failing_at_node_2(streams, data, *args):
+        if data is specs[2].data:
+            raise SolverError("singular system at bin 0")
+        return solve(streams, data, *args)
+
+    before = threading.active_count()
+    run_distributed(specs, params, collab_period=2)
+    assert threading.active_count() == before
+    monkeypatch.setattr(danse, "solve_weights", failing_at_node_2)
+    with pytest.raises(SolverError, match="bin 0"):
+        run_distributed(specs, params, collab_period=2)
+    assert threading.active_count() == before
+
+
+def test_replaced_payloads_are_freed_and_unchanged_inboxes_reuse_the_gram(rng, monkeypatch):
+    # collab_period=1: the payloads of round r replace those of round r-1 at
+    # the end of round r, so none of round r-1's may be alive in round r+1
+    params, specs, _ = make_network(rng, num_nodes=3, frames=16, max_iters=5)
+    monkeypatch.setattr(danse, "worker_count", lambda num_nodes: 1)
+    original = danse.node_round
+    sent: dict[int, list] = {}
+
+    def tracking(node, round_index, collab_period):
+        assert all(ref() is None for r, refs in sent.items() if r <= round_index - 2
+                   for ref in refs)
+        payload = original(node, round_index, collab_period)
+        sent.setdefault(round_index, []).append(weakref.ref(payload))
+        return payload
+
+    monkeypatch.setattr(danse, "node_round", tracking)
+    run_distributed(specs, params, collab_period=1)
+    assert len(sent) == 5
+
+    # collab_period=2: rounds 1-2 and 3-4 solve over the same arrays, and
+    # round 3 over new payloads
+    grams: dict[int, list] = {}
+
+    def recording(node, round_index, collab_period):
+        payload = original(node, round_index, collab_period)
+        grams.setdefault(node.node_id, []).append(node.gram.cols)
+        return payload
+
+    monkeypatch.setattr(danse, "node_round", recording)
+    run_distributed(specs, replace(params, max_iters=4), collab_period=2)
+    for cols in grams.values():
+        assert cols[1] is cols[0] and cols[2] is not cols[1] and cols[3] is cols[2]

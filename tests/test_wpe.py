@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -243,15 +244,15 @@ def test_split_kernel_reuses_gram_for_same_arrays(rng):
     gram = GramCache()
     sigma = np.maximum(np.abs(ref) ** 2, 0.5)
     normal_equations_all_bins(streams, ref, sigma, gram)
-    C = gram.C
+    C = gram.cols
     Z, q = normal_equations_all_bins(streams, ref, 2.0 * sigma, gram)
-    assert gram.C is C
+    assert gram.cols is C
     Z_fresh, q_fresh = normal_equations_all_bins(streams, ref, 2.0 * sigma)
     np.testing.assert_array_equal(Z, Z_fresh)
     np.testing.assert_array_equal(q, q_fresh)
     other = [(streams[0][0].copy(), 3, 2), streams[1]]
     normal_equations_all_bins(other, ref, sigma, gram)
-    assert gram.C is not C
+    assert gram.cols is not C
 
 
 def test_gram_cache_shares_C_across_references(rng):
@@ -260,10 +261,10 @@ def test_gram_cache_shares_C_across_references(rng):
     sigma = np.maximum(np.abs(ref) ** 2, 0.5)
     gram = GramCache()
     normal_equations_all_bins(streams, ref, sigma, gram)
-    C = gram.C
+    C = gram.cols
     # same streams, another reference: C is kept, g follows the reference
     Z, q = normal_equations_all_bins(streams, other_ref, sigma, gram)
-    assert gram.C is C
+    assert gram.cols is C
     Z_fresh, q_fresh = normal_equations_all_bins(streams, other_ref, sigma)
     np.testing.assert_array_equal(Z, Z_fresh)
     np.testing.assert_array_equal(q, q_fresh)
@@ -271,7 +272,7 @@ def test_gram_cache_shares_C_across_references(rng):
     g = gram.g
     new = [(2.0 * streams[0][0], 3, 2), streams[1]]
     Z, q = normal_equations_all_bins(new, other_ref, sigma, gram)
-    assert gram.C is not C and gram.g is not g
+    assert gram.cols is not C and gram.g is not g
     Z_fresh, q_fresh = normal_equations_all_bins(new, other_ref, sigma)
     np.testing.assert_array_equal(Z, Z_fresh)
     np.testing.assert_array_equal(q, q_fresh)
@@ -291,10 +292,11 @@ def test_shift_built_gram_matches_direct(rng, frames, shape):
                 order, delay) for order, delay in shape]
     gram = GramCache()
     gram.update(streams, streams[0][0])
+    C = gram.expand(slice(0, K))
     for k in range(K):
         stacked = stacked_by_loop(streams, k)
         C_ref = stacked.T @ stacked.conj()
-        assert np.linalg.norm(gram.C[k] - C_ref) <= 1e-13 * np.linalg.norm(C_ref)
+        assert np.linalg.norm(C[k] - C_ref) <= 1e-13 * np.linalg.norm(C_ref)
 
 
 def blocked_system(rng, K, d, frames=120):
@@ -345,10 +347,67 @@ def test_blocked_solve_names_the_full_band_bin(rng, monkeypatch):
     sigma = np.ones(ref.shape)  # all floored: Z = C
     gram = GramCache()
     gram.update(streams, ref)
-    gram.C[4] = 1.0  # rank one with a nonzero trace
+    # all-ones lag-0 columns and a zero last frame expand to an all-ones
+    # Gram: rank one with a nonzero trace
+    gram.cols[4] = 1.0
+    gram.last[4] = 0.0
     monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 2 * 16 * 24 * 24)
     with pytest.raises(SolverError, match="bin 4"):
         solve_weights(streams, ref, sigma, gram, 0.0)
+
+
+def test_expanded_gram_is_exactly_hermitian(rng):
+    # a run of equal orders, which the expansion handles at once, then mixed
+    # orders; at these sizes the accumulated lag-0 diagonal is not real
+    streams = [(rng.standard_normal((200, 9)) + 1j * rng.standard_normal((200, 9)),
+                order, delay) for order, delay in [(12, 2)] * 3 + [(1, 0), (3, 1)]]
+    gram = GramCache()
+    gram.update(streams, streams[0][0])
+    C = gram.expand(slice(0, 9))
+    np.testing.assert_array_equal(C, C.conj().transpose(0, 2, 1))
+    # the division folded into the recursion is the division afterwards
+    np.testing.assert_array_equal(gram.expand(slice(0, 9), 3.0), C / 3.0)
+
+
+def test_gram_cache_holds_less_than_a_quarter_of_C(rng):
+    K, d = 64, 96
+    streams, ref, _ = blocked_system(rng, K, d)
+    gram = GramCache()
+    gram.update(streams, ref)
+    held = gram.cols.nbytes + gram.last.nbytes + gram.g.nbytes
+    assert held < K * d * d * 16 / 4
+
+
+def test_gram_cache_keeps_no_stream_alive(rng):
+    streams, ref = random_streams(rng, 30, 4)
+    sigma = np.maximum(np.abs(ref) ** 2, 0.5)
+    gram = GramCache()
+    other = streams[1][0].copy()
+    normal_equations_all_bins([streams[0], (other, 1, 0)], ref, sigma, gram)
+    dead = weakref.ref(other)
+    del other
+    assert dead() is None
+    # a stream that has died never matches, whatever array takes its place
+    assert not gram.holds_gram([streams[0], (streams[1][0].copy(), 1, 0)])
+
+
+def test_stack_chunk_zeroes_rows_before_the_signal(rng, monkeypatch):
+    # fewer frames than delay + order: the deepest rows lie wholly before
+    # the signal; fresh buffers are filled with NaN so no unwritten cell hides
+    streams = [(rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)), 8, 4),
+               (rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)), 3, 2)]
+    empty = np.empty
+
+    def nan_empty(*args, **kwargs):
+        out = empty(*args, **kwargs)
+        out.fill(np.nan)
+        return out
+
+    monkeypatch.setattr(np, "empty", nan_empty)
+    for start, stop in [(0, 9), (0, 5), (5, 9)]:
+        chunk = stack_chunk(streams, start, stop, slice(0, 3))
+        for k in range(3):
+            np.testing.assert_array_equal(chunk[k], stacked_by_loop(streams, k)[start:stop].T)
 
 
 def test_solve_identity():
