@@ -248,20 +248,23 @@ def cmd_dereverb(args) -> int:
     outdir = _resolve_outdir(args.outdir, "out/dereverb")
     manifest_path = Path(args.manifest)
     manifest = _read_json(manifest_path, {"num_nodes": INT, "sample_rate": INT,
-                                          "observations": NAMES, "scenario_name": STR})
+                                          "observations": NAMES, "scenario_name": STR,
+                                          "seed": INT, "scenario_path": STR})
+    num_nodes = manifest["num_nodes"]
+    if len(manifest["observations"]) != num_nodes:
+        raise ConfigurationError(f"{manifest_path}: one observation per node required")
     if args.nodes is None:
-        num_nodes = manifest["num_nodes"]
         nodes = tuple(n for n in room.DEFAULT_REPORT_NODES if n < num_nodes) or (0,)
     else:
         nodes = _int_list(args.nodes, "--nodes")
     config = RunConfig(
-        scenario_path=manifest.get("scenario_path", ""),
+        scenario_path=manifest["scenario_path"],
         mode=args.mode,
         params=_params_from_args(args),
         collab_period=args.collab_period,
         report_nodes=nodes,
         outdir=str(outdir),
-        seed=int(manifest.get("seed", 0)),
+        seed=manifest["seed"],
         ref_channel=args.ref,
     )
     info = dereverb(config, manifest, manifest_path.parent, outdir)

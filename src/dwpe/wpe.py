@@ -40,8 +40,8 @@ Gram: 17 MB instead of 400 MB at centralized M=12 (d = 312). A build costs
 O(N K d S) instead of O(N K d^2). It happens once per run, once per
 centralized dereverb (its report nodes share one cache and rebuild only the
 O(N K d) g), and, in distributed mode, whenever a node's inbox changes (at
-each broadcast). GramCache.expand runs the recursion for one bin block, in
-O(d^2) per bin and without a matrix product, whenever Z is formed.
+each broadcast). GramCache.expand runs the recursion, one lag at a time,
+for the bin block of each Z.
 
 solve_weights forms and solves Z one bin block at a time, sized by
 SOLVE_BLOCK_BYTES, and solve_all_bins consumes each block (the ridge goes
@@ -51,16 +51,15 @@ operation, so the weights do not depend on the block size.
 
 The subtraction cancels most where unfloored cells with sigma >> c carry
 most of the energy. With the default floor (PSD_FLOOR_FRACTION) Z agrees
-with direct accumulation to about 1e-13 relative and q to about 5e-13 on
-the shipped scenario; a floor nine decades below the peak power leaves
-about 1e-10 in Z and 1e-8 in q.
+with direct accumulation to about 4e-14 relative and q to about 2e-13 in
+the worst bin of the shipped scenario; a floor nine decades below the peak
+power leaves about 1e-9 in Z and 1e-8 in q.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -80,11 +79,6 @@ GRAM_BLOCK_BINS = 16
 # solve_weights forms and solves at a time: all bins at d <= 37 (K = 257),
 # 21 bins at d = 312.
 SOLVE_BLOCK_BYTES = 32 * 2**20
-
-# Bytes of Gram rows per lag step that GramCache.expand runs its recursion
-# over at a time: small enough to stay in cache (3 bins at d = 312), large
-# enough that at d <= 37 one chunk covers every bin.
-EXPAND_CHUNK_BYTES = 192 * 2**10
 
 # Relative residual above which a per-bin solve is considered failed.
 SOLVE_RESIDUAL_TOL = 1e-8
@@ -237,25 +231,13 @@ def gather_cells(streams: list[Stream], frames: np.ndarray,
     return out
 
 
-def _runs(orders: list[int]) -> list[tuple[int, int, int, int]]:
-    """(first stream, first row, order, count) of each run of consecutive
-    streams of equal order: the rows at lag a of such a run are one strided
-    slice."""
-    runs, stream, row = [], 0, 0
-    for order, group in groupby(orders):
-        count = len(list(group))
-        runs.append((stream, row, order, count))
-        stream, row = stream + count, row + order * count
-    return runs
-
-
 @dataclass
 class GramCache:
     """Unweighted normal equations of one stream set. g = sum_n x_n conj(ref_n)
     is kept in full, shape (K, d); the Gram C = sum_n x_n x_n^H is kept as the
     generators of its shift structure: its S lag-0 columns, shape (K, d, S),
-    and the last stacked frame, shape (K, d). expand() rebuilds the Gram of
-    one bin block from them.
+    and the last stacked frame, shape (K, d), from which expand() rebuilds
+    one bin block.
 
     Each part is keyed by what it depends on: C by the stream arrays, g by
     the stream arrays and the reference array, all compared by identity
@@ -312,60 +294,25 @@ class GramCache:
 
     def expand(self, bins: slice, divisor: float = 1.0) -> np.ndarray:
         """C / divisor for the bins [bins.start, bins.stop), shape
-        (bins, d, d), exactly Hermitian, from the cached generators in
-        O(d^2) per bin.
+        (bins, d, d), from the cached generators in O(d^2) per bin.
 
-        Head rows (i,0) are the conjugated lag-0 columns, except that at or
-        below the diagonal a head-head entry reads the column itself. Every
-        row (i,a), a >= 1, follows from row (i,a-1) by the shift recursion of
-        the module docstring, with its head columns read from the lag-0
-        columns. The products are formed in real arithmetic, re and im each
-        from two rounded products, so entry (q,p) is exactly the conjugate of
-        (p,q) and the diagonal is real; a fused complex multiply would not
-        guarantee either. The recursion carries each lag's unscaled rows in
-        a buffer of its own and writes them to the result times 1/divisor,
-        in real arithmetic; numpy divides a complex array by a real the same
-        way, so the result equals C / divisor to the bit. It runs over
-        EXPAND_CHUNK_BYTES of rows at a time, so it works on rows still in
-        cache.
+        Head rows (i,0) and head columns are the lag-0 columns; every other
+        row (i,a) follows from row (i,a-1) by the shift recursion of the
+        module docstring, one lag of all streams at a time.
         """
-        cols, last = self.cols[bins], self.last[bins]
-        nb, d, S = cols.shape
-        orders = [order for _, order, _ in self.streams]
-        heads = np.cumsum([0] + orders[:-1])
-        head_rows = cols.conj().transpose(0, 2, 1).copy()  # (nb, S, d), unscaled
-        lower_i, lower_j = np.tril_indices(S)
-        head_rows[:, lower_i, heads[lower_j]] = cols[:, heads[lower_i], lower_j]
-        own = np.arange(S)
-        head_rows[:, own, heads] = head_rows[:, own, heads].real  # sum |x|^2
-        scale = 1.0 / divisor
+        cols = self.cols[bins] / divisor
+        last = self.last[bins]
+        tail = last[:, None, :-1].conj() / divisor  # column q reads frame q-1
+        orders = np.array([order for _, order, _ in self.streams])
+        heads = np.cumsum(orders) - orders
+        nb, d, _ = cols.shape
         C = np.empty((nb, d, d), dtype=np.complex128)
-        C[:, heads, :] = head_rows * scale
-        runs = _runs(orders)
-        width = max((count for _, _, order, count in runs if order > 1), default=1)
-        step = max(1, EXPAND_CHUNK_BYTES // (16 * d * width))
-        for k0 in range(0, nb, step):
-            chunk = slice(k0, k0 + step)
-            Ck, cols_k = C[chunk], cols[chunk]
-            re, im = last[chunk].real, last[chunk].imag
-            col_re, col_im = re[:, None, :-1], im[:, None, :-1]  # column q reads q-1
-            for stream, first, order, count in runs:
-                stop = first + order * count
-                prev = head_rows[chunk, stream : stream + count]
-                for lag in range(1, order):
-                    rows = slice(first + lag, stop, order)
-                    src = slice(first + lag - 1, stop, order)
-                    row_re, row_im = re[:, src, None], im[:, src, None]
-                    p_re = row_re * col_re
-                    p_re += row_im * col_im
-                    p_im = row_im * col_re
-                    p_im -= row_re * col_im
-                    new = np.empty(prev.shape, dtype=np.complex128)
-                    np.subtract(prev.real[..., :-1], p_re, out=new.real[..., 1:])
-                    np.subtract(prev.imag[..., :-1], p_im, out=new.imag[..., 1:])
-                    new[..., heads] = cols_k[:, rows, :]  # column 0 among them
-                    np.multiply(new.view(np.float64), scale, out=Ck[:, rows].view(np.float64))
-                    prev = new
+        C[:, heads, :] = cols.conj().transpose(0, 2, 1)
+        C[:, :, heads] = cols
+        for lag in range(1, orders.max()):
+            rows = heads[orders > lag] + lag
+            C[:, rows, 1:] = C[:, rows - 1, :-1] - last[:, rows - 1, None] * tail
+            C[:, rows[:, None], heads] = cols[:, rows]
         return C
 
 

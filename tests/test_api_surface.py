@@ -1,7 +1,8 @@
-"""Every public function, class and method of the package is named, as a
-whole word, somewhere in the program's own Python files (src/, bench/ or
-scripts/) besides its definition. A name that only tests use is library
-surface kept for its own tests: delete it, or call it."""
+"""Every public function, class and method of the package, and every public
+module-level UPPER_CASE constant, is named, as a whole word, somewhere in the
+program's own Python files (src/, bench/ or scripts/) besides its definition.
+A name that only tests use is library surface kept for its own tests: delete
+it, or call it; a constant nothing reads is a dead setting."""
 
 import ast
 import re
@@ -13,7 +14,8 @@ PROGRAM_DIRS = ("src", "bench", "scripts")
 
 
 def public_definitions() -> dict[str, set[tuple[Path, int]]]:
-    """Public name -> the (file, line) of each of its definitions."""
+    """Public name -> the (file, line) of each of its definitions or
+    assignments."""
     found: dict[str, set[tuple[Path, int]]] = {}
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -23,6 +25,13 @@ def public_definitions() -> dict[str, set[tuple[Path, int]]]:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
                 found.setdefault(node.name, set()).add((path, node.lineno))
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                if (isinstance(target, ast.Name) and target.id.isupper()
+                        and not target.id.startswith("_")):
+                    found.setdefault(target.id, set()).add((path, node.lineno))
     return found
 
 

@@ -121,6 +121,10 @@ def _broken_json(source: Path, target: Path, edit: str | tuple | None) -> Path:
     pytest.param(("observations", [0, 1, 2]), id="observations=ints"),
     pytest.param(("sample_rate", "16000"), id="sample_rate=str"),
     pytest.param(("num_nodes", "x"), id="num_nodes=str"),
+    pytest.param(("seed", "abc"), id="seed=str"),
+    pytest.param(("seed", 1.5), id="seed=float"),
+    pytest.param(("scenario_path", 5), id="scenario_path=int"),
+    pytest.param(("num_nodes", 1), id="num_nodes=fewer-than-observations"),
 ])
 def test_dereverb_malformed_manifest_is_config_error(simulated, tmp_path, capsys, edit):
     manifest = _broken_json(simulated / "manifest.json", tmp_path / "manifest.json", edit)

@@ -285,6 +285,10 @@ def test_gram_cache_shares_C_across_references(rng):
     (9, [(8, 4), (3, 2)]),
     # a delay-0 stream of order > 1 beside a delayed one
     (40, [(5, 0), (4, 3)]),
+    # a run of equal orders, then an order-1 stream among longer ones
+    (200, [(12, 2)] * 3 + [(1, 0), (3, 1)]),
+    # only order-1 streams: the recursion takes no step
+    (10, [(1, 0), (1, 2)]),
 ])
 def test_shift_built_gram_matches_direct(rng, frames, shape):
     K = 5
@@ -293,10 +297,13 @@ def test_shift_built_gram_matches_direct(rng, frames, shape):
     gram = GramCache()
     gram.update(streams, streams[0][0])
     C = gram.expand(slice(0, K))
+    C_scaled = gram.expand(slice(0, K), 3.0)
     for k in range(K):
         stacked = stacked_by_loop(streams, k)
         C_ref = stacked.T @ stacked.conj()
         assert np.linalg.norm(C[k] - C_ref) <= 1e-13 * np.linalg.norm(C_ref)
+        assert (np.linalg.norm(C_scaled[k] - C_ref / 3.0)
+                <= 1e-13 * np.linalg.norm(C_ref / 3.0))
 
 
 def blocked_system(rng, K, d, frames=120):
@@ -354,19 +361,6 @@ def test_blocked_solve_names_the_full_band_bin(rng, monkeypatch):
     monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 2 * 16 * 24 * 24)
     with pytest.raises(SolverError, match="bin 4"):
         solve_weights(streams, ref, sigma, gram, 0.0)
-
-
-def test_expanded_gram_is_exactly_hermitian(rng):
-    # a run of equal orders, which the expansion handles at once, then mixed
-    # orders; at these sizes the accumulated lag-0 diagonal is not real
-    streams = [(rng.standard_normal((200, 9)) + 1j * rng.standard_normal((200, 9)),
-                order, delay) for order, delay in [(12, 2)] * 3 + [(1, 0), (3, 1)]]
-    gram = GramCache()
-    gram.update(streams, streams[0][0])
-    C = gram.expand(slice(0, 9))
-    np.testing.assert_array_equal(C, C.conj().transpose(0, 2, 1))
-    # the division folded into the recursion is the division afterwards
-    np.testing.assert_array_equal(gram.expand(slice(0, 9), 3.0), C / 3.0)
 
 
 def test_gram_cache_holds_less_than_a_quarter_of_C(rng):
