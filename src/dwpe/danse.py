@@ -4,13 +4,14 @@ Each node predicts its own late reverberation from its local delayed frames
 plus one compressed scalar stream per neighbor. The compressor a node
 broadcasts is its own local prediction filter at the broadcast round,
 refreshed every collab_period rounds. A round's broadcasts are one
-{sender: payload} map delivered to every other node, whose inbox keeps the
-last payload of each sender between broadcasts. Compression is applied to
-the same delayed frames the local prediction uses, so both blocks of the
-extended observation share one time support, and the payload a node
-broadcasts is the local block of the late reverberation it has just
-predicted: node_round computes it once and both subtracts and sends it. All
-prediction runs through wpe.predict_all_bins.
+{sender: payload} map delivered to every other node. NodeState.receive is
+the only writer of a node's read-only inbox: it keeps the last payload of
+each sender and drops the node's Gram, which the next round rebuilds for the
+new streams. Compression is applied to the same delayed frames the local
+prediction uses, so both blocks of the extended observation share one time
+support, and the payload a node broadcasts is the local block of the late
+reverberation it has just predicted: node_round computes it once and both
+subtracts and sends it. All prediction runs through wpe.predict_all_bins.
 
 A single-node network runs exactly the single-channel code path of the wpe
 module: same kernels, same operation order, the same trace and stop rule,
@@ -20,8 +21,8 @@ Nodes update simultaneously: round r at every node reads only what round
 r-1 delivered. run_distributed therefore runs a round's node updates on a
 thread pool and delivers after all of them have finished. Node rounds share
 no mutable state: each writes only its own NodeState, and no payload array
-is changed in place after it is returned. So the result does not depend on
-the number of workers, and a pool with one worker is the serial run. The
+or Gram is changed after it is made. So the result does not depend on the
+number of workers, and a pool with one worker is the serial run. The
 kernels spend their time in numpy and BLAS calls that release the GIL, so
 the rounds overlap on separate cores. The pool has
 min(M, usable CPUs // BLAS threads) workers, at least 1 (worker_count):
@@ -36,17 +37,19 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
+from types import MappingProxyType
 
 import numpy as np
 
 from .dsp import Spectrogram
-from .errors import InvalidInputError, MissingDataError
+from .errors import InvalidInputError, MissingDataError, NumericalError, SolverError
 from .netsim import TransmissionLedger, deliver_round
 from .wpe import (
-    GramCache,
+    Gram,
     Stream,
     WpeParams,
     WpeTrace,
+    check_observations,
     predict_all_bins,
     resolve_psd_floor,
     solve_weights,
@@ -57,8 +60,8 @@ from .wpe import (
 @dataclass
 class NodeState:
     """Everything one node owns: signal, filter, inbox, trace, and the
-    unweighted Gram of its current streams (rebuilt by the kernel whenever
-    the inbox holds new payload arrays).
+    unweighted Gram of its current streams (None until node_round builds it,
+    and again after receive changes the streams).
 
     weights is the node's one filter in the row order of streams(): the
     filter_order local taps, then one weight per neighbor in ascending id
@@ -70,10 +73,10 @@ class NodeState:
     local_spec: Spectrogram
     params: WpeParams
     weights: np.ndarray = field(init=False)
-    inbox: dict[int, np.ndarray] = field(init=False, default_factory=dict)
+    inbox: MappingProxyType = field(init=False, default_factory=lambda: MappingProxyType({}))
     desired: np.ndarray = field(init=False)
     psd_floor: float = field(init=False)
-    gram: GramCache = field(init=False, default_factory=GramCache)
+    gram: Gram | None = field(init=False, default=None)
     trace: WpeTrace = field(init=False, default_factory=WpeTrace)
 
     def __post_init__(self):
@@ -84,26 +87,26 @@ class NodeState:
         K = self.local_spec.num_bins
         self.weights = np.zeros((K, self.params.filter_order), dtype=np.complex128)
         # zero-initialized filters make the first desired estimate the observation
-        self.desired = self.local_spec.data.copy()
+        self.desired = self.local_spec.data
         self.psd_floor = resolve_psd_floor(self.local_spec.data, self.params.psd_floor)
+
+    def receive(self, payloads: dict[int, np.ndarray]) -> None:
+        """Keep each sender's newest payload; new streams drop the Gram."""
+        if payloads:
+            self.inbox, self.gram = MappingProxyType({**self.inbox, **payloads}), None
 
     def streams(self) -> list[Stream]:
         """Extended observation as kernel streams: local delayed block first,
         then, once any cross-node data has arrived, one compressed stream per
         neighbor in ascending id order; raises on a partial inbox."""
-        out: list[Stream] = [
-            (self.local_spec.data, self.params.filter_order, self.params.delay)
-        ]
-        if self.inbox:
-            for j in range(self.num_nodes):
-                if j == self.node_id:
-                    continue
-                if j not in self.inbox:
-                    raise MissingDataError(
-                        f"node {self.node_id}: no compressed data from neighbor {j}"
-                    )
-                out.append((self.inbox[j], 1, 0))
-        return out
+        local: Stream = (self.local_spec.data, self.params.filter_order, self.params.delay)
+        if not self.inbox:
+            return [local]
+        missing = [j for j in range(self.num_nodes) if j != self.node_id and j not in self.inbox]
+        if missing:
+            raise MissingDataError(
+                f"node {self.node_id}: no compressed data from neighbor {missing[0]}")
+        return [local] + [(self.inbox[j], 1, 0) for j in sorted(self.inbox)]
 
 
 def compress_all_frames(data: np.ndarray, compressor: np.ndarray,
@@ -137,17 +140,20 @@ def node_round(node: NodeState, round_index: int,
     step of params.step_size; simultaneous exact updates across the network
     need not settle, while the damped update keeps the fixed point unchanged.
     """
-    if collab_period < 1:
-        raise InvalidInputError(f"collab_period must be >= 1, got {collab_period}")
     psd = update_psd(node.desired, node.psd_floor)
     streams = node.streams()
     data, L = node.local_spec.data, node.params.filter_order
     cross = len(streams) > 1
     if cross and node.weights.shape[1] == L:
         node.weights = np.pad(node.weights, ((0, 0), (0, len(streams) - 1)))
-    # without cross-node data there is no proximal pull (prox_to=None)
-    solved = solve_weights(streams, data, psd.values, node.gram, node.params.ridge_scale,
-                           node.params.prox_scale, node.weights if cross else None)
+    if node.gram is None:
+        node.gram = Gram.build(streams, data)
+    try:
+        # without cross-node data there is no proximal pull (prox_to=None)
+        solved = solve_weights(streams, data, psd.values, node.gram, node.params.ridge_scale,
+                               node.params.prox_scale, node.weights if cross else None)
+    except (SolverError, NumericalError) as exc:
+        raise type(exc)(f"node {node.node_id}: {exc}") from exc
     if cross:
         mu = node.params.step_size(round_index)
         node.weights = (1.0 - mu) * node.weights + mu * solved
@@ -200,13 +206,12 @@ def run_distributed(observations: list[Spectrogram], params: WpeParams,
     the first round in which every node has converged by the stop rule of
     run_wpe (WpeTrace.record): its previous estimate was all zero or its
     desired signal changed by less than params.convergence_tol. An error in
-    any node's round propagates once the pool's threads have finished.
+    any node's round propagates, naming the node, once the pool's threads
+    have finished. The inputs are checked before the pool starts.
     """
-    if not observations:
-        raise InvalidInputError("at least one observation channel required")
-    shapes = {(s.num_frames, s.num_bins) for s in observations}
-    if len(shapes) != 1:
-        raise InvalidInputError(f"observation shapes differ: {sorted(shapes)}")
+    check_observations(observations)
+    if collab_period < 1:
+        raise InvalidInputError(f"collab_period must be >= 1, got {collab_period}")
     num_nodes = len(observations)
     nodes = [
         NodeState(node_id=i, num_nodes=num_nodes, local_spec=obs, params=params)
@@ -222,7 +227,7 @@ def run_distributed(observations: list[Spectrogram], params: WpeParams,
                         if payload is not None}
             received = deliver_round(payloads, round_index, num_nodes, ledger)
             for node in nodes:
-                node.inbox.update(received[node.node_id])
+                node.receive(received[node.node_id])
             if all(node.trace.converged for node in nodes):
                 break
     return DistributedResult(nodes=nodes, ledger=ledger)

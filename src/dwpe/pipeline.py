@@ -137,16 +137,17 @@ def run(observations: list[np.ndarray], sample_rate: int,
         ledger = netsim.TransmissionLedger(mode=config.mode)
         centralized = config.mode == "centralized"
         # every centralized report node predicts from the same gathered
-        # streams, so they share one Gram C; only g follows the reference
-        gram = wpe.GramCache() if centralized else None
+        # streams, so each lends the next its Gram's C; g follows the reference
+        like = None
         for node in config.report_nodes:
             channels, ref = (specs, node) if centralized else ([specs[node]], 0)
             try:
-                result = wpe.run_wpe(channels, ref, params, gram)
+                result = wpe.run_wpe(channels, ref, params, like)
             except (SolverError, NumericalError) as exc:
                 raise type(exc)(f"node {node}: {exc}") from exc
             keep(node, result.desired.data, result.trace, result.psd_floor, result.weights)
             if centralized:
+                like = result.gram
                 # every other node ships its delayed-vector stream to this one
                 for sender in (i for i in range(num_nodes) if i != node):
                     ledger.record(0, sender, node, params.filter_order * n_frames * n_bins)

@@ -21,11 +21,11 @@ the PSD floor whenever any cell is floored:
     q = g/c - sum_{sigma > c} x conj(ref) (1/c - 1/sigma)
 
 C = sum x x^H and g = sum x conj(ref) are unweighted: C depends only on the
-stream arrays and g also on the reference array, and a GramCache keeps each
-until what it depends on changes. Every other call touches only the
-unfloored cells, which on speech are a small share of the time-frequency
-plane: the per-call cost scales with their number, O(nnz d^2), instead of
-O(N K d^2).
+stream arrays and g also on the reference array. Both form one immutable
+Gram, built by whoever sets up or changes the streams. Each call then
+touches only the unfloored cells, which on speech are a small share of the
+time-frequency plane: the per-call cost scales with their number,
+O(nnz d^2), instead of O(N K d^2).
 
 The stacked rows are delayed copies of S streams, so C is the
 covariance-method matrix of linear prediction and follows from its S lag-0
@@ -34,14 +34,14 @@ a, b >= 1
 
     C[(i,a),(j,b)] = C[(i,a-1),(j,b-1)] - x_(i,a-1)[N-1] conj(x_(j,b-1)[N-1])
 
-(the frame before the signal is zero). GramCache therefore keeps only these
+(the frame before the signal is zero). A Gram therefore keeps only these
 generators, (K, d, S) columns and a (K, d) frame instead of the (K, d, d)
-Gram: 17 MB instead of 400 MB at centralized M=12 (d = 312). A build costs
-O(N K d S) instead of O(N K d^2). It happens once per run, once per
-centralized dereverb (its report nodes share one cache and rebuild only the
-O(N K d) g), and, in distributed mode, whenever a node's inbox changes (at
-each broadcast). GramCache.expand runs the recursion, one lag at a time,
-for the bin block of each Z.
+matrix: 17 MB instead of 400 MB at centralized M=12 (d = 312). A build costs
+O(N K d S) instead of O(N K d^2). It happens once per run_wpe, once per
+centralized dereverb (each later report node's Gram borrows the first one's
+generators and forms only its O(N K d) g), and, in distributed mode,
+whenever a node's inbox changes (at each broadcast). Gram.expand runs the
+recursion, one lag at a time, for the bin block of each Z.
 
 solve_weights forms and solves Z one bin block at a time, sized by
 SOLVE_BLOCK_BYTES, and solve_all_bins consumes each block (the ridge goes
@@ -58,7 +58,6 @@ power leaves about 1e-9 in Z and 1e-8 in q.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -231,70 +230,60 @@ def gather_cells(streams: list[Stream], frames: np.ndarray,
     return out
 
 
-@dataclass
-class GramCache:
-    """Unweighted normal equations of one stream set. g = sum_n x_n conj(ref_n)
-    is kept in full, shape (K, d); the Gram C = sum_n x_n x_n^H is kept as the
-    generators of its shift structure: its S lag-0 columns, shape (K, d, S),
-    and the last stacked frame, shape (K, d), from which expand() rebuilds
-    one bin block.
+@dataclass(frozen=True)
+class Gram:
+    """Unweighted normal equations of one stream set and one reference.
+    g = sum_n x_n conj(ref_n) is kept in full, shape (K, d); C = sum_n x_n
+    x_n^H as the generators of its shift structure: its S lag-0 columns
+    `cols`, shape (K, d, S), and the last stacked frame `last`, shape (K, d),
+    from which expand() rebuilds one bin block. `orders` are the streams'.
 
-    Each part is keyed by what it depends on: C by the stream arrays, g by
-    the stream arrays and the reference array, all compared by identity
-    through weak references, so the cache never keeps an array alive and a
-    dead array never matches. normal_equations_all_bins rebuilds whatever
-    part is stale, so callers never invalidate it by hand, and one cache can
-    serve every reference of the same streams (the report nodes of a
-    centralized run) with one build of C. Arrays must not be modified in
-    place while a cache built from them is in use.
+    The arrays are read-only and no stream array is held, so threads share
+    a Gram freely and it keeps no replaced stream alive. Stream arrays must
+    not be modified in place while their Gram is in use.
     """
 
-    cols: np.ndarray | None = None
-    last: np.ndarray | None = None
-    g: np.ndarray | None = None
-    streams: tuple = ()  # (weakref to data, order, delay) per stream
-    ref: weakref.ref | None = None
+    cols: np.ndarray
+    last: np.ndarray
+    g: np.ndarray
+    orders: tuple[int, ...]
 
-    def holds_gram(self, streams: list[Stream]) -> bool:
-        return self.cols is not None and len(self.streams) == len(streams) and all(
-            key() is data and (oa, da) == (order, delay)
-            for (key, oa, da), (data, order, delay) in zip(self.streams, streams)
-        )
+    def __post_init__(self):
+        for array in (self.cols, self.last, self.g):
+            array.flags.writeable = False
 
-    def update(self, streams: list[Stream], ref_data: np.ndarray) -> None:
-        """Rebuild the stale parts in one pass over fixed bin blocks and
-        frame chunks; g is rebuilt whenever C is. C's generators are the
-        products with the S lag-0 rows and the last chunk's final frame."""
-        build_C = not self.holds_gram(streams)
-        if not build_C and self.ref is not None and self.ref() is ref_data:
-            return
+    @classmethod
+    def build(cls, streams: list[Stream], ref_data: np.ndarray,
+              like: Gram | None = None) -> Gram:
+        """The Gram of streams and ref_data in one pass over fixed bin blocks
+        and frame chunks. C's generators are the products with the S lag-0
+        rows and the last chunk's final frame. `like`, a Gram of the same
+        stream arrays for another reference, lends its generators, so only
+        g is formed."""
         N, K = ref_data.shape
         d = streams_dim(streams)
-        # forget the sources first, so a failed build is never reused
-        self.streams, self.ref = (), None
-        if build_C:
-            self.cols = self.last = None  # free the stale generators first
-            self.cols = np.zeros((K, d, len(streams)), dtype=np.complex128)
-            self.last = np.empty((K, d), dtype=np.complex128)
+        if like is None:
+            cols = np.zeros((K, d, len(streams)), dtype=np.complex128)
+            last = np.empty((K, d), dtype=np.complex128)
             heads = np.cumsum([0] + [order for _, order, _ in streams[:-1]])
-        self.g = np.zeros((K, d), dtype=np.complex128)
+        else:
+            cols, last = like.cols, like.last
+        g = np.zeros((K, d), dtype=np.complex128)
         for k0 in range(0, K, GRAM_BLOCK_BINS):
             bins = slice(k0, min(k0 + GRAM_BLOCK_BINS, K))
             for start in range(0, N, CHUNK_FRAMES):
                 stop = min(start + CHUNK_FRAMES, N)
                 X = stack_chunk(streams, start, stop, bins)  # (bins, d, n)
-                if build_C:
-                    self.cols[bins] += X @ X[:, heads].conj().transpose(0, 2, 1)
-                self.g[bins] += (X @ ref_data[start:stop, bins].conj().T[:, :, None])[..., 0]
-            if build_C:
-                self.last[bins] = X[:, :, -1]  # the last chunk ends at frame N-1
-        self.streams = tuple((weakref.ref(data), order, delay)
-                             for data, order, delay in streams)
-        self.ref = weakref.ref(ref_data)
+                if like is None:
+                    cols[bins] += X @ X[:, heads].conj().transpose(0, 2, 1)
+                g[bins] += (X @ ref_data[start:stop, bins].conj().T[:, :, None])[..., 0]
+            if like is None:
+                last[bins] = X[:, :, -1]  # the last chunk ends at frame N-1
+        return cls(cols, last, g, tuple(order for _, order, _ in streams))
 
     def expand(self, bins: slice, divisor: float = 1.0) -> np.ndarray:
         """C / divisor for the bins [bins.start, bins.stop), shape
-        (bins, d, d), from the cached generators in O(d^2) per bin.
+        (bins, d, d), from the generators in O(d^2) per bin.
 
         Head rows (i,0) and head columns are the lag-0 columns; every other
         row (i,a) follows from row (i,a-1) by the shift recursion of the
@@ -303,7 +292,7 @@ class GramCache:
         cols = self.cols[bins] / divisor
         last = self.last[bins]
         tail = last[:, None, :-1].conj() / divisor  # column q reads frame q-1
-        orders = np.array([order for _, order, _ in self.streams])
+        orders = np.array(self.orders)
         heads = np.cumsum(orders) - orders
         nb, d, _ = cols.shape
         C = np.empty((nb, d, d), dtype=np.complex128)
@@ -317,23 +306,21 @@ class GramCache:
 
 
 def normal_equations_all_bins(streams: list[Stream], ref_data: np.ndarray,
-                              sigma: np.ndarray, gram: GramCache | None = None,
+                              sigma: np.ndarray, gram: Gram | None = None,
                               bins: slice | None = None) -> tuple[np.ndarray, np.ndarray]:
     """PSD-weighted normal equations of the bins [bins.start, bins.stop)
     (default all), split around c = min(sigma) over all bins.
 
     Z = C/c minus a correction over the cells with sigma > c, each weighted
     by 1/c - 1/sigma in [0, 1/c); q likewise (see the module docstring).
-    `gram` caches C and g between calls: the parts that are empty or were
-    built from other arrays are rebuilt here. Without one, a throwaway Gram
-    is built. Each bin's Z and q do not depend on which other bins share
-    the call.
+    `gram` is the Gram of these streams and this reference; without one, a
+    throwaway Gram is built. Each bin's Z and q do not depend on which other
+    bins share the call.
 
     Returns Z of shape (bins, d, d) and q of shape (bins, d).
     """
     if gram is None:
-        gram = GramCache()
-    gram.update(streams, ref_data)
+        gram = Gram.build(streams, ref_data)
     if bins is None:
         bins = slice(0, ref_data.shape[1])
     c = float(sigma.min())
@@ -413,12 +400,12 @@ def solve_all_bins(Z: np.ndarray, q: np.ndarray, ridge_scale: float,
 
 
 def solve_weights(streams: list[Stream], ref_data: np.ndarray, sigma: np.ndarray,
-                  gram: GramCache, ridge_scale: float, prox_scale: float = 0.0,
+                  gram: Gram, ridge_scale: float, prox_scale: float = 0.0,
                   prox_to: np.ndarray | None = None) -> np.ndarray:
     """Prediction weights (K, d) of the PSD-weighted normal equations.
 
     Forms and solves Z one bin block at a time, SOLVE_BLOCK_BYTES of Z per
-    block, so beside the cached Gram only one block is live. The weights
+    block, so beside the Gram only one block is live. The weights
     equal a single full-band block's byte for byte. prox_scale and prox_to
     are as in solve_all_bins.
     """
@@ -495,10 +482,20 @@ class WpeResult:
     trace: WpeTrace
     weights: np.ndarray  # (K, M*filter_order)
     psd_floor: float
+    gram: Gram
+
+
+def check_observations(observations: list[Spectrogram]) -> None:
+    """Raise unless there is at least one observation and all share one shape."""
+    if not observations:
+        raise InvalidInputError("at least one observation channel required")
+    shapes = {(s.num_frames, s.num_bins) for s in observations}
+    if len(shapes) != 1:
+        raise InvalidInputError(f"observation shapes differ: {sorted(shapes)}")
 
 
 def run_wpe(observations: list[Spectrogram], ref_channel: int,
-            params: WpeParams, gram: GramCache | None = None) -> WpeResult:
+            params: WpeParams, like: Gram | None = None) -> WpeResult:
     """Batch WPE over M observation channels.
 
     Alternates the PSD update with the per-bin closed-form weight solve and
@@ -507,14 +504,10 @@ def run_wpe(observations: list[Spectrogram], ref_channel: int,
     estimate was all zero or changed by less than convergence_tol (relative
     Frobenius). M = 1 is the single-channel variant.
 
-    `gram` lets runs over the same observation arrays share one Gram C
-    (see GramCache); without one, the run keeps its own.
+    The run builds one Gram and returns it; `like`, an earlier run's Gram of
+    the same observation arrays, lends its C (see Gram.build).
     """
-    if not observations:
-        raise InvalidInputError("at least one observation channel required")
-    shapes = {(s.num_frames, s.num_bins) for s in observations}
-    if len(shapes) != 1:
-        raise InvalidInputError(f"observation shapes differ: {sorted(shapes)}")
+    check_observations(observations)
     if not (0 <= ref_channel < len(observations)):
         raise InvalidInputError(
             f"ref_channel {ref_channel} out of range for {len(observations)} channels"
@@ -526,8 +519,7 @@ def run_wpe(observations: list[Spectrogram], ref_channel: int,
     eps = resolve_psd_floor(ref.data, params.psd_floor)
     desired = ref.data
     trace = WpeTrace()
-    if gram is None:
-        gram = GramCache()
+    gram = Gram.build(streams, ref.data, like)
     for _ in range(params.max_iters):
         psd = update_psd(desired, eps)
         weights = solve_weights(streams, ref.data, psd.values, gram, params.ridge_scale)
@@ -540,4 +532,5 @@ def run_wpe(observations: list[Spectrogram], ref_channel: int,
         trace=trace,
         weights=weights,
         psd_floor=eps,
+        gram=gram,
     )

@@ -3,8 +3,10 @@ and name and reads some of their results. A rename or deletion in the
 library fails here instead of only when the benchmark is run with
 tracing."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -50,3 +52,43 @@ def test_traced_iterations_match_run_traces(layers, small_scenario, mode):
     assert tracer.counts["wpe.iterations"] == rounds
     if mode == "distributed":
         assert tracer.counts["danse.node_rounds"] == rounds
+
+
+def dwpe_references():
+    """(file, 'module.attr', ast.Call or None) for every attribute of a dwpe
+    module that bench/*.py and scripts/*.py name, through `from dwpe import
+    m` or `from dwpe.m import attr`; the call is given where it is called."""
+    root = LAYERS.parents[1]
+    for path in sorted([*root.glob("bench/*.py"), *root.glob("scripts/*.py")]):
+        tree = ast.parse(path.read_text())
+        modules, names = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "dwpe":
+                modules.update({a.asname or a.name: f"dwpe.{a.name}" for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dwpe."):
+                names.update({a.asname or a.name: f"{node.module}.{a.name}" for a in node.names})
+        calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                yield path.name, f"{modules[node.value.id]}.{node.attr}", calls.get(id(node))
+            elif isinstance(node, ast.Name) and node.id in names:
+                yield path.name, names[node.id], calls.get(id(node))
+
+
+def test_bench_and_scripts_call_existing_library_names():
+    references = list(dwpe_references())
+    assert len(references) >= 20  # the parser still finds the benchmark's calls
+    broken = []
+    for file, name, call in references:
+        module, attr = name.rsplit(".", 1)
+        target = getattr(importlib.import_module(module), attr, None)
+        if target is None:
+            broken.append(f"{file}: {name} does not exist")
+        elif call is not None and not any(isinstance(a, ast.Starred) for a in call.args) \
+                and all(k.arg is not None for k in call.keywords):
+            try:
+                inspect.signature(target).bind(*call.args, **{k.arg: k for k in call.keywords})
+            except TypeError as exc:
+                broken.append(f"{file}:{call.lineno}: {name}: {exc}")
+    assert not broken, broken

@@ -214,24 +214,23 @@ def test_dereverb_centralized_ledger(simulated, tmp_path):
 
 
 def test_centralized_dereverb_builds_gram_once(simulated, tmp_path, monkeypatch):
-    builds = []
-    update = wpe.GramCache.update
+    lenders = []
+    build = wpe.Gram.build
 
-    def counting_update(self, streams, ref_data):
-        before = self.cols
-        update(self, streams, ref_data)
-        if self.cols is not before:
-            builds.append(ref_data)
+    def counting_build(streams, ref_data, like=None):
+        lenders.append(like)
+        return build(streams, ref_data, like)
 
-    monkeypatch.setattr(wpe.GramCache, "update", counting_update)
+    monkeypatch.setattr(wpe.Gram, "build", counting_build)
     outdir = tmp_path / "cent"
     assert main(["dereverb", "--manifest", str(simulated / "manifest.json"),
                  "--mode", "centralized", "--filter-order", "6", "--delay", "2",
                  "--max-iters", "2", "--nodes", "0,2", "--outdir", str(outdir)]) == 0
-    assert len(builds) == 1
+    # C is built once; the second report node borrows it and forms only g
+    assert len(lenders) == 2 and lenders.count(None) == 1
     monkeypatch.undo()
 
-    # each report node alone, with a fresh cache, gives the same bytes
+    # each report node alone, with its own Gram, gives the same bytes
     manifest = json.loads((simulated / "manifest.json").read_text())
     fs, observations = cli._load_observations(manifest, simulated)
     aligned, _ = netsim.synchronize(observations, 0)

@@ -14,9 +14,9 @@ from dwpe.danse import (
     run_distributed,
 )
 from dwpe.dsp import Spectrogram, WindowSpec
-from dwpe.errors import MissingDataError, SolverError
+from dwpe.errors import InvalidInputError, MissingDataError, SolverError
 from dwpe.wpe import (
-    GramCache,
+    Gram,
     WpeParams,
     gather_cells,
     predict_all_bins,
@@ -93,11 +93,23 @@ def test_assemble_extended_length(rng):
     params, specs, nodes = make_network(rng)
     node = nodes[0]
     assert len(node.streams()) == 1  # no inbox yet: local block only
-    node.inbox[1] = specs[1].data
+    node.receive({1: specs[1].data})
     (local, order, delay), (cross, *cross_shape) = node.streams()
     assert local is specs[0].data and (order, delay) == (3, 2)
     assert cross is specs[1].data and cross_shape == [1, 0]
     assert streams_dim(node.streams()) == params.filter_order + 1
+
+
+def test_inbox_is_written_only_by_receive(rng):
+    _, specs, nodes = make_network(rng, num_nodes=3)
+    node = nodes[0]
+    node.receive({1: specs[1].data})
+    with pytest.raises(TypeError):
+        node.inbox[2] = specs[2].data
+    node.receive({2: specs[2].data})
+    node.receive({1: specs[2].data})  # a sender's newer payload replaces its older one
+    assert sorted(node.inbox) == [1, 2]
+    assert node.inbox[1] is specs[2].data and node.inbox[2] is specs[2].data
 
 
 def test_assemble_extended_order_markers(rng):
@@ -105,7 +117,7 @@ def test_assemble_extended_order_markers(rng):
     _, specs, nodes = make_network(rng, num_nodes=4)
     node = nodes[0]
     for j, marker in ((3, 33j), (1, 11j), (2, 22j)):
-        node.inbox[j] = np.full_like(specs[0].data, marker)
+        node.receive({j: np.full_like(specs[0].data, marker)})
     vec = gather_cells(node.streams(), np.array([5]), np.array([1]))[:, 0]
     np.testing.assert_array_equal(vec, [specs[0].data[3, 1], specs[0].data[2, 1],
                                         specs[0].data[1, 1], 11j, 22j, 33j])
@@ -113,7 +125,7 @@ def test_assemble_extended_order_markers(rng):
 
 def test_assemble_extended_missing_neighbor(rng):
     _, specs, nodes = make_network(rng, num_nodes=3)
-    nodes[0].inbox[1] = specs[1].data
+    nodes[0].receive({1: specs[1].data})
     with pytest.raises(MissingDataError, match="neighbor 2"):
         nodes[0].streams()
 
@@ -121,7 +133,7 @@ def test_assemble_extended_missing_neighbor(rng):
 def test_local_predict_zero_weights_returns_observation(rng):
     _, specs, nodes = make_network(rng)
     node = nodes[0]
-    node.inbox[1] = specs[1].data
+    node.receive({1: specs[1].data})
     late = predict_all_bins(node.streams(), np.zeros((WINDOW.num_bins, 4)))
     np.testing.assert_array_equal(specs[0].data - late, specs[0].data)
 
@@ -141,7 +153,7 @@ def test_local_predict_matches_explicit_compressed_path(rng):
     params, specs, nodes = make_network(rng, num_nodes=2)
     node = nodes[0]
     g = rng.standard_normal((WINDOW.num_bins, 3)) + 1j * rng.standard_normal((WINDOW.num_bins, 3))
-    node.inbox[1] = compress_all_frames(specs[1].data, g, params)
+    node.receive({1: compress_all_frames(specs[1].data, g, params)})
     node_round(node, 1, collab_period=2)
     assert np.linalg.norm(node.weights[:, 3:]) > 0
     k = 4
@@ -176,7 +188,7 @@ def test_local_solve_matches_double_loop_oracle(rng):
                                         ridge_scale=0.0, prox_scale=0.0)
     node = nodes[0]
     g = rng.standard_normal((WINDOW.num_bins, 2)) + 1j * rng.standard_normal((WINDOW.num_bins, 2))
-    node.inbox[1] = compress_all_frames(specs[1].data, g, params)
+    node.receive({1: compress_all_frames(specs[1].data, g, params)})
     psd = update_psd(node.desired, node.psd_floor)
     node_round(node, 1, collab_period=2)
     k = 3
@@ -194,11 +206,12 @@ def test_local_solve_sigma_scale_invariance(rng):
                                         prox_scale=0.0)
     node = nodes[0]
     g = rng.standard_normal((WINDOW.num_bins, 3)) + 1j * rng.standard_normal((WINDOW.num_bins, 3))
-    node.inbox[1] = compress_all_frames(specs[1].data, g, params)
+    node.receive({1: compress_all_frames(specs[1].data, g, params)})
     sigma = np.abs(rng.standard_normal((10, WINDOW.num_bins))) + 0.3
+    gram = Gram.build(node.streams(), specs[0].data)
 
     def solve(scale):
-        return solve_weights(node.streams(), specs[0].data, scale * sigma, node.gram,
+        return solve_weights(node.streams(), specs[0].data, scale * sigma, gram,
                              params.ridge_scale)
 
     np.testing.assert_allclose(solve(1.0), solve(4.0), rtol=1e-9)
@@ -212,17 +225,19 @@ def test_local_solve_rebuilds_gram_for_new_inbox(rng):
         g = rng.standard_normal((WINDOW.num_bins, 3)) + 1j * rng.standard_normal((WINDOW.num_bins, 3))
         return compress_all_frames(specs[j].data, g, params)
 
-    node.inbox = {1: payload(1), 2: payload(2)}
+    node.receive({1: payload(1), 2: payload(2)})
     node_round(node, 1, collab_period=5)
-    gram = node.gram.cols
+    gram = node.gram
+    node.receive({})  # a round without broadcasts
     node_round(node, 2, collab_period=5)
-    assert node.gram.cols is gram  # same streams: the Gram is kept
-    node.inbox[2] = payload(2)
+    assert node.gram is gram  # same streams: the Gram is kept
+    node.receive({2: payload(2)})
+    assert node.gram is None  # new streams: the Gram is dropped
     fresh = NodeState(node_id=0, num_nodes=3, local_spec=specs[0], params=params)
-    fresh.inbox = dict(node.inbox)
+    fresh.receive(node.inbox)
     fresh.weights, fresh.desired = node.weights.copy(), node.desired.copy()
     node_round(node, 3, collab_period=5)
-    assert node.gram.cols is not gram
+    assert node.gram is not gram
     node_round(fresh, 3, collab_period=5)
     np.testing.assert_array_equal(node.weights, fresh.weights)
     np.testing.assert_array_equal(node.desired, fresh.desired)
@@ -232,7 +247,7 @@ def test_all_zero_inbox_degenerates_to_local_weights(rng):
     params, specs, nodes = make_network(rng, num_nodes=2, frames=20,
                                         prox_scale=0.0)
     node = nodes[0]
-    node.inbox[1] = np.zeros_like(specs[0].data)
+    node.receive({1: np.zeros_like(specs[0].data)})
     node_round(node, 1, collab_period=2)
     np.testing.assert_allclose(node.weights[:, 3:], 0, atol=1e-20)
     single = run_wpe([specs[0]], 0, WpeParams(delay=2, filter_order=3, max_iters=1,
@@ -250,13 +265,14 @@ def test_node_round_damped_update(rng):
     node_round(node, 1, collab_period=2)
     assert node.weights.shape == (WINDOW.num_bins, 3)
     g = rng.standard_normal((WINDOW.num_bins, 3)) + 1j * rng.standard_normal((WINDOW.num_bins, 3))
-    node.inbox[1] = compress_all_frames(specs[1].data, g, params)
+    node.receive({1: compress_all_frames(specs[1].data, g, params)})
     for r in (2, 3):
         w_prev = node.weights
         if r == 2:  # widened once, with zero cross weights
             w_prev = np.pad(w_prev, ((0, 0), (0, 1)))
         psd = update_psd(node.desired, node.psd_floor)
-        solved = solve_weights(node.streams(), specs[0].data, psd.values, GramCache(),
+        solved = solve_weights(node.streams(), specs[0].data, psd.values,
+                               Gram.build(node.streams(), specs[0].data),
                                params.ridge_scale, params.prox_scale, w_prev)
         mu = params.step_size(r)
         assert mu == 0.5 ** (r - 1)
@@ -286,7 +302,7 @@ def test_node_round_collab_one_always_broadcasts(rng):
 def test_node_round_broadcast_equals_weights(rng):
     params, specs, nodes = make_network(rng)
     node = nodes[0]
-    node.inbox[1] = specs[1].data
+    node.receive({1: specs[1].data})
     payload = node_round(node, 2, collab_period=2)
     # the compressor is the local filter of the broadcast round
     np.testing.assert_array_equal(
@@ -304,11 +320,11 @@ def test_stale_inbox_fixed_point(rng):
                                         psd_floor=10.0, prox_scale=0.0,
                                         relaxation_decay=1.0)
     node = nodes[0]
-    node.inbox[1] = compress_all_frames(
+    node.receive({1: compress_all_frames(
         specs[1].data,
         rng.standard_normal((WINDOW.num_bins, 3)) + 0j,
         params,
-    )
+    )})
     # huge floor makes sigma constant: one solve reaches the fixed point
     node_round(node, 1, collab_period=5)
     desired_a = node.desired.copy()
@@ -454,8 +470,27 @@ def test_node_error_propagates_and_no_worker_outlives_the_run(rng, monkeypatch):
     run_distributed(specs, params, collab_period=2)
     assert threading.active_count() == before
     monkeypatch.setattr(danse, "solve_weights", failing_at_node_2)
-    with pytest.raises(SolverError, match="bin 0"):
+    with pytest.raises(SolverError, match="node 2: .*bin 0"):
         run_distributed(specs, params, collab_period=2)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("case", ["no observations", "shapes differ", "collab_period 0"])
+def test_run_distributed_rejects_bad_inputs_before_the_pool(rng, monkeypatch, case):
+    params, specs, _ = make_network(rng, num_nodes=2, frames=16)
+    observations, collab_period = {
+        "no observations": ([], 2),
+        "shapes differ": ([specs[0], random_spec(rng, 17)], 2),
+        "collab_period 0": (specs, 0),
+    }[case]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the pool started")
+
+    monkeypatch.setattr(danse, "ThreadPoolExecutor", no_pool)
+    before = threading.active_count()
+    with pytest.raises(InvalidInputError):
+        run_distributed(observations, params, collab_period=collab_period)
     assert threading.active_count() == before
 
 

@@ -1,5 +1,8 @@
+import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from dwpe.dsp import Spectrogram, WindowSpec, stft
 from dwpe.errors import InvalidInputError, NumericalError, SolverError
 from dwpe.signals import speech_like
 from dwpe.wpe import (
-    GramCache,
+    Gram,
     WpeParams,
     gather_cells,
     normal_equations_all_bins,
@@ -240,42 +243,59 @@ def test_split_kernel_matches_oracle_on_shipped_room(shipped_scenario):
 
 
 def test_split_kernel_reuses_gram_for_same_arrays(rng):
+    # one Gram serves every PSD of its streams and reference
     streams, ref = random_streams(rng, 30, 4)
-    gram = GramCache()
+    gram = Gram.build(streams, ref)
     sigma = np.maximum(np.abs(ref) ** 2, 0.5)
-    normal_equations_all_bins(streams, ref, sigma, gram)
-    C = gram.cols
-    Z, q = normal_equations_all_bins(streams, ref, 2.0 * sigma, gram)
-    assert gram.cols is C
-    Z_fresh, q_fresh = normal_equations_all_bins(streams, ref, 2.0 * sigma)
-    np.testing.assert_array_equal(Z, Z_fresh)
-    np.testing.assert_array_equal(q, q_fresh)
-    other = [(streams[0][0].copy(), 3, 2), streams[1]]
-    normal_equations_all_bins(other, ref, sigma, gram)
-    assert gram.cols is not C
+    for scale in (1.0, 2.0):
+        Z, q = normal_equations_all_bins(streams, ref, scale * sigma, gram)
+        Z_fresh, q_fresh = normal_equations_all_bins(streams, ref, scale * sigma)
+        np.testing.assert_array_equal(Z, Z_fresh)
+        np.testing.assert_array_equal(q, q_fresh)
 
 
-def test_gram_cache_shares_C_across_references(rng):
+def test_gram_like_shares_C_across_references(rng):
+    # same streams, another reference: C's generators are lent, g is formed
     streams, ref = random_streams(rng, 30, 4)
     other_ref = streams[1][0]
     sigma = np.maximum(np.abs(ref) ** 2, 0.5)
-    gram = GramCache()
-    normal_equations_all_bins(streams, ref, sigma, gram)
-    C = gram.cols
-    # same streams, another reference: C is kept, g follows the reference
-    Z, q = normal_equations_all_bins(streams, other_ref, sigma, gram)
-    assert gram.cols is C
+    gram = Gram.build(streams, ref)
+    borrowed = Gram.build(streams, other_ref, like=gram)
+    assert borrowed.cols is gram.cols and borrowed.last is gram.last
+    Z, q = normal_equations_all_bins(streams, other_ref, sigma, borrowed)
     Z_fresh, q_fresh = normal_equations_all_bins(streams, other_ref, sigma)
     np.testing.assert_array_equal(Z, Z_fresh)
     np.testing.assert_array_equal(q, q_fresh)
-    # new stream arrays: both parts are rebuilt
-    g = gram.g
-    new = [(2.0 * streams[0][0], 3, 2), streams[1]]
-    Z, q = normal_equations_all_bins(new, other_ref, sigma, gram)
-    assert gram.cols is not C and gram.g is not g
-    Z_fresh, q_fresh = normal_equations_all_bins(new, other_ref, sigma)
-    np.testing.assert_array_equal(Z, Z_fresh)
-    np.testing.assert_array_equal(q, q_fresh)
+
+
+def test_gram_arrays_reject_writes(rng):
+    streams, ref = random_streams(rng, 30, 4)
+    gram = Gram.build(streams, ref)
+    for array in (gram.cols, gram.last, gram.g):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        gram.g = np.zeros_like(gram.g)
+
+
+def test_one_gram_read_by_two_threads_gives_the_serial_bytes(rng):
+    streams, ref = random_streams(rng, 200, 33)
+    gram = Gram.build(streams, ref)
+    sigmas = [np.maximum(np.abs(ref) ** 2, floor) for floor in (0.5, 1.0, 2.0, 4.0)]
+    serial = [normal_equations_all_bins(streams, ref, sigma, gram) for sigma in sigmas]
+    start = threading.Barrier(2)
+
+    def reader(order):
+        start.wait()  # both threads read the Gram at once
+        return {i: normal_equations_all_bins(streams, ref, sigmas[i], gram)
+                for _ in range(5) for i in order}
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(reader, [range(4), range(3, -1, -1)]))
+    for result in results:
+        for i, (Z, q) in result.items():
+            np.testing.assert_array_equal(Z, serial[i][0])
+            np.testing.assert_array_equal(q, serial[i][1])
 
 
 @pytest.mark.parametrize("frames, shape", [
@@ -294,8 +314,7 @@ def test_shift_built_gram_matches_direct(rng, frames, shape):
     K = 5
     streams = [(rng.standard_normal((frames, K)) + 1j * rng.standard_normal((frames, K)),
                 order, delay) for order, delay in shape]
-    gram = GramCache()
-    gram.update(streams, streams[0][0])
+    gram = Gram.build(streams, streams[0][0])
     C = gram.expand(slice(0, K))
     C_scaled = gram.expand(slice(0, K), 3.0)
     for k in range(K):
@@ -322,7 +341,7 @@ def test_blocked_solve_equals_one_block(rng, monkeypatch, prox_scale):
     streams, ref, sigma = blocked_system(rng, 11, 48)
     sigma *= 1.0 + np.arange(11)  # only the first block holds min(sigma)
     prox_to = rng.standard_normal((11, 48)) + 1j * rng.standard_normal((11, 48))
-    gram = GramCache()
+    gram = Gram.build(streams, ref)
     full = solve_weights(streams, ref, sigma, gram, 1e-8, prox_scale, prox_to)
     Z, q = normal_equations_all_bins(streams, ref, sigma, gram)
     assert Z.shape[0] == 11  # the default budget holds every bin at once
@@ -336,8 +355,7 @@ def test_blocked_solve_equals_one_block(rng, monkeypatch, prox_scale):
 def test_blocked_solve_allocates_less_than_half_of_Z(rng, monkeypatch):
     K, d = 64, 96
     streams, ref, sigma = blocked_system(rng, K, d)
-    gram = GramCache()
-    gram.update(streams, ref)
+    gram = Gram.build(streams, ref)
     monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 4 * 16 * d * d)
     tracemalloc.start()
     try:
@@ -352,37 +370,33 @@ def test_blocked_solve_allocates_less_than_half_of_Z(rng, monkeypatch):
 def test_blocked_solve_names_the_full_band_bin(rng, monkeypatch):
     streams, ref, _ = blocked_system(rng, 6, 24)
     sigma = np.ones(ref.shape)  # all floored: Z = C
-    gram = GramCache()
-    gram.update(streams, ref)
+    gram = Gram.build(streams, ref)
     # all-ones lag-0 columns and a zero last frame expand to an all-ones
     # Gram: rank one with a nonzero trace
-    gram.cols[4] = 1.0
-    gram.last[4] = 0.0
+    cols, last = gram.cols.copy(), gram.last.copy()
+    cols[4] = 1.0
+    last[4] = 0.0
+    gram = replace(gram, cols=cols, last=last)
     monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 2 * 16 * 24 * 24)
     with pytest.raises(SolverError, match="bin 4"):
         solve_weights(streams, ref, sigma, gram, 0.0)
 
 
-def test_gram_cache_holds_less_than_a_quarter_of_C(rng):
+def test_gram_holds_less_than_a_quarter_of_C(rng):
     K, d = 64, 96
     streams, ref, _ = blocked_system(rng, K, d)
-    gram = GramCache()
-    gram.update(streams, ref)
+    gram = Gram.build(streams, ref)
     held = gram.cols.nbytes + gram.last.nbytes + gram.g.nbytes
     assert held < K * d * d * 16 / 4
 
 
-def test_gram_cache_keeps_no_stream_alive(rng):
+def test_gram_keeps_no_stream_alive(rng):
     streams, ref = random_streams(rng, 30, 4)
-    sigma = np.maximum(np.abs(ref) ** 2, 0.5)
-    gram = GramCache()
     other = streams[1][0].copy()
-    normal_equations_all_bins([streams[0], (other, 1, 0)], ref, sigma, gram)
+    gram = Gram.build([streams[0], (other, 1, 0)], ref)
     dead = weakref.ref(other)
     del other
-    assert dead() is None
-    # a stream that has died never matches, whatever array takes its place
-    assert not gram.holds_gram([streams[0], (streams[1][0].copy(), 1, 0)])
+    assert dead() is None and gram.orders == (3, 1)
 
 
 def test_stack_chunk_zeroes_rows_before_the_signal(rng, monkeypatch):
