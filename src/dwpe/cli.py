@@ -2,8 +2,9 @@
 
 The verbs are file I/O around the library: `dereverb` reads the simulated
 observation WAVs, runs `pipeline.run` and writes its estimates, run.json,
-the transmission ledger and the convergence trace; `evaluate` scores them
-against `room.early_reference`.
+the transmission ledger and the convergence trace; `evaluate` reads them
+back with the simulated observations, RIRs and clean source, runs
+`pipeline.score` and writes metrics.csv.
 
 All outputs are deterministic functions of (config, seed); `dereverb`
 fingerprints the seed that `simulate` recorded in the manifest. Every CSV row
@@ -28,7 +29,6 @@ from scipy.io import wavfile
 
 from . import complexity, netsim, pipeline, room, wpe
 from .errors import ConfigurationError, DwpeError, InvalidInputError, NumericalError, SolverError
-from .metrics import cepstral_distance, fw_segmental_snr
 from .pipeline import STFT_WINDOW, RunConfig
 from .signals import speech_like
 
@@ -278,51 +278,32 @@ def cmd_dereverb(args) -> int:
 
 def evaluate(manifest: dict, manifest_dir: Path, run_info: dict, run_dir: Path,
              outdir: Path, early_boundary: int | None = None) -> list[dict]:
-    """Score unprocessed observations and the run's estimates against the
-    clean-plus-early-reflections reference of every reported node."""
+    """Read a run's estimates with their observations, RIRs and clean source,
+    score them with `pipeline.score` and write metrics.csv: one row per node
+    for the unprocessed observations, one per node for the estimates, then
+    the mean of each."""
     fs, observations = _load_observations(manifest, manifest_dir)
     _, clean = read_wav(manifest_dir / manifest["clean"])
-    lags = run_info["lags"]
     if early_boundary is None:
         early_boundary = run_info["params"]["delay"] * run_info["window"]["hop"]
-
-    def score(mode: str, node: int, estimate: np.ndarray) -> dict:
-        ref = references[node]
-        n = min(ref.size, estimate.size)
-        if n == 0:
-            raise InvalidInputError(f"node {node}: empty signals after alignment")
-        return {
-            "scenario": manifest["scenario_name"],
-            "mode": mode,
-            "node": node,
-            "cd": cepstral_distance(ref[:n], estimate[:n], fs),
-            "fsnr": fw_segmental_snr(ref[:n], estimate[:n], fs),
-            "fingerprint": run_info["fingerprint"],
-        }
-
     nodes = sorted(int(k) for k in run_info["estimates"])
-    references, rows = {}, []
-    for node in nodes:
-        _, taps = read_wav(manifest_dir / manifest["rirs"][node])
-        rir = room.ImpulseResponse(taps=np.asarray(taps, dtype=np.float64), sample_rate=fs)
-        early = room.early_reference(clean, rir, early_boundary)
-        references[node], observation = netsim.apply_lags(
-            [early, observations[node]], [lags[node]] * 2)
-        rows.append(score("unprocessed", node, observation))
-    for node in nodes:
-        _, estimate = read_wav(run_dir / run_info["estimates"][str(node)])
-        rows.append(score(run_info["mode"], node, estimate))
+    rirs = {node: room.ImpulseResponse(read_wav(manifest_dir / manifest["rirs"][node])[1], fs)
+            for node in nodes}
+    estimates = {node: read_wav(run_dir / run_info["estimates"][str(node)])[1]
+                 for node in nodes}
+    scores = pipeline.score(clean, rirs, observations, estimates, run_info["lags"],
+                            early_boundary, fs)
 
-    for mode in ("unprocessed", run_info["mode"]):
-        mode_rows = [r for r in rows if r["mode"] == mode]
-        rows.append({
-            "scenario": manifest["scenario_name"],
-            "mode": mode,
-            "node": "mean",
-            "cd": float(np.mean([r["cd"] for r in mode_rows])),
-            "fsnr": float(np.mean([r["fsnr"] for r in mode_rows])),
-            "fingerprint": run_info["fingerprint"],
-        })
+    def row(mode: str, node, cd: float, fsnr: float) -> dict:
+        return {"scenario": manifest["scenario_name"], "mode": mode, "node": node,
+                "cd": cd, "fsnr": fsnr, "fingerprint": run_info["fingerprint"]}
+
+    modes = ("unprocessed", run_info["mode"])
+    rows = [row(mode, node, *pairs[i]) for i, mode in enumerate(modes)
+            for node, pairs in scores.items()]
+    for i, mode in enumerate(modes):
+        cds, fsnrs = zip(*(pairs[i] for pairs in scores.values()))
+        rows.append(row(mode, "mean", float(np.mean(cds)), float(np.mean(fsnrs))))
 
     with open(outdir / "metrics.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, ["scenario", "mode", "node", "cd", "fsnr", "fingerprint"])
@@ -350,6 +331,8 @@ def cmd_evaluate(args) -> int:
         raise ConfigurationError(f"{run_path}: estimates for unknown nodes {unknown}")
     boundary = None
     if args.early_ms is not None:
+        if not np.isfinite(args.early_ms):
+            raise ConfigurationError(f"--early-ms must be finite, got {args.early_ms}")
         boundary = int(round(args.early_ms * manifest["sample_rate"] / 1000.0))
     rows = evaluate(manifest, manifest_path.parent, run_info, run_path.parent,
                     outdir, early_boundary=boundary)

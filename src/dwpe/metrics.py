@@ -1,10 +1,11 @@
-"""Objective dereverberation quality measures and the change between estimates.
+"""Objective dereverberation quality measures.
 
 Cepstral distance and frequency-weighted segmental SNR follow the usual
 reverberation-evaluation conventions: 25 ms frames with 10 ms hop, LPC order
 12 at 16 kHz, active frames selected by a -40 dB energy threshold relative to
 the loudest reference frame. The reference signal is the clean source
-convolved with the early part of the RIR.
+convolved with the early part of the RIR; `pipeline.score`, their one caller
+in the package, builds it and aligns it to the scored node.
 """
 
 from __future__ import annotations
@@ -21,20 +22,6 @@ CD_CLAMP = (0.0, 10.0)
 FSNR_CLAMP = (-10.0, 35.0)
 MEL_BANDS = 23
 FSNR_WEIGHT_EXPONENT = 0.2
-
-
-def convergence_error(current: np.ndarray, previous: np.ndarray) -> float:
-    """Relative Frobenius change between consecutive desired estimates."""
-    current = np.asarray(current)
-    previous = np.asarray(previous)
-    if current.shape != previous.shape:
-        raise InvalidInputError(
-            f"shape mismatch: {current.shape} vs {previous.shape}"
-        )
-    denom = float(np.linalg.norm(previous))
-    if denom == 0.0:
-        raise UndefinedMetricError("previous-round estimate has zero norm")
-    return float(np.linalg.norm(current - previous)) / denom
 
 
 def _frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:

@@ -1,9 +1,12 @@
-"""One in-memory dereverberation run, the same for every mode.
+"""One in-memory dereverberation run, the same for every mode, and its score.
 
 `run` synchronizes the observations to the reference node, transforms them,
 dereverberates in the configured mode and returns per-node time-domain
-estimates with the run's ledger and diagnostics. It reads and writes no
-file; `dwpe.cli` wraps it in WAV/JSON/CSV I/O.
+estimates with the run's ledger and diagnostics. `score` rates those
+estimates and the unprocessed observations by cepstral distance and
+frequency-weighted segmental SNR against each node's clean-plus-early
+reference. Neither reads nor writes a file; `dwpe.cli` wraps them in
+WAV/JSON/CSV I/O.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import danse, netsim, room, wpe
+from . import danse, metrics, netsim, room, wpe
 from .dsp import Spectrogram, WindowSpec, istft, stft
 from .errors import ConfigurationError, InvalidInputError, NumericalError, SolverError
 
@@ -152,3 +155,30 @@ def run(observations: list[np.ndarray], sample_rate: int,
                 for sender in (i for i in range(num_nodes) if i != node):
                     ledger.record(0, sender, node, params.filter_order * n_frames * n_bins)
     return RunResult(estimates, lags, ledger, psd_floors, traces, n_frames, max(unknowns))
+
+
+def score(clean: np.ndarray, rirs, observations, estimates: dict[int, np.ndarray],
+          lags: list[int], early_boundary: int, sample_rate: int
+          ) -> dict[int, tuple[tuple[float, float], tuple[float, float]]]:
+    """(CD, F-SNR) of the lag-aligned observation and of the estimate, in
+    that order, for every node of `estimates`.
+
+    rirs (room.ImpulseResponse), observations and lags are indexed by node.
+    A node's reference is the clean signal through the first
+    `early_boundary` taps of its RIR (room.early_reference), shifted by the
+    node's lag like its observation, since `run` estimates from the
+    synchronized observations. Each pair is scored over the shorter of the
+    reference and the scored signal.
+    """
+    def pair(reference: np.ndarray, signal: np.ndarray) -> tuple[float, float]:
+        n = min(reference.size, signal.size)
+        return (metrics.cepstral_distance(reference[:n], signal[:n], sample_rate),
+                metrics.fw_segmental_snr(reference[:n], signal[:n], sample_rate))
+
+    scores = {}
+    for node, estimate in estimates.items():
+        early = room.early_reference(clean, rirs[node], early_boundary)
+        reference, observation = netsim.apply_lags(
+            [early, observations[node]], [lags[node]] * 2)
+        scores[node] = (pair(reference, observation), pair(reference, estimate))
+    return scores

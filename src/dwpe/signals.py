@@ -29,8 +29,8 @@ def speech_like(duration: float, sample_rate: int = 16000, seed: int = 0) -> np.
     Built from ~180 ms segments, each either a pause or a voiced burst with
     its own pitch and three formants, cross-faded and peak-normalized to 0.5.
     """
-    if duration <= 0:
-        raise InvalidInputError(f"duration must be positive, got {duration}")
+    if not 0 < duration < np.inf:
+        raise InvalidInputError(f"duration must be positive and finite, got {duration}")
     rng = np.random.default_rng(seed)
     fs = sample_rate
     total = int(round(duration * fs))

@@ -64,7 +64,6 @@ import numpy as np
 
 from .dsp import Spectrogram
 from .errors import InvalidInputError, NumericalError, SolverError
-from .metrics import convergence_error
 
 # Frames per accumulation chunk; fixed so operation order (and therefore
 # floating-point results) never depends on signal length or caller.
@@ -109,20 +108,21 @@ class WpeParams:
             raise InvalidInputError(f"delay must be >= 1 frame, got {self.delay}")
         if self.filter_order < 1:
             raise InvalidInputError(f"filter_order must be >= 1, got {self.filter_order}")
-        if self.psd_floor is not None and self.psd_floor <= 0:
-            raise InvalidInputError(f"psd_floor must be positive, got {self.psd_floor}")
+        if self.psd_floor is not None and not 0 < self.psd_floor < np.inf:
+            raise InvalidInputError(
+                f"psd_floor must be positive and finite, got {self.psd_floor}")
         if self.max_iters < 1:
             raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.ridge_scale < 0:
-            raise InvalidInputError(f"ridge_scale must be >= 0, got {self.ridge_scale}")
         if not (0.0 < self.relaxation <= 1.0):
             raise InvalidInputError(f"relaxation must be in (0, 1], got {self.relaxation}")
         if not (0.0 < self.relaxation_decay <= 1.0):
             raise InvalidInputError(
                 f"relaxation_decay must be in (0, 1], got {self.relaxation_decay}"
             )
-        if self.prox_scale < 0:
-            raise InvalidInputError(f"prox_scale must be >= 0, got {self.prox_scale}")
+        for name in ("convergence_tol", "ridge_scale", "prox_scale"):
+            value = getattr(self, name)
+            if not 0 <= value < np.inf:
+                raise InvalidInputError(f"{name} must be >= 0 and finite, got {value}")
 
     def step_size(self, round_index: int) -> float:
         """Relaxation applied at the given 1-based round: a geometrically
@@ -468,11 +468,11 @@ class WpeTrace:
         stop rule of every mode: a node has converged in a round when its
         previous estimate was all zero or its relative change is below tol,
         and a run stops after the first round in which all its nodes have."""
-        silent = np.linalg.norm(previous) == 0.0
-        change = 0.0 if silent else convergence_error(desired, previous)
+        norm = float(np.linalg.norm(previous))
+        change = float(np.linalg.norm(desired - previous)) / norm if norm else 0.0
         self.change.append(change)
         self.cost.append(weighted_cost(desired, sigma))
-        self.converged = silent or change < tol
+        self.converged = not norm or change < tol
         return self.converged
 
 

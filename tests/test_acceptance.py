@@ -17,7 +17,6 @@ from dwpe.complexity import (
     centralized_filter_dimension,
     distributed_filter_dimension,
 )
-from dwpe.metrics import cepstral_distance, fw_segmental_snr
 
 from oracles import gaussian_elimination_solve
 
@@ -189,20 +188,15 @@ def test_criterion_8_directional_quality(rirs):
                                          convergence_tol=1e-3))
     dist = run("distributed", wpe.WpeParams(delay=4, filter_order=26, max_iters=24,
                                             convergence_tol=0.0))
-    aligned = netsim.apply_lags(observations, dist.lags)
-    refs = netsim.apply_lags(
-        [room.early_reference(clean, rir, boundary) for rir in rirs], dist.lags)
 
-    def score(node, estimate):
-        ref = refs[node]
-        n = min(ref.size, estimate.size)
-        return (cepstral_distance(ref[:n], estimate[:n], FS),
-                fw_segmental_snr(ref[:n], estimate[:n], FS))
+    def score(result):
+        estimates = {node: result.estimates[node] for node in REPORT_NODES}
+        return pipeline.score(clean, rirs, observations, estimates, result.lags, boundary, FS)
 
+    single_scores, dist_scores = score(single), score(dist)
     for node in REPORT_NODES:
-        cd_u, fsnr_u = score(node, aligned[node])
-        cd_s, fsnr_s = score(node, single.estimates[node])
-        cd_d, fsnr_d = score(node, dist.estimates[node])
+        (cd_u, fsnr_u), (cd_s, fsnr_s) = single_scores[node]
+        _, (cd_d, fsnr_d) = dist_scores[node]
         assert fsnr_d > fsnr_s + 0.2, f"node {node}: F-SNR dist {fsnr_d} vs single {fsnr_s}"
         assert fsnr_s > fsnr_u + 0.2, f"node {node}: F-SNR single {fsnr_s} vs unproc {fsnr_u}"
         assert cd_d < cd_s - 0.1, f"node {node}: CD dist {cd_d} vs single {cd_s}"

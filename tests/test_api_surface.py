@@ -2,7 +2,11 @@
 module-level UPPER_CASE constant, is named, as a whole word, somewhere in the
 program's own Python files (src/, bench/ or scripts/) besides its definition.
 A name that only tests use is library surface kept for its own tests: delete
-it, or call it; a constant nothing reads is a dead setting."""
+it, or call it; a constant nothing reads is a dead setting.
+
+The modules are layered: the solver, network, room and signal modules
+import no scoring or orchestration module, and metrics imports only
+errors."""
 
 import ast
 import re
@@ -50,3 +54,34 @@ def test_public_names_have_callers_outside_tests():
                    for path, number, text in lines)
     )
     assert not unused, f"public names with no caller outside tests: {unused}"
+
+
+LOWER_MODULES = ("dsp", "wpe", "danse", "netsim", "room", "signals", "complexity")
+UPPER_MODULES = {"metrics", "pipeline", "cli"}
+
+
+def package_imports(module: str) -> set[str]:
+    """The dwpe modules that `module` imports, relatively or by package name."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                path = node.module
+            elif node.level == 0 and (node.module or "").split(".")[0] == "dwpe":
+                path = node.module.partition(".")[2]
+            else:
+                continue
+            # `from . import a, b` names modules; `from .a import x` names a
+            found.update([path.split(".")[0]] if path else [a.name for a in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names
+                         if a.name.startswith("dwpe."))
+    return found
+
+
+def test_module_layering():
+    assert package_imports("cli") >= {"pipeline", "room"}  # the parser finds imports
+    upward = {module: sorted(package_imports(module) & UPPER_MODULES)
+              for module in LOWER_MODULES}
+    assert not any(upward.values()), f"lower modules import upward: {upward}"
+    assert package_imports("metrics") <= {"errors"}

@@ -427,6 +427,27 @@ def test_evaluate_zero_boundary_is_config_error(simulated, dereverbed, tmp_path,
     assert "boundary 0 out of range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb, flag, value", [
+    ("dereverb", "--psd-floor", "inf"), ("dereverb", "--psd-floor", "nan"),
+    ("dereverb", "--convergence-tol", "nan"), ("dereverb", "--convergence-tol", "-0.001"),
+    ("simulate", "--duration", "nan"), ("simulate", "--duration", "inf"),
+    ("evaluate", "--early-ms", "nan"), ("evaluate", "--early-ms", "inf"),
+])
+def test_non_finite_or_negative_setting_is_config_error(
+        small_scenario_file, simulated, dereverbed, tmp_path, capsys, verb, flag, value):
+    inputs = {
+        "simulate": ["--scenario", str(small_scenario_file)],
+        "dereverb": ["--manifest", str(simulated / "manifest.json"), "--mode", "single"],
+        "evaluate": ["--manifest", str(simulated / "manifest.json"),
+                     "--run", str(dereverbed / "run.json")],
+    }[verb]
+    outdir = tmp_path / "out"
+    assert main([verb, *inputs, flag, value, "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"got {value}" in err
+    assert list(outdir.iterdir()) == []
+
+
 def test_dereverb_bad_reference_is_config_error(simulated, tmp_path, capsys):
     assert main(["dereverb", "--manifest", str(simulated / "manifest.json"),
                  "--mode", "single", "--ref", "7", "--outdir", str(tmp_path)]) == 2

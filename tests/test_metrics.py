@@ -9,7 +9,6 @@ from dwpe.metrics import (
     MEL_BANDS,
     _mel_filterbank,
     cepstral_distance,
-    convergence_error,
     fw_segmental_snr,
 )
 from dwpe.signals import speech_like
@@ -152,38 +151,4 @@ def test_mel_filterbank_shape_and_coverage():
     assert np.all(bank >= 0)
     # interior bins are covered by at least one band
     assert np.all(bank[:, 5:250].sum(axis=0) > 0)
-
-
-def test_convergence_error_identical_rounds():
-    d = np.ones((4, 5), dtype=complex)
-    assert convergence_error(d, d.copy()) == 0.0
-
-
-def test_convergence_error_scalar_scaling():
-    prev = np.full((3, 3), 2.0 + 0j)
-    assert convergence_error(1.1 * prev, prev) == pytest.approx(0.1)
-
-
-def test_convergence_error_geometric_sequence(rng):
-    target = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-    err_dir = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
-    estimates = [target + 2.0 ** (-k) * err_dir for k in range(1, 6)]
-    ratios = [
-        convergence_error(estimates[k + 1], estimates[k])
-        / convergence_error(estimates[k], estimates[k - 1])
-        for k in range(1, 4)
-    ]
-    scale_fix = np.linalg.norm(estimates[1]) / np.linalg.norm(estimates[2])
-    for r in ratios:
-        assert r == pytest.approx(0.5, rel=0.2 * scale_fix)
-
-
-def test_convergence_error_zero_denominator():
-    with pytest.raises(UndefinedMetricError):
-        convergence_error(np.ones((2, 2)), np.zeros((2, 2)))
-
-
-def test_convergence_error_shape_mismatch():
-    with pytest.raises(InvalidInputError):
-        convergence_error(np.ones((2, 2)), np.ones((3, 2)))
 

@@ -41,3 +41,19 @@ def test_run_rejects_out_of_range_report_node(observations, mode):
     config = pipeline.RunConfig("small.json", mode, params=PARAMS, report_nodes=(0, 3))
     with pytest.raises(InvalidInputError):
         pipeline.run(observations, 16000, config)
+
+
+def test_score_shifts_the_reference_by_the_lag():
+    # a pure-delay RIR: the observation is the clean signal k samples late,
+    # so the observation aligned by lag k and an estimate synchronized by it
+    # both equal the reference shifted by k
+    fs, k = 16000, 37
+    clean = speech_like(1.0, fs, seed=0)
+    taps = np.zeros(k + 1)
+    taps[k] = 1.0
+    rir = room.ImpulseResponse(taps=taps, sample_rate=fs)
+    observation = room.render_observation(clean, fs, rir)
+    estimate = np.zeros_like(observation)
+    estimate[:-k] = observation[k:]
+    scores = pipeline.score(clean, [rir], [observation], {0: estimate}, [k], 512, fs)
+    assert scores == {0: ((0.0, 35.0), (0.0, 35.0))}

@@ -15,6 +15,7 @@ from dwpe.signals import speech_like
 from dwpe.wpe import (
     Gram,
     WpeParams,
+    WpeTrace,
     gather_cells,
     normal_equations_all_bins,
     predict_all_bins,
@@ -48,6 +49,17 @@ def test_params_validation():
         WpeParams(max_iters=0)
     with pytest.raises(InvalidInputError):
         WpeParams(relaxation=1.5)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("psd_floor", np.nan), ("psd_floor", np.inf),
+    ("ridge_scale", np.nan), ("ridge_scale", np.inf),
+    ("prox_scale", np.nan), ("prox_scale", np.inf),
+    ("convergence_tol", np.nan), ("convergence_tol", np.inf), ("convergence_tol", -1e-4),
+])
+def test_params_reject_non_finite_and_negative_settings(name, value):
+    with pytest.raises(InvalidInputError, match=f"{name} must .*got {value}$"):
+        WpeParams(**{name: value})
 
 
 def delayed_vectors(spec, params, frames, bins):
@@ -589,3 +601,39 @@ def test_weighted_cost_formula(rng):
     sigma = rng.random((3, 2)) + 0.5
     expected = float(np.sum(np.abs(desired) ** 2 / sigma + np.log(np.pi * sigma)))
     assert weighted_cost(desired, sigma) == pytest.approx(expected)
+
+
+def test_trace_record_identical_rounds():
+    d = np.ones((4, 5), dtype=complex)
+    trace = WpeTrace()
+    assert trace.record(d, d.copy(), np.ones(d.shape), tol=1e-4)
+    assert trace.change == [0.0]
+
+
+def test_trace_record_scalar_scaling():
+    prev = np.full((3, 3), 2.0 + 0j)
+    trace = WpeTrace()
+    assert not trace.record(prev, 1.1 * prev, np.ones(prev.shape), tol=1e-4)
+    assert trace.change == [pytest.approx(0.1)]
+
+
+def test_trace_record_geometric_sequence(rng):
+    target = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    err_dir = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    estimates = [target + 2.0 ** (-k) * err_dir for k in range(1, 6)]
+    trace = WpeTrace()
+    for previous, desired in zip(estimates, estimates[1:]):
+        trace.record(previous, desired, np.ones(target.shape), tol=0.0)
+    ratios = np.divide(trace.change[1:], trace.change[:-1])
+    scale_fix = np.linalg.norm(estimates[1]) / np.linalg.norm(estimates[2])
+    assert ratios.size == 3
+    for r in ratios:
+        assert r == pytest.approx(0.5, rel=0.2 * scale_fix)
+
+
+def test_trace_record_zero_previous_converges():
+    # an all-zero previous estimate has no relative change: the round counts
+    # as change 0.0 and converged, even at a zero tolerance
+    trace = WpeTrace()
+    assert trace.record(np.zeros((2, 2)), np.ones((2, 2)), np.ones((2, 2)), tol=0.0)
+    assert trace.change == [0.0]
