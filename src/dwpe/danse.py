@@ -18,32 +18,24 @@ module: same kernels, same operation order, the same trace and stop rule,
 bit-identical output.
 
 Nodes update simultaneously: round r at every node reads only what round
-r-1 delivered. run_distributed therefore runs a round's node updates on a
-thread pool and delivers after all of them have finished. Node rounds share
-no mutable state: each writes only its own NodeState, and no payload array
-or Gram is changed after it is made. So the result does not depend on the
-number of workers, and a pool with one worker is the serial run. The
-kernels spend their time in numpy and BLAS calls that release the GIL, so
-the rounds overlap on separate cores. The pool has
-min(M, usable CPUs // BLAS threads) workers, at least 1 (worker_count):
-the BLAS thread count is the first integer among OPENBLAS_NUM_THREADS,
-OMP_NUM_THREADS and MKL_NUM_THREADS, and all usable CPUs when none is set,
-so an unpinned BLAS, which already fills the cores, gets one worker.
+r-1 delivered. run_distributed therefore runs a round's node updates
+through netsim.map_nodes, the package's one node pool, and delivers after
+all of them have finished. Node rounds share no mutable state: each writes
+only its own NodeState, and no payload array or Gram is changed after it is
+made. So the result does not depend on the number of workers, and a pool
+with one worker is the serial run.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import repeat
 from types import MappingProxyType
 
 import numpy as np
 
 from .dsp import Spectrogram
 from .errors import InvalidInputError, MissingDataError, NumericalError, SolverError
-from .netsim import TransmissionLedger, deliver_round
+from .netsim import TransmissionLedger, deliver_round, map_nodes
 from .wpe import (
     Gram,
     Stream,
@@ -177,31 +169,12 @@ class DistributedResult:
     ledger: TransmissionLedger
 
 
-BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def worker_count(num_nodes: int) -> int:
-    """Threads that run a round's node updates: min(num_nodes, usable CPUs
-    // BLAS threads), at least 1 (see the module docstring)."""
-    try:
-        usable = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        usable = os.cpu_count() or 1
-    blas = usable
-    for name in BLAS_THREAD_VARIABLES:
-        value = os.environ.get(name, "").strip()
-        if value.isdigit():
-            blas = int(value)
-            break
-    return max(1, min(num_nodes, usable // max(blas, 1)))
-
-
 def run_distributed(observations: list[Spectrogram], params: WpeParams,
                     collab_period: int = 2) -> DistributedResult:
     """Batch distributed dereverberation over a fully-connected network.
 
     All nodes execute their rounds between synchronization barriers, on
-    worker_count(M) threads; payloads broadcast in round r are readable
+    netsim.map_nodes; payloads broadcast in round r are readable
     from round r+1 on. Runs at most params.max_iters rounds and stops after
     the first round in which every node has converged by the stop rule of
     run_wpe (WpeTrace.record): its previous estimate was all zero or its
@@ -218,16 +191,14 @@ def run_distributed(observations: list[Spectrogram], params: WpeParams,
         for i, obs in enumerate(observations)
     ]
     ledger = TransmissionLedger(mode="distributed")
-    with ThreadPoolExecutor(max_workers=worker_count(num_nodes)) as pool:
-        for round_index in range(1, params.max_iters + 1):
-            # the barrier: every node's round has finished before delivery
-            sent = list(pool.map(node_round, nodes, repeat(round_index),
-                                 repeat(collab_period)))
-            payloads = {node.node_id: payload for node, payload in zip(nodes, sent)
-                        if payload is not None}
-            received = deliver_round(payloads, round_index, num_nodes, ledger)
-            for node in nodes:
-                node.receive(received[node.node_id])
-            if all(node.trace.converged for node in nodes):
-                break
+    for round_index in range(1, params.max_iters + 1):
+        # the barrier: every node's round has finished before delivery
+        sent = map_nodes(lambda node: node_round(node, round_index, collab_period), nodes)
+        payloads = {node.node_id: payload for node, payload in zip(nodes, sent)
+                    if payload is not None}
+        received = deliver_round(payloads, round_index, num_nodes, ledger)
+        for node in nodes:
+            node.receive(received[node.node_id])
+        if all(node.trace.converged for node in nodes):
+            break
     return DistributedResult(nodes=nodes, ledger=ledger)

@@ -1,4 +1,6 @@
-"""Time-frequency analysis and synthesis shared by all algorithm modules.
+"""Time-frequency analysis and synthesis shared by all algorithm modules,
+and the two time-domain filters of the simulation: a direct-form IIR
+filter and a linear FFT convolution.
 
 Framing follows the weighted-overlap-add (WOLA) convention: the analysis and
 synthesis windows are each the square root of the nominal window, so their
@@ -12,8 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 
-from .errors import ConfigurationError, InvalidInputError
+from .errors import ConfigurationError, InvalidInputError, NumericalError
 
 _WINDOW_KINDS = ("hann",)
 
@@ -179,3 +182,50 @@ def istft(spectrogram: Spectrogram) -> np.ndarray:
     out[live] /= den[live]
     out[~live] = 0.0
     return out
+
+
+def iir_filter(b, a, x: np.ndarray) -> np.ndarray:
+    """Zero-state IIR filter of a 1-D signal: y with
+    sum_k a[k] y[n-k] = sum_k b[k] x[n-k], the recursion of
+    scipy.signal.lfilter.
+
+    The recursion is the lower-triangular banded system A y = B x, with A
+    and B the Toeplitz matrices of a and b cut to the signal length; B x
+    is a truncated convolution and the solve one LAPACK banded forward
+    substitution.
+    """
+    a0 = a[0]
+    b = np.asarray(b, dtype=np.float64) / a0
+    a = np.asarray(a, dtype=np.float64) / a0
+    x = np.asarray(x, dtype=np.float64)
+    n = x.size
+    # LAPACK band storage of A: row k holds the k-th subdiagonal, a[k]
+    band = np.tile(a, (n, 1)).T
+    y, info = dtbtrs(band, np.convolve(x, b)[:n, None], uplo="L", overwrite_b=1)
+    if info != 0:
+        raise NumericalError(f"IIR recursion failed: LAPACK dtbtrs returned info {info}")
+    return y[:, 0]
+
+
+def _five_smooth_length(n: int) -> int:
+    """Smallest 2^i 3^j 5^k >= n: a length the real FFT does fast."""
+    best = 2 * n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def fft_convolve(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real 1-D signals through real FFTs
+    of the smallest 5-smooth length that holds it."""
+    n = x.size + h.size - 1
+    nfft = _five_smooth_length(n)
+    return np.fft.irfft(np.fft.rfft(x, nfft) * np.fft.rfft(h, nfft), nfft)[:n]

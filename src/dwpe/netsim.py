@@ -5,11 +5,23 @@ node to its payload, so a node sends at most one payload per round; delivery
 hands each node the payloads of all other senders by sender id, and no loss
 or latency is modeled. The transmission ledger counts complex scalars, the
 unit the published transmission figures use.
+
+Each node has its own compute, so map_nodes runs a set of node jobs at the
+same time and returns once all have finished: the barrier of a distributed
+round, and the per-node work of single mode. The jobs spend their time in
+numpy and BLAS calls that release the GIL, so they overlap on separate
+cores. The pool has min(jobs, usable CPUs // BLAS threads) workers, at
+least 1 (worker_count): the BLAS thread count is the first integer among
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS, and all usable
+CPUs when none is set, so an unpinned BLAS, which already fills the cores,
+gets one worker.
 """
 
 from __future__ import annotations
 
 import csv
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +29,35 @@ import numpy as np
 from .errors import InvalidInputError, UndefinedLagError
 
 MODES = ("single", "centralized", "distributed")
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def worker_count(num_jobs: int) -> int:
+    """Threads that run num_jobs node jobs: min(num_jobs, usable CPUs //
+    BLAS threads), at least 1 (see the module docstring)."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        usable = os.cpu_count() or 1
+    blas = usable
+    for name in BLAS_THREAD_VARIABLES:
+        value = os.environ.get(name, "").strip()
+        if value.isdigit():
+            blas = int(value)
+            break
+    return max(1, min(num_jobs, usable // max(blas, 1)))
+
+
+def map_nodes(fn, items) -> list:
+    """[fn(item) for item in items], run on worker_count(len(items))
+    threads, results in input order. The jobs must share no mutable state;
+    then the results do not depend on the number of workers. If a job
+    raises, the jobs not yet started are cancelled and the first error in
+    input order propagates once the pool's threads have finished."""
+    items = list(items)
+    with ThreadPoolExecutor(max_workers=worker_count(len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 @dataclass

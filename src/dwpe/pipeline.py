@@ -107,6 +107,7 @@ def run(observations: list[np.ndarray], sample_rate: int,
 
     Single and centralized mode estimate the report nodes; distributed mode
     estimates every node. Each estimate is trimmed to the observation length.
+    A delay of at least the STFT frame count is rejected before any solve.
     """
     num_nodes = len(observations)
     for node in config.report_nodes:
@@ -115,46 +116,59 @@ def run(observations: list[np.ndarray], sample_rate: int,
     params = config.params
     aligned, lags = netsim.synchronize(observations, config.ref_channel)
     total_len = aligned[0].size
-    specs = [stft(sig, STFT_WINDOW, sample_rate) for sig in aligned]
-    del aligned  # not needed past the transform; frees M signals before the solves
-    n_frames, n_bins = specs[0].num_frames, specs[0].num_bins
-    estimates: dict[int, np.ndarray] = {}
-    traces: dict[int, wpe.WpeTrace] = {}
-    psd_floors: dict[int, float] = {}
-    unknowns: list[int] = []
+    n_frames, n_bins = STFT_WINDOW.num_frames(total_len), STFT_WINDOW.num_bins
+    if params.delay >= n_frames:
+        raise ConfigurationError(
+            f"delay {params.delay} leaves nothing to predict: the signal has "
+            f"{n_frames} STFT frames, and the delay must be below that")
 
-    def keep(node: int, desired: np.ndarray, trace: wpe.WpeTrace, psd_floor: float,
-             weights: np.ndarray) -> None:
-        # transformed on arrival, so a single or centralized run holds one
-        # node's spectrogram estimate at a time
-        estimates[node] = istft(Spectrogram(desired, sample_rate, STFT_WINDOW))[:total_len]
-        traces[node], psd_floors[node] = trace, psd_floor
-        unknowns.append(weights.shape[1])
+    def finish(desired: np.ndarray, trace: wpe.WpeTrace, psd_floor: float,
+               weights: np.ndarray) -> tuple:
+        """A node's time-domain estimate, trace, PSD floor and unknowns per bin."""
+        return (istft(Spectrogram(desired, sample_rate, STFT_WINDOW))[:total_len],
+                trace, psd_floor, weights.shape[1])
 
-    if config.mode == "distributed":
-        dist = danse.run_distributed(specs, params, collab_period=config.collab_period)
-        ledger = dist.ledger
-        for state in dist.nodes:
-            keep(state.node_id, state.desired, state.trace, state.psd_floor, state.weights)
+    def solve(node: int, channels: list[Spectrogram], ref: int, like=None):
+        """finish() of one WPE run at the node, and the run's Gram."""
+        try:
+            result = wpe.run_wpe(channels, ref, params, like)
+        except (SolverError, NumericalError) as exc:
+            raise type(exc)(f"node {node}: {exc}") from exc
+        return finish(result.desired.data, result.trace, result.psd_floor,
+                      result.weights), result.gram
+
+    ledger = netsim.TransmissionLedger(mode=config.mode)
+    if config.mode == "single":
+        # one job per report node takes it from signal to estimate, so only
+        # the pool workers' spectrograms are live, and no other node is
+        # transformed
+        done = netsim.map_nodes(
+            lambda node: solve(node, [stft(aligned[node], STFT_WINDOW, sample_rate)], 0)[0],
+            config.report_nodes)
+        outputs = dict(zip(config.report_nodes, done))
     else:
-        ledger = netsim.TransmissionLedger(mode=config.mode)
-        centralized = config.mode == "centralized"
-        # every centralized report node predicts from the same gathered
-        # streams, so each lends the next its Gram's C; g follows the reference
-        like = None
-        for node in config.report_nodes:
-            channels, ref = (specs, node) if centralized else ([specs[node]], 0)
-            try:
-                result = wpe.run_wpe(channels, ref, params, like)
-            except (SolverError, NumericalError) as exc:
-                raise type(exc)(f"node {node}: {exc}") from exc
-            keep(node, result.desired.data, result.trace, result.psd_floor, result.weights)
-            if centralized:
-                like = result.gram
+        specs = [stft(sig, STFT_WINDOW, sample_rate) for sig in aligned]
+        del aligned  # not needed past the transform; frees M signals before the solves
+        if config.mode == "distributed":
+            dist = danse.run_distributed(specs, params, collab_period=config.collab_period)
+            ledger = dist.ledger
+            outputs = {state.node_id: finish(state.desired, state.trace, state.psd_floor,
+                                             state.weights) for state in dist.nodes}
+        else:
+            # transformed on arrival, so the run holds one node's spectrogram
+            # estimate at a time; every report node predicts from the same
+            # gathered streams, so each lends the next its Gram's C, and g
+            # follows the reference
+            outputs, like = {}, None
+            for node in config.report_nodes:
+                outputs[node], like = solve(node, specs, node, like)
                 # every other node ships its delayed-vector stream to this one
                 for sender in (i for i in range(num_nodes) if i != node):
                     ledger.record(0, sender, node, params.filter_order * n_frames * n_bins)
-    return RunResult(estimates, lags, ledger, psd_floors, traces, n_frames, max(unknowns))
+    estimates, traces, psd_floors, unknowns = (
+        {node: out[i] for node, out in outputs.items()} for i in range(4))
+    return RunResult(estimates, lags, ledger, psd_floors, traces, n_frames,
+                     max(unknowns.values()))
 
 
 def score(clean: np.ndarray, rirs, observations, estimates: dict[int, np.ndarray],

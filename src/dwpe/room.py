@@ -13,8 +13,8 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
 
+from .dsp import fft_convolve, iir_filter
 from .errors import ConfigurationError, InvalidInputError
 
 SPEED_OF_SOUND = 343.0
@@ -114,7 +114,7 @@ def _image_highpass(taps: np.ndarray, sample_rate: int,
     b1 = 2.0 * r1 * np.cos(w)
     b2 = -r1 * r1
     a1 = -(1.0 + r1)
-    return lfilter([1.0, a1, r1], [1.0, -b1, -b2], taps)
+    return iir_filter([1.0, a1, r1], [1.0, -b1, -b2], taps)
 
 
 def image_method_rir(scenario: RoomScenario, mic_index: int,
@@ -181,8 +181,7 @@ def render_observation(clean: np.ndarray, sample_rate: int,
         raise InvalidInputError(
             f"sample-rate mismatch: signal {sample_rate} Hz vs RIR {rir.sample_rate} Hz"
         )
-    full = fftconvolve(clean, rir.taps, mode="full")
-    return full[: clean.size]
+    return fft_convolve(clean, rir.taps)[: clean.size]
 
 
 def early_reference(clean: np.ndarray, rir: ImpulseResponse, boundary: int) -> np.ndarray:

@@ -10,8 +10,8 @@ any dataset dependency.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import butter, lfilter
 
+from .dsp import iir_filter
 from .errors import InvalidInputError
 
 
@@ -23,6 +23,20 @@ def _resonator(freq: float, bandwidth: float, fs: float):
     return [1.0 - r], a
 
 
+def _butter_highpass(order: int, cutoff: float, fs: float):
+    """Digital Butterworth high-pass (b, a) with its -3 dB point at cutoff
+    Hz: the analog low-pass prototype's poles, turned high-pass at the
+    bilinear-prewarped cutoff, then mapped by the bilinear transform (all
+    zeros land at z = 1), as scipy.signal.butter designs it."""
+    prototype = -np.exp(1j * np.pi * np.arange(1 - order, order, 2) / (2 * order))
+    # bilinear transform at a normalized sample rate of 2: s = 4 (z - 1) / (z + 1)
+    warped = 4.0 * np.tan(np.pi * (cutoff / (fs / 2.0)) / 2.0)
+    poles = warped / prototype
+    z_poles = (4.0 + poles) / (4.0 - poles)
+    gain = np.real(1.0 / np.prod(-prototype)) * np.real(4.0 ** order / np.prod(4.0 - poles))
+    return gain * np.poly(np.ones(order)), np.poly(z_poles).real
+
+
 def speech_like(duration: float, sample_rate: int = 16000, seed: int = 0) -> np.ndarray:
     """Deterministic speech-like signal of the given duration in seconds.
 
@@ -31,6 +45,12 @@ def speech_like(duration: float, sample_rate: int = 16000, seed: int = 0) -> np.
     """
     if not 0 < duration < np.inf:
         raise InvalidInputError(f"duration must be positive and finite, got {duration}")
+    # the most float64 samples whose byte count numpy can index
+    max_samples = np.iinfo(np.intp).max // 8
+    if duration * sample_rate > max_samples:
+        raise InvalidInputError(
+            f"duration must give at most {max_samples} samples at {sample_rate} Hz, "
+            f"got {duration}")
     rng = np.random.default_rng(seed)
     fs = sample_rate
     total = int(round(duration * fs))
@@ -60,7 +80,7 @@ def speech_like(duration: float, sample_rate: int = 16000, seed: int = 0) -> np.
                 (rng.uniform(2300.0, 3200.0), rng.uniform(130.0, 220.0)),
             ):
                 b, a = _resonator(freq, bw, fs)
-                seg = lfilter(b, a, seg)
+                seg = iir_filter(b, a, seg)
             # syllabic amplitude arc
             env = rng.uniform(0.4, 1.0) * np.sin(np.pi * (np.arange(n) + 0.5) / n) ** 0.5
             seg = seg * env
@@ -73,8 +93,7 @@ def speech_like(duration: float, sample_rate: int = 16000, seed: int = 0) -> np.
 
     out = out[:total]
     # AC coupling, as any recorded speech would have
-    b, a = butter(4, 70.0 / (fs / 2.0), btype="highpass")
-    out = lfilter(b, a, out)
+    out = iir_filter(*_butter_highpass(4, 70.0, fs), out)
     peak = np.max(np.abs(out))
     if peak > 0:
         out *= 0.5 / peak

@@ -3,7 +3,8 @@ from pathlib import Path
 
 # One BLAS thread per call, fixed before numpy is first imported, as the
 # benchmark does: test times then do not depend on BLAS's own threading, and
-# run_distributed runs its node rounds on the cores instead.
+# the node pool (netsim.map_nodes) runs single-mode and distributed node jobs
+# on the cores instead.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -448,6 +448,33 @@ def test_non_finite_or_negative_setting_is_config_error(
     assert list(outdir.iterdir()) == []
 
 
+@pytest.mark.parametrize("duration", ["1e300", "1e305"])
+def test_simulate_unallocatable_duration_is_config_error(
+        small_scenario_file, tmp_path, capsys, duration):
+    # finite, but more samples than an array can hold (1e305 s overflows
+    # to an infinite sample count)
+    outdir = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(small_scenario_file),
+                 "--duration", duration, "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"got {float(duration)}" in err
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("mode", netsim.MODES)
+def test_dereverb_delay_past_the_signal_is_config_error(simulated, tmp_path, capsys, mode):
+    manifest = json.loads((simulated / "manifest.json").read_text())
+    fs, observations = cli._load_observations(manifest, simulated)
+    n_frames = cli.STFT_WINDOW.num_frames(observations[0].size)
+    outdir = tmp_path / "out"
+    for delay in (n_frames, 100000):
+        assert main(["dereverb", "--manifest", str(simulated / "manifest.json"),
+                     "--mode", mode, "--delay", str(delay), "--outdir", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert f"delay {delay}" in err and f"{n_frames} STFT frames" in err
+        assert list(outdir.iterdir()) == []
+
+
 def test_dereverb_bad_reference_is_config_error(simulated, tmp_path, capsys):
     assert main(["dereverb", "--manifest", str(simulated / "manifest.json"),
                  "--mode", "single", "--ref", "7", "--outdir", str(tmp_path)]) == 2

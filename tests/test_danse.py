@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwpe import danse
+from dwpe import danse, netsim
 from dwpe.danse import (
     NodeState,
     compress_all_frames,
@@ -423,7 +423,7 @@ def test_run_distributed_same_bytes_for_any_worker_count(rng, monkeypatch):
     params, specs, _ = make_network(rng, num_nodes=4, frames=16, max_iters=5)
     runs = []
     for workers in (1, 3):
-        monkeypatch.setattr(danse, "worker_count", lambda num_nodes, w=workers: w)
+        monkeypatch.setattr(netsim, "worker_count", lambda num_nodes, w=workers: w)
         runs.append(run_distributed(specs, params, collab_period=2))
     serial, pooled = runs
     assert serial.ledger.rows == pooled.ledger.rows
@@ -443,22 +443,22 @@ def test_run_distributed_same_bytes_for_any_worker_count(rng, monkeypatch):
     (1, {"OPENBLAS_NUM_THREADS": "1"}, 12, 1),
 ])
 def test_worker_count_rule(monkeypatch, cpus, env, num_nodes, expected):
-    for name in danse.BLAS_THREAD_VARIABLES:
+    for name in netsim.BLAS_THREAD_VARIABLES:
         monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
-    monkeypatch.setattr(danse.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+    monkeypatch.setattr(netsim.os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
-    assert danse.worker_count(num_nodes) == expected
+    assert netsim.worker_count(num_nodes) == expected
     # where the affinity call does not exist, the CPU count stands in
-    monkeypatch.delattr(danse.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(danse.os, "cpu_count", lambda: cpus)
-    assert danse.worker_count(num_nodes) == expected
+    monkeypatch.delattr(netsim.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(netsim.os, "cpu_count", lambda: cpus)
+    assert netsim.worker_count(num_nodes) == expected
 
 
 def test_node_error_propagates_and_no_worker_outlives_the_run(rng, monkeypatch):
     params, specs, _ = make_network(rng, num_nodes=4, frames=16, max_iters=3)
-    monkeypatch.setattr(danse, "worker_count", lambda num_nodes: 3)
+    monkeypatch.setattr(netsim, "worker_count", lambda num_nodes: 3)
     solve = danse.solve_weights
 
     def failing_at_node_2(streams, data, *args):
@@ -487,7 +487,7 @@ def test_run_distributed_rejects_bad_inputs_before_the_pool(rng, monkeypatch, ca
     def no_pool(*args, **kwargs):
         raise AssertionError("the pool started")
 
-    monkeypatch.setattr(danse, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(netsim, "ThreadPoolExecutor", no_pool)
     before = threading.active_count()
     with pytest.raises(InvalidInputError):
         run_distributed(observations, params, collab_period=collab_period)
@@ -498,7 +498,7 @@ def test_replaced_payloads_are_freed_and_unchanged_inboxes_reuse_the_gram(rng, m
     # collab_period=1: the payloads of round r replace those of round r-1 at
     # the end of round r, so none of round r-1's may be alive in round r+1
     params, specs, _ = make_network(rng, num_nodes=3, frames=16, max_iters=5)
-    monkeypatch.setattr(danse, "worker_count", lambda num_nodes: 1)
+    monkeypatch.setattr(netsim, "worker_count", lambda num_nodes: 1)
     original = danse.node_round
     sent: dict[int, list] = {}
 

@@ -1,9 +1,20 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.fft import next_fast_len
+from scipy.signal import butter, fftconvolve, lfilter
 
-from dwpe.dsp import Spectrogram, WindowSpec, istft, stft
+from dwpe.dsp import (
+    Spectrogram,
+    WindowSpec,
+    _five_smooth_length,
+    fft_convolve,
+    iir_filter,
+    istft,
+    stft,
+)
 from dwpe.errors import ConfigurationError, InvalidInputError
+from dwpe.signals import _butter_highpass, _resonator
 
 from oracles import dft_direct, overlap_add_reconstruct
 
@@ -171,3 +182,48 @@ def test_parseval_per_frame(small_window, rng):
     lhs = np.sum(doubling * np.abs(spec.data[n]) ** 2)
     rhs = small_window.frame_len * np.sum(frame**2)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
+
+
+# The simulation's filters replace scipy.signal, which the package does not
+# import; the tests use it as the oracle.
+
+def test_iir_filter_matches_lfilter():
+    x = np.random.default_rng(3).standard_normal(48000)
+    # one formant section, on a speech segment's length
+    b, a = _resonator(700.0, 80.0, 16000)
+    want = lfilter(b, a, x[:2880])
+    np.testing.assert_allclose(iir_filter(b, a, x[:2880]), want,
+                               rtol=0, atol=1e-13 * np.abs(want).max())
+    # the 70 Hz fourth-order high-pass of speech_like: its poles sit at
+    # |z| = 0.98, so the two recursions' roundings part by up to 1e-10
+    b, a = butter(4, 70.0 / 8000.0, btype="highpass")
+    want = lfilter(b, a, x)
+    np.testing.assert_allclose(iir_filter(b, a, x), want,
+                               rtol=0, atol=1e-8 * np.abs(want).max())
+    # a leading coefficient other than 1 normalizes both sides
+    want = lfilter([0.5, 0.25], [2.0, -1.0], x[:64])
+    np.testing.assert_allclose(iir_filter([0.5, 0.25], [2.0, -1.0], x[:64]), want,
+                               rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("order", [1, 2, 4, 8])
+@pytest.mark.parametrize("cutoff, fs", [(70.0, 16000), (70.0, 8000), (500.0, 44100)])
+def test_butter_highpass_design_is_scipy_butter(order, cutoff, fs):
+    b, a = _butter_highpass(order, cutoff, fs)
+    want_b, want_a = butter(order, cutoff / (fs / 2.0), btype="highpass")
+    # the same steps in the same order: the coefficients are the same floats
+    np.testing.assert_array_equal(b, want_b)
+    np.testing.assert_array_equal(a, want_a)
+
+
+def test_fft_convolve_matches_fftconvolve():
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(48000)
+    h = rng.standard_normal(8192) * np.exp(-np.arange(8192) / 1500.0)
+    want = fftconvolve(x, h)
+    np.testing.assert_allclose(fft_convolve(x, h), want,
+                               rtol=0, atol=1e-12 * np.abs(want).max())
+    np.testing.assert_allclose(fft_convolve(x[:5], h[:3]), np.convolve(x[:5], h[:3]),
+                               rtol=0, atol=1e-14)
+    for n in [*range(1, 300), 56191, 2**20 + 1]:
+        assert _five_smooth_length(n) == next_fast_len(n, real=True), n

@@ -1,10 +1,11 @@
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from dwpe import pipeline, room, wpe
-from dwpe.errors import InvalidInputError
+from dwpe import danse, netsim, pipeline, room, wpe
+from dwpe.errors import ConfigurationError, InvalidInputError, SolverError
 from dwpe.signals import speech_like
 
 PARAMS = wpe.WpeParams(delay=2, filter_order=6, max_iters=2)
@@ -41,6 +42,91 @@ def test_run_rejects_out_of_range_report_node(observations, mode):
     config = pipeline.RunConfig("small.json", mode, params=PARAMS, report_nodes=(0, 3))
     with pytest.raises(InvalidInputError):
         pipeline.run(observations, 16000, config)
+
+
+@pytest.mark.parametrize("mode", netsim.MODES)
+def test_run_rejects_a_delay_past_the_frames_before_any_solve(observations, monkeypatch,
+                                                            mode):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started")
+
+    monkeypatch.setattr(wpe, "run_wpe", no_solve)
+    monkeypatch.setattr(danse, "run_distributed", no_solve)
+    n_frames = pipeline.STFT_WINDOW.num_frames(observations[0].size)
+    params = wpe.WpeParams(delay=n_frames, filter_order=6, max_iters=2)
+    config = pipeline.RunConfig("small.json", mode, params=params, report_nodes=(0, 2))
+    with pytest.raises(ConfigurationError, match=f"delay {n_frames} .* {n_frames} STFT frames"):
+        pipeline.run(observations, 16000, config)
+
+
+def single_run(observations, report_nodes=(0, 1, 2)):
+    config = pipeline.RunConfig("small.json", "single", params=PARAMS,
+                                report_nodes=report_nodes)
+    return pipeline.run(observations, 16000, config)
+
+
+def test_single_mode_same_bytes_for_any_worker_count(observations, monkeypatch):
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(netsim, "worker_count", lambda num_jobs, w=workers: w)
+        runs.append(single_run(observations))
+    serial, pooled = runs
+    assert list(pooled.estimates) == [0, 1, 2]
+    for node, estimate in serial.estimates.items():
+        np.testing.assert_array_equal(pooled.estimates[node], estimate)
+    assert pooled.traces == serial.traces  # change and cost, float for float
+    assert pooled.psd_floors == serial.psd_floors
+    assert pooled.unknowns == serial.unknowns
+
+
+def test_single_mode_runs_report_nodes_concurrently(observations, monkeypatch):
+    # each job waits for the other before solving: with one worker at a
+    # time the barrier would time out
+    barrier = threading.Barrier(2, timeout=30)
+    run_wpe = wpe.run_wpe
+
+    def meeting(*args, **kwargs):
+        barrier.wait()
+        return run_wpe(*args, **kwargs)
+
+    monkeypatch.setattr(netsim, "worker_count", lambda num_jobs: 2)
+    monkeypatch.setattr(wpe, "run_wpe", meeting)
+    result = single_run(observations, report_nodes=(2, 0))
+    assert list(result.estimates) == [2, 0]
+
+
+def test_single_mode_transforms_only_the_report_nodes(observations, monkeypatch):
+    transformed = []
+    stft = pipeline.stft
+
+    def counting(signal, *args):
+        transformed.append(signal.size)
+        return stft(signal, *args)
+
+    monkeypatch.setattr(pipeline, "stft", counting)
+    single_run(observations, report_nodes=(1,))
+    assert len(transformed) == 1
+
+
+def test_single_node_error_propagates_and_no_worker_outlives_the_run(observations,
+                                                                    monkeypatch):
+    monkeypatch.setattr(netsim, "worker_count", lambda num_jobs: 2)
+    aligned, _ = netsim.synchronize(observations, 0)
+    failing_data = pipeline.stft(aligned[2], pipeline.STFT_WINDOW, 16000).data
+    run_wpe = wpe.run_wpe
+
+    def failing_at_node_2(channels, *args):
+        if np.array_equal(channels[0].data, failing_data):
+            raise SolverError("singular system at bin 0")
+        return run_wpe(channels, *args)
+
+    before = threading.active_count()
+    single_run(observations)
+    assert threading.active_count() == before
+    monkeypatch.setattr(wpe, "run_wpe", failing_at_node_2)
+    with pytest.raises(SolverError, match="node 2: .*bin 0"):
+        single_run(observations)
+    assert threading.active_count() == before
 
 
 def test_score_shifts_the_reference_by_the_lag():
