@@ -38,6 +38,8 @@ MIN_FRAMES_PER_UNKNOWN = 2.0
 
 
 def read_wav(path) -> tuple[int, np.ndarray]:
+    """Sample rate and mono samples as float64, integer PCM scaled to full
+    scale 1; a non-finite sample is an input error naming the file."""
     rate, data = wavfile.read(path)
     if data.ndim != 1:
         raise InvalidInputError(f"{path}: expected mono audio, got shape {data.shape}")
@@ -49,6 +51,8 @@ def read_wav(path) -> tuple[int, np.ndarray]:
         data = data.astype(np.float64) / 2147483648.0
     else:
         data = data.astype(np.float64)
+    if not np.all(np.isfinite(data)):
+        raise InvalidInputError(f"{path}: contains non-finite samples")
     return int(rate), data
 
 

@@ -12,6 +12,8 @@ prediction uses, so both blocks of the extended observation share one time
 support, and the payload a node broadcasts is the local block of the late
 reverberation it has just predicted: node_round computes it once and both
 subtracts and sends it. All prediction runs through wpe.predict_all_bins.
+Signals here are (frames, bins) spectrogram arrays; the framing that made
+them is dsp's and pipeline's concern.
 
 A single-node network runs exactly the single-channel code path of the wpe
 module: same kernels, same operation order, the same trace and stop rule,
@@ -33,7 +35,6 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dsp import Spectrogram
 from .errors import InvalidInputError, MissingDataError, NumericalError, SolverError
 from .netsim import TransmissionLedger, deliver_round, map_nodes
 from .wpe import (
@@ -51,7 +52,8 @@ from .wpe import (
 
 @dataclass
 class NodeState:
-    """Everything one node owns: signal, filter, inbox, trace, and the
+    """Everything one node owns: its observation, an (N, K) complex
+    spectrogram array; its filter, inbox, estimate and trace; and the
     unweighted Gram of its current streams (None until node_round builds it,
     and again after receive changes the streams).
 
@@ -62,7 +64,7 @@ class NodeState:
 
     node_id: int
     num_nodes: int
-    local_spec: Spectrogram
+    observation: np.ndarray
     params: WpeParams
     weights: np.ndarray = field(init=False)
     inbox: MappingProxyType = field(init=False, default_factory=lambda: MappingProxyType({}))
@@ -76,11 +78,11 @@ class NodeState:
             raise InvalidInputError(
                 f"node_id {self.node_id} out of range for {self.num_nodes} nodes"
             )
-        K = self.local_spec.num_bins
+        K = self.observation.shape[1]
         self.weights = np.zeros((K, self.params.filter_order), dtype=np.complex128)
         # zero-initialized filters make the first desired estimate the observation
-        self.desired = self.local_spec.data
-        self.psd_floor = resolve_psd_floor(self.local_spec.data, self.params.psd_floor)
+        self.desired = self.observation
+        self.psd_floor = resolve_psd_floor(self.observation, self.params.psd_floor)
 
     def receive(self, payloads: dict[int, np.ndarray]) -> None:
         """Keep each sender's newest payload; new streams drop the Gram."""
@@ -91,7 +93,7 @@ class NodeState:
         """Extended observation as kernel streams: local delayed block first,
         then, once any cross-node data has arrived, one compressed stream per
         neighbor in ascending id order; raises on a partial inbox."""
-        local: Stream = (self.local_spec.data, self.params.filter_order, self.params.delay)
+        local: Stream = (self.observation, self.params.filter_order, self.params.delay)
         if not self.inbox:
             return [local]
         missing = [j for j in range(self.num_nodes) if j != self.node_id and j not in self.inbox]
@@ -134,7 +136,7 @@ def node_round(node: NodeState, round_index: int,
     """
     psd = update_psd(node.desired, node.psd_floor)
     streams = node.streams()
-    data, L = node.local_spec.data, node.params.filter_order
+    data, L = node.observation, node.params.filter_order
     cross = len(streams) > 1
     if cross and node.weights.shape[1] == L:
         node.weights = np.pad(node.weights, ((0, 0), (0, len(streams) - 1)))
@@ -169,9 +171,11 @@ class DistributedResult:
     ledger: TransmissionLedger
 
 
-def run_distributed(observations: list[Spectrogram], params: WpeParams,
+def run_distributed(observations: list[np.ndarray], params: WpeParams,
                     collab_period: int = 2) -> DistributedResult:
-    """Batch distributed dereverberation over a fully-connected network.
+    """Batch distributed dereverberation over a fully-connected network,
+    one node per observation, an (N, K) spectrogram array (see
+    wpe.check_observations).
 
     All nodes execute their rounds between synchronization barriers, on
     netsim.map_nodes; payloads broadcast in round r are readable
@@ -182,12 +186,12 @@ def run_distributed(observations: list[Spectrogram], params: WpeParams,
     any node's round propagates, naming the node, once the pool's threads
     have finished. The inputs are checked before the pool starts.
     """
-    check_observations(observations)
+    observations = check_observations(observations)
     if collab_period < 1:
         raise InvalidInputError(f"collab_period must be >= 1, got {collab_period}")
     num_nodes = len(observations)
     nodes = [
-        NodeState(node_id=i, num_nodes=num_nodes, local_spec=obs, params=params)
+        NodeState(node_id=i, num_nodes=num_nodes, observation=obs, params=params)
         for i, obs in enumerate(observations)
     ]
     ledger = TransmissionLedger(mode="distributed")

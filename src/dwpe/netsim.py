@@ -154,20 +154,21 @@ def gcc_phat_lag(sig_a: np.ndarray, sig_b: np.ndarray, max_lag: int) -> int:
     return int(lags[int(np.argmax(window))])
 
 
-def synchronize(observations: list[np.ndarray], reference: int,
-                max_lag: int | None = None) -> tuple[list[np.ndarray], list[int]]:
+def synchronize(observations: list[np.ndarray],
+                reference: int) -> tuple[list[np.ndarray], list[int]]:
     """Align signals to a reference node by their GCC-PHAT lags.
 
     Each signal is shifted by its measured lag (zero-padded at the displaced
-    edge) so that all direct paths line up with the reference.
+    edge) so that all direct paths line up with the reference. Lags are
+    searched up to min(2000, n - 1) samples either way, n the reference
+    length.
     """
     if not observations:
         raise InvalidInputError("at least one signal required")
     if not (0 <= reference < len(observations)):
         raise InvalidInputError(f"reference {reference} out of range")
     ref = np.asarray(observations[reference], dtype=np.float64)
-    if max_lag is None:
-        max_lag = min(2000, ref.size - 1)
+    max_lag = min(2000, ref.size - 1)
     lags: list[int] = []
     for i, sig in enumerate(observations):
         if i == reference:

@@ -122,20 +122,19 @@ def run(observations: list[np.ndarray], sample_rate: int,
             f"delay {params.delay} leaves nothing to predict: the signal has "
             f"{n_frames} STFT frames, and the delay must be below that")
 
-    def finish(desired: np.ndarray, trace: wpe.WpeTrace, psd_floor: float,
-               weights: np.ndarray) -> tuple:
-        """A node's time-domain estimate, trace, PSD floor and unknowns per bin."""
-        return (istft(Spectrogram(desired, sample_rate, STFT_WINDOW))[:total_len],
-                trace, psd_floor, weights.shape[1])
+    def finish(state) -> tuple:
+        """The time-domain estimate, trace, PSD floor and unknowns per bin of
+        a node's final state, a wpe.WpeResult or a danse.NodeState."""
+        return (istft(Spectrogram(state.desired, sample_rate, STFT_WINDOW))[:total_len],
+                state.trace, state.psd_floor, state.weights.shape[1])
 
-    def solve(node: int, channels: list[Spectrogram], ref: int, like=None):
+    def solve(node: int, channels: list[np.ndarray], ref: int, like=None):
         """finish() of one WPE run at the node, and the run's Gram."""
         try:
             result = wpe.run_wpe(channels, ref, params, like)
         except (SolverError, NumericalError) as exc:
             raise type(exc)(f"node {node}: {exc}") from exc
-        return finish(result.desired.data, result.trace, result.psd_floor,
-                      result.weights), result.gram
+        return finish(result), result.gram
 
     ledger = netsim.TransmissionLedger(mode=config.mode)
     if config.mode == "single":
@@ -143,17 +142,16 @@ def run(observations: list[np.ndarray], sample_rate: int,
         # the pool workers' spectrograms are live, and no other node is
         # transformed
         done = netsim.map_nodes(
-            lambda node: solve(node, [stft(aligned[node], STFT_WINDOW, sample_rate)], 0)[0],
+            lambda node: solve(node, [stft(aligned[node], STFT_WINDOW, sample_rate).data], 0)[0],
             config.report_nodes)
         outputs = dict(zip(config.report_nodes, done))
     else:
-        specs = [stft(sig, STFT_WINDOW, sample_rate) for sig in aligned]
+        specs = [stft(sig, STFT_WINDOW, sample_rate).data for sig in aligned]
         del aligned  # not needed past the transform; frees M signals before the solves
         if config.mode == "distributed":
             dist = danse.run_distributed(specs, params, collab_period=config.collab_period)
             ledger = dist.ledger
-            outputs = {state.node_id: finish(state.desired, state.trace, state.psd_floor,
-                                             state.weights) for state in dist.nodes}
+            outputs = {state.node_id: finish(state) for state in dist.nodes}
         else:
             # transformed on arrival, so the run holds one node's spectrogram
             # estimate at a time; every report node predicts from the same

@@ -52,8 +52,8 @@ class RoomScenario:
                 )
         if len(self.mic_positions) < 1:
             raise ConfigurationError("scenario needs at least one microphone")
-        if self.t60 <= 0:
-            raise ConfigurationError(f"t60 must be positive, got {self.t60}")
+        if not 0 < self.t60 < np.inf:
+            raise ConfigurationError(f"t60 must be positive and finite, got {self.t60}")
         for key in ("sample_rate", "rir_length"):
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
@@ -117,15 +117,14 @@ def _image_highpass(taps: np.ndarray, sample_rate: int,
     return iir_filter([1.0, a1, r1], [1.0, -b1, -b2], taps)
 
 
-def image_method_rir(scenario: RoomScenario, mic_index: int,
-                     highpass: bool = True) -> ImpulseResponse:
+def image_method_rir(scenario: RoomScenario, mic_index: int) -> ImpulseResponse:
     """Image-source RIR between the scenario source and one microphone.
 
     Deterministic given the scenario: the image lattice is enumerated out to
     the distance the configured RIR length can represent, each image
     contributing beta^order / (4 pi d) at the nearest-sample arrival time.
     The standard 100 Hz image-method high-pass removes the model's
-    nonphysical DC build-up (disable with highpass=False).
+    nonphysical DC build-up.
     """
     if not (0 <= mic_index < scenario.num_nodes):
         raise InvalidInputError(
@@ -165,9 +164,7 @@ def image_method_rir(scenario: RoomScenario, mic_index: int,
     keep = (sample < n_taps) & (dist > 0)
     gain = beta ** order[keep] / (4.0 * np.pi * dist[keep])
     taps = np.bincount(sample[keep], weights=gain, minlength=n_taps)
-    if highpass:
-        taps = _image_highpass(taps, fs)
-    return ImpulseResponse(taps=taps, sample_rate=fs)
+    return ImpulseResponse(taps=_image_highpass(taps, fs), sample_rate=fs)
 
 
 def render_observation(clean: np.ndarray, sample_rate: int,

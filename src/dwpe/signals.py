@@ -51,6 +51,8 @@ def speech_like(duration: float, sample_rate: int = 16000, seed: int = 0) -> np.
         raise InvalidInputError(
             f"duration must give at most {max_samples} samples at {sample_rate} Hz, "
             f"got {duration}")
+    if seed < 0:
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     fs = sample_rate
     total = int(round(duration * fs))

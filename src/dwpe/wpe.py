@@ -62,7 +62,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsp import Spectrogram
 from .errors import InvalidInputError, NumericalError, SolverError
 
 # Frames per accumulation chunk; fixed so operation order (and therefore
@@ -478,25 +477,38 @@ class WpeTrace:
 
 @dataclass
 class WpeResult:
-    desired: Spectrogram
+    desired: np.ndarray  # (N, K) estimate of the reference channel
     trace: WpeTrace
     weights: np.ndarray  # (K, M*filter_order)
     psd_floor: float
     gram: Gram
 
 
-def check_observations(observations: list[Spectrogram]) -> None:
-    """Raise unless there is at least one observation and all share one shape."""
+def check_observations(observations: list[np.ndarray]) -> list[np.ndarray]:
+    """The observations as complex128 (frames, bins) arrays, without a copy
+    of complex128 input. Raises unless there is at least one, each is 2-D
+    with at least one frame and one bin, all share one shape and every
+    entry is finite."""
     if not observations:
         raise InvalidInputError("at least one observation channel required")
-    shapes = {(s.num_frames, s.num_bins) for s in observations}
+    checked = [np.asarray(obs, dtype=np.complex128) for obs in observations]
+    for i, data in enumerate(checked):
+        if data.ndim != 2 or 0 in data.shape:
+            raise InvalidInputError(
+                f"observation {i} must be a non-empty 2-D (frames, bins) array, "
+                f"got shape {data.shape}")
+        if not np.all(np.isfinite(data)):
+            raise InvalidInputError(f"observation {i} contains non-finite entries")
+    shapes = {data.shape for data in checked}
     if len(shapes) != 1:
         raise InvalidInputError(f"observation shapes differ: {sorted(shapes)}")
+    return checked
 
 
-def run_wpe(observations: list[Spectrogram], ref_channel: int,
+def run_wpe(observations: list[np.ndarray], ref_channel: int,
             params: WpeParams, like: Gram | None = None) -> WpeResult:
-    """Batch WPE over M observation channels.
+    """Batch WPE over M observation channels, each an (N, K) spectrogram
+    array (see check_observations).
 
     Alternates the PSD update with the per-bin closed-form weight solve and
     the desired-signal re-prediction. Stops after max_iters rounds or the
@@ -507,28 +519,28 @@ def run_wpe(observations: list[Spectrogram], ref_channel: int,
     The run builds one Gram and returns it; `like`, an earlier run's Gram of
     the same observation arrays, lends its C (see Gram.build).
     """
-    check_observations(observations)
+    observations = check_observations(observations)
     if not (0 <= ref_channel < len(observations)):
         raise InvalidInputError(
             f"ref_channel {ref_channel} out of range for {len(observations)} channels"
         )
     ref = observations[ref_channel]
     streams: list[Stream] = [
-        (obs.data, params.filter_order, params.delay) for obs in observations
+        (data, params.filter_order, params.delay) for data in observations
     ]
-    eps = resolve_psd_floor(ref.data, params.psd_floor)
-    desired = ref.data
+    eps = resolve_psd_floor(ref, params.psd_floor)
+    desired = ref
     trace = WpeTrace()
-    gram = Gram.build(streams, ref.data, like)
+    gram = Gram.build(streams, ref, like)
     for _ in range(params.max_iters):
         psd = update_psd(desired, eps)
-        weights = solve_weights(streams, ref.data, psd.values, gram, params.ridge_scale)
-        previous, desired = desired, ref.data - predict_all_bins(streams, weights)
+        weights = solve_weights(streams, ref, psd.values, gram, params.ridge_scale)
+        previous, desired = desired, ref - predict_all_bins(streams, weights)
         if trace.record(previous, desired, psd.values, params.convergence_tol):
             break
         del previous  # not held through the next round's solve
     return WpeResult(
-        desired=Spectrogram(desired, ref.sample_rate, ref.window),
+        desired=desired,
         trace=trace,
         weights=weights,
         psd_floor=eps,

@@ -2,11 +2,14 @@
 module-level UPPER_CASE constant, is named, as a whole word, somewhere in the
 program's own Python files (src/, bench/ or scripts/) besides its definition.
 A name that only tests use is library surface kept for its own tests: delete
-it, or call it; a constant nothing reads is a dead setting.
+it, or call it; a constant nothing reads is a dead setting. Likewise every
+defaulted parameter of a public function or method is passed, by keyword or
+by position, by some call in those files: a parameter only tests pass is an
+option kept for its own tests.
 
 The modules are layered: the solver, network, room and signal modules
-import no scoring or orchestration module, and metrics imports only
-errors. Importing the CLI loads no scipy.signal module: that import alone
+import no scoring or orchestration module, the solvers (wpe, danse) import
+no framing (dsp), and metrics imports only errors. Importing the CLI loads no scipy.signal module: that import alone
 held 46 MB of resident memory."""
 
 import ast
@@ -60,6 +63,71 @@ def test_public_names_have_callers_outside_tests():
     assert not unused, f"public names with no caller outside tests: {unused}"
 
 
+def defaulted_parameters() -> list[tuple[str, str, int | None]]:
+    """(function, parameter, position) of every defaulted parameter of a
+    public function or method of a public class; the position counts the
+    arguments a call passes (a method's self or cls not among them, as the
+    package has no static method) and is None for a keyword-only parameter."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [(node, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        functions += [(node, 1) for c in tree.body
+                      if isinstance(c, ast.ClassDef) and not c.name.startswith("_")
+                      for node in c.body if isinstance(node, ast.FunctionDef)]
+        for function, bound in functions:
+            if function.name.startswith("_"):
+                continue
+            args = function.args
+            positional = (args.posonlyargs + args.args)[bound:]
+            first = len(positional) - len(args.defaults)
+            found += [(function.name, arg.arg, i)
+                      for i, arg in enumerate(positional[first:], start=first)]
+            found += [(function.name, arg.arg, None)
+                      for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+    return found
+
+
+def program_calls() -> dict[str, list[tuple[int, set[str]]]]:
+    """Callee name -> (positional count, keyword names) of each call in the
+    program's own files. A callee is the called name, through any
+    `from ... import name as alias`, or the attribute of a method call."""
+    calls: dict[str, list[tuple[int, set[str]]]] = {}
+    for top in PROGRAM_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            aliases = {alias.asname: alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom)
+                       for alias in node.names if alias.asname}
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                if isinstance(node.func, ast.Name):
+                    name = aliases.get(node.func.id, node.func.id)
+                elif isinstance(node.func, ast.Attribute):
+                    name = node.func.attr
+                else:
+                    continue
+                calls.setdefault(name, []).append(
+                    (len(node.args), {keyword.arg for keyword in node.keywords}))
+    return calls
+
+
+def test_defaulted_parameters_are_passed_outside_tests():
+    calls = program_calls()
+    assert "cli_main" not in calls  # scripts/ calls cli.main by this alias
+    parameters = defaulted_parameters()
+    # the parser finds parameters; a method's position skips self
+    assert {("run_wpe", "like", 3), ("expand", "divisor", 1)} <= set(parameters)
+    unpassed = sorted(
+        f"{function}({parameter}=)" for function, parameter, position in parameters
+        if not any(parameter in keywords or (position is not None and count > position)
+                   for count, keywords in calls.get(function, []))
+    )
+    assert not unpassed, f"defaulted parameters no program call passes: {unpassed}"
+
+
 LOWER_MODULES = ("dsp", "wpe", "danse", "netsim", "room", "signals", "complexity")
 UPPER_MODULES = {"metrics", "pipeline", "cli"}
 
@@ -88,6 +156,8 @@ def test_module_layering():
     upward = {module: sorted(package_imports(module) & UPPER_MODULES)
               for module in LOWER_MODULES}
     assert not any(upward.values()), f"lower modules import upward: {upward}"
+    framing = {module: "dsp" in package_imports(module) for module in ("wpe", "danse")}
+    assert not any(framing.values()), f"solvers import dsp: {framing}"
     assert package_imports("metrics") <= {"errors"}
 
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.io import wavfile
 from dwpe import cli, netsim, pipeline, room, wpe
 from dwpe.cli import RunConfig, main, read_wav, write_wav
 from dwpe.complexity import beta_report
-from dwpe.dsp import WindowSpec, istft, stft
+from dwpe.dsp import Spectrogram, WindowSpec, istft, stft
 from dwpe.signals import speech_like
 
 
@@ -234,12 +235,13 @@ def test_centralized_dereverb_builds_gram_once(simulated, tmp_path, monkeypatch)
     manifest = json.loads((simulated / "manifest.json").read_text())
     fs, observations = cli._load_observations(manifest, simulated)
     aligned, _ = netsim.synchronize(observations, 0)
-    specs = [stft(sig, cli.STFT_WINDOW, fs) for sig in aligned]
+    specs = [stft(sig, cli.STFT_WINDOW, fs).data for sig in aligned]
     params = wpe.WpeParams(delay=2, filter_order=6, max_iters=2)
     for node in (0, 2):
         desired = wpe.run_wpe(specs, node, params).desired
+        estimate = istft(Spectrogram(desired, fs, cli.STFT_WINDOW))
         expected = tmp_path / f"alone{node}.wav"
-        write_wav(expected, fs, istft(desired)[: aligned[0].size])
+        write_wav(expected, fs, estimate[: aligned[0].size])
         assert (outdir / f"estimate_node{node:02d}.wav").read_bytes() == expected.read_bytes()
 
 
@@ -431,6 +433,7 @@ def test_evaluate_zero_boundary_is_config_error(simulated, dereverbed, tmp_path,
     ("dereverb", "--psd-floor", "inf"), ("dereverb", "--psd-floor", "nan"),
     ("dereverb", "--convergence-tol", "nan"), ("dereverb", "--convergence-tol", "-0.001"),
     ("simulate", "--duration", "nan"), ("simulate", "--duration", "inf"),
+    ("simulate", "--seed", "-1"),
     ("evaluate", "--early-ms", "nan"), ("evaluate", "--early-ms", "inf"),
 ])
 def test_non_finite_or_negative_setting_is_config_error(
@@ -458,6 +461,27 @@ def test_simulate_unallocatable_duration_is_config_error(
                  "--duration", duration, "--outdir", str(outdir)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"got {float(duration)}" in err
+    assert list(outdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb", ["simulate", "evaluate"])
+def test_non_finite_wav_is_config_error(small_scenario_file, simulated, dereverbed, tmp_path,
+                                        capsys, verb):
+    source = tmp_path / "sim"
+    shutil.copytree(simulated, source)
+    clean_path = source / "clean.wav"
+    rate, clean = read_wav(clean_path)
+    clean[100] = np.nan
+    write_wav(clean_path, rate, clean)
+    inputs = {
+        "simulate": ["--scenario", str(small_scenario_file), "--clean", str(clean_path)],
+        "evaluate": ["--manifest", str(source / "manifest.json"),
+                     "--run", str(dereverbed / "run.json")],
+    }[verb]
+    outdir = tmp_path / "out"
+    assert main([verb, *inputs, "--outdir", str(outdir)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{clean_path}: contains non-finite samples" in err
     assert list(outdir.iterdir()) == []
 
 

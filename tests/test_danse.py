@@ -13,7 +13,6 @@ from dwpe.danse import (
     node_round,
     run_distributed,
 )
-from dwpe.dsp import Spectrogram, WindowSpec
 from dwpe.errors import InvalidInputError, MissingDataError, SolverError
 from dwpe.wpe import (
     Gram,
@@ -28,13 +27,11 @@ from dwpe.wpe import (
 
 from oracles import normal_equations_direct, stacked_by_loop
 
-WINDOW = WindowSpec(frame_len=14, hop=7)
+BINS = 8
 
 
 def random_spec(rng, frames=12):
-    data = rng.standard_normal((frames, WINDOW.num_bins)) \
-        + 1j * rng.standard_normal((frames, WINDOW.num_bins))
-    return Spectrogram(data, 16000, WINDOW)
+    return rng.standard_normal((frames, BINS)) + 1j * rng.standard_normal((frames, BINS))
 
 
 def make_network(rng, num_nodes=2, frames=12, **param_overrides):
@@ -43,7 +40,7 @@ def make_network(rng, num_nodes=2, frames=12, **param_overrides):
     params = WpeParams(**defaults)
     specs = [random_spec(rng, frames) for _ in range(num_nodes)]
     nodes = [
-        NodeState(node_id=i, num_nodes=num_nodes, local_spec=s, params=params)
+        NodeState(node_id=i, num_nodes=num_nodes, observation=s, params=params)
         for i, s in enumerate(specs)
     ]
     return params, specs, nodes
@@ -52,7 +49,7 @@ def make_network(rng, num_nodes=2, frames=12, **param_overrides):
 def test_compress_frame_zero_compressor(rng):
     spec = random_spec(rng)
     params = WpeParams(delay=2, filter_order=3)
-    out = compress_all_frames(spec.data, np.zeros((WINDOW.num_bins, 3)), params)
+    out = compress_all_frames(spec, np.zeros((BINS, 3)), params)
     assert np.all(out == 0)
 
 
@@ -60,11 +57,11 @@ def test_compress_frame_basis_selects_element(rng):
     # compressor e0 in every bin picks the first delayed frame, n - delay
     spec = random_spec(rng)
     params = WpeParams(delay=2, filter_order=3)
-    e0 = np.zeros((WINDOW.num_bins, 3))
+    e0 = np.zeros((BINS, 3))
     e0[:, 0] = 1.0
-    out = compress_all_frames(spec.data, e0, params)
+    out = compress_all_frames(spec, e0, params)
     for n, k in ((2, 0), (7, 4), (11, 7)):
-        assert out[n, k] == pytest.approx(spec.data[n - 2, k])
+        assert out[n, k] == pytest.approx(spec[n - 2, k])
 
 
 def test_compress_frame_hand_inner_product():
@@ -80,11 +77,11 @@ def test_compress_frame_hand_inner_product():
 def test_compress_all_frames_matches_scalar_op(rng):
     spec = random_spec(rng)
     params = WpeParams(delay=2, filter_order=3)
-    compressor = rng.standard_normal((WINDOW.num_bins, 3)) \
-        + 1j * rng.standard_normal((WINDOW.num_bins, 3))
-    out = compress_all_frames(spec.data, compressor, params)
+    compressor = rng.standard_normal((BINS, 3)) \
+        + 1j * rng.standard_normal((BINS, 3))
+    out = compress_all_frames(spec, compressor, params)
     for k in (0, 5):
-        stacked = stacked_by_loop([(spec.data, 3, 2)], k)
+        stacked = stacked_by_loop([(spec, 3, 2)], k)
         for n in (0, 4, 11):
             assert out[n, k] == pytest.approx(np.vdot(compressor[k], stacked[n]))
 
@@ -93,23 +90,23 @@ def test_assemble_extended_length(rng):
     params, specs, nodes = make_network(rng)
     node = nodes[0]
     assert len(node.streams()) == 1  # no inbox yet: local block only
-    node.receive({1: specs[1].data})
+    node.receive({1: specs[1]})
     (local, order, delay), (cross, *cross_shape) = node.streams()
-    assert local is specs[0].data and (order, delay) == (3, 2)
-    assert cross is specs[1].data and cross_shape == [1, 0]
+    assert local is specs[0] and (order, delay) == (3, 2)
+    assert cross is specs[1] and cross_shape == [1, 0]
     assert streams_dim(node.streams()) == params.filter_order + 1
 
 
 def test_inbox_is_written_only_by_receive(rng):
     _, specs, nodes = make_network(rng, num_nodes=3)
     node = nodes[0]
-    node.receive({1: specs[1].data})
+    node.receive({1: specs[1]})
     with pytest.raises(TypeError):
-        node.inbox[2] = specs[2].data
-    node.receive({2: specs[2].data})
-    node.receive({1: specs[2].data})  # a sender's newer payload replaces its older one
+        node.inbox[2] = specs[2]
+    node.receive({2: specs[2]})
+    node.receive({1: specs[2]})  # a sender's newer payload replaces its older one
     assert sorted(node.inbox) == [1, 2]
-    assert node.inbox[1] is specs[2].data and node.inbox[2] is specs[2].data
+    assert node.inbox[1] is specs[2] and node.inbox[2] is specs[2]
 
 
 def test_assemble_extended_order_markers(rng):
@@ -117,15 +114,15 @@ def test_assemble_extended_order_markers(rng):
     _, specs, nodes = make_network(rng, num_nodes=4)
     node = nodes[0]
     for j, marker in ((3, 33j), (1, 11j), (2, 22j)):
-        node.receive({j: np.full_like(specs[0].data, marker)})
+        node.receive({j: np.full_like(specs[0], marker)})
     vec = gather_cells(node.streams(), np.array([5]), np.array([1]))[:, 0]
-    np.testing.assert_array_equal(vec, [specs[0].data[3, 1], specs[0].data[2, 1],
-                                        specs[0].data[1, 1], 11j, 22j, 33j])
+    np.testing.assert_array_equal(vec, [specs[0][3, 1], specs[0][2, 1],
+                                        specs[0][1, 1], 11j, 22j, 33j])
 
 
 def test_assemble_extended_missing_neighbor(rng):
     _, specs, nodes = make_network(rng, num_nodes=3)
-    nodes[0].receive({1: specs[1].data})
+    nodes[0].receive({1: specs[1]})
     with pytest.raises(MissingDataError, match="neighbor 2"):
         nodes[0].streams()
 
@@ -133,9 +130,9 @@ def test_assemble_extended_missing_neighbor(rng):
 def test_local_predict_zero_weights_returns_observation(rng):
     _, specs, nodes = make_network(rng)
     node = nodes[0]
-    node.receive({1: specs[1].data})
-    late = predict_all_bins(node.streams(), np.zeros((WINDOW.num_bins, 4)))
-    np.testing.assert_array_equal(specs[0].data - late, specs[0].data)
+    node.receive({1: specs[1]})
+    late = predict_all_bins(node.streams(), np.zeros((BINS, 4)))
+    np.testing.assert_array_equal(specs[0] - late, specs[0])
 
 
 def test_local_predict_single_node_matches_predict_desired(rng):
@@ -145,23 +142,23 @@ def test_local_predict_single_node_matches_predict_desired(rng):
     assert np.linalg.norm(node.weights) > 0
     stacked = stacked_by_loop(node.streams(), 2)
     for n in (0, 6, 11):
-        expected = specs[0].data[n, 2] - np.vdot(node.weights[2], stacked[n])
+        expected = specs[0][n, 2] - np.vdot(node.weights[2], stacked[n])
         assert node.desired[n, 2] == pytest.approx(expected)
 
 
 def test_local_predict_matches_explicit_compressed_path(rng):
     params, specs, nodes = make_network(rng, num_nodes=2)
     node = nodes[0]
-    g = rng.standard_normal((WINDOW.num_bins, 3)) + 1j * rng.standard_normal((WINDOW.num_bins, 3))
-    node.receive({1: compress_all_frames(specs[1].data, g, params)})
+    g = rng.standard_normal((BINS, 3)) + 1j * rng.standard_normal((BINS, 3))
+    node.receive({1: compress_all_frames(specs[1], g, params)})
     node_round(node, 1, collab_period=2)
     assert np.linalg.norm(node.weights[:, 3:]) > 0
     k = 4
-    local = stacked_by_loop([(specs[0].data, 3, 2)], k)
-    neighbor = stacked_by_loop([(specs[1].data, 3, 2)], k)
+    local = stacked_by_loop([(specs[0], 3, 2)], k)
+    neighbor = stacked_by_loop([(specs[1], 3, 2)], k)
     for n in (3, 7, 11):
         extended = np.concatenate([local[n], [np.vdot(g[k], neighbor[n])]])
-        expected = specs[0].data[n, k] - np.vdot(node.weights[k], extended)
+        expected = specs[0][n, k] - np.vdot(node.weights[k], extended)
         assert node.desired[n, k] == pytest.approx(expected)
 
 
@@ -172,12 +169,12 @@ def test_local_solve_single_node_reduces_to_centralized(rng):
     params, specs, nodes = make_network(rng, num_nodes=1, frames=20)
     node = nodes[0]
     node_round(node, 1, collab_period=2)
-    assert node.weights.shape == (WINDOW.num_bins, 3)
+    assert node.weights.shape == (BINS, 3)
     result = run_wpe(specs, 0, WpeParams(delay=2, filter_order=3, max_iters=1,
                                          convergence_tol=0.0,
                                          psd_floor=node.psd_floor))
     np.testing.assert_array_equal(node.weights, result.weights)
-    np.testing.assert_array_equal(node.desired, result.desired.data)
+    np.testing.assert_array_equal(node.desired, result.desired)
 
 
 def test_local_solve_matches_double_loop_oracle(rng):
@@ -187,13 +184,13 @@ def test_local_solve_matches_double_loop_oracle(rng):
                                         filter_order=2, delay=1,
                                         ridge_scale=0.0, prox_scale=0.0)
     node = nodes[0]
-    g = rng.standard_normal((WINDOW.num_bins, 2)) + 1j * rng.standard_normal((WINDOW.num_bins, 2))
-    node.receive({1: compress_all_frames(specs[1].data, g, params)})
+    g = rng.standard_normal((BINS, 2)) + 1j * rng.standard_normal((BINS, 2))
+    node.receive({1: compress_all_frames(specs[1], g, params)})
     psd = update_psd(node.desired, node.psd_floor)
     node_round(node, 1, collab_period=2)
     k = 3
     stacked = stacked_by_loop(node.streams(), k)
-    Z, q = normal_equations_direct(stacked, specs[0].data[:, k], psd.values[:, k])
+    Z, q = normal_equations_direct(stacked, specs[0][:, k], psd.values[:, k])
     w = np.linalg.solve(Z, q)
     got = node.weights[k]
     assert got.shape == (3,)
@@ -205,13 +202,13 @@ def test_local_solve_sigma_scale_invariance(rng):
     params, specs, nodes = make_network(rng, num_nodes=2, frames=10,
                                         prox_scale=0.0)
     node = nodes[0]
-    g = rng.standard_normal((WINDOW.num_bins, 3)) + 1j * rng.standard_normal((WINDOW.num_bins, 3))
-    node.receive({1: compress_all_frames(specs[1].data, g, params)})
-    sigma = np.abs(rng.standard_normal((10, WINDOW.num_bins))) + 0.3
-    gram = Gram.build(node.streams(), specs[0].data)
+    g = rng.standard_normal((BINS, 3)) + 1j * rng.standard_normal((BINS, 3))
+    node.receive({1: compress_all_frames(specs[1], g, params)})
+    sigma = np.abs(rng.standard_normal((10, BINS))) + 0.3
+    gram = Gram.build(node.streams(), specs[0])
 
     def solve(scale):
-        return solve_weights(node.streams(), specs[0].data, scale * sigma, gram,
+        return solve_weights(node.streams(), specs[0], scale * sigma, gram,
                              params.ridge_scale)
 
     np.testing.assert_allclose(solve(1.0), solve(4.0), rtol=1e-9)
@@ -222,8 +219,8 @@ def test_local_solve_rebuilds_gram_for_new_inbox(rng):
     node = nodes[0]
 
     def payload(j):
-        g = rng.standard_normal((WINDOW.num_bins, 3)) + 1j * rng.standard_normal((WINDOW.num_bins, 3))
-        return compress_all_frames(specs[j].data, g, params)
+        g = rng.standard_normal((BINS, 3)) + 1j * rng.standard_normal((BINS, 3))
+        return compress_all_frames(specs[j], g, params)
 
     node.receive({1: payload(1), 2: payload(2)})
     node_round(node, 1, collab_period=5)
@@ -233,7 +230,7 @@ def test_local_solve_rebuilds_gram_for_new_inbox(rng):
     assert node.gram is gram  # same streams: the Gram is kept
     node.receive({2: payload(2)})
     assert node.gram is None  # new streams: the Gram is dropped
-    fresh = NodeState(node_id=0, num_nodes=3, local_spec=specs[0], params=params)
+    fresh = NodeState(node_id=0, num_nodes=3, observation=specs[0], params=params)
     fresh.receive(node.inbox)
     fresh.weights, fresh.desired = node.weights.copy(), node.desired.copy()
     node_round(node, 3, collab_period=5)
@@ -247,7 +244,7 @@ def test_all_zero_inbox_degenerates_to_local_weights(rng):
     params, specs, nodes = make_network(rng, num_nodes=2, frames=20,
                                         prox_scale=0.0)
     node = nodes[0]
-    node.receive({1: np.zeros_like(specs[0].data)})
+    node.receive({1: np.zeros_like(specs[0])})
     node_round(node, 1, collab_period=2)
     np.testing.assert_allclose(node.weights[:, 3:], 0, atol=1e-20)
     single = run_wpe([specs[0]], 0, WpeParams(delay=2, filter_order=3, max_iters=1,
@@ -263,16 +260,16 @@ def test_node_round_damped_update(rng):
                                         relaxation_decay=0.5)
     node = nodes[0]
     node_round(node, 1, collab_period=2)
-    assert node.weights.shape == (WINDOW.num_bins, 3)
-    g = rng.standard_normal((WINDOW.num_bins, 3)) + 1j * rng.standard_normal((WINDOW.num_bins, 3))
-    node.receive({1: compress_all_frames(specs[1].data, g, params)})
+    assert node.weights.shape == (BINS, 3)
+    g = rng.standard_normal((BINS, 3)) + 1j * rng.standard_normal((BINS, 3))
+    node.receive({1: compress_all_frames(specs[1], g, params)})
     for r in (2, 3):
         w_prev = node.weights
         if r == 2:  # widened once, with zero cross weights
             w_prev = np.pad(w_prev, ((0, 0), (0, 1)))
         psd = update_psd(node.desired, node.psd_floor)
-        solved = solve_weights(node.streams(), specs[0].data, psd.values,
-                               Gram.build(node.streams(), specs[0].data),
+        solved = solve_weights(node.streams(), specs[0], psd.values,
+                               Gram.build(node.streams(), specs[0]),
                                params.ridge_scale, params.prox_scale, w_prev)
         mu = params.step_size(r)
         assert mu == 0.5 ** (r - 1)
@@ -302,15 +299,15 @@ def test_node_round_collab_one_always_broadcasts(rng):
 def test_node_round_broadcast_equals_weights(rng):
     params, specs, nodes = make_network(rng)
     node = nodes[0]
-    node.receive({1: specs[1].data})
+    node.receive({1: specs[1]})
     payload = node_round(node, 2, collab_period=2)
     # the compressor is the local filter of the broadcast round
     np.testing.assert_array_equal(
-        payload, compress_all_frames(specs[0].data, node.weights[:, :3], params)
+        payload, compress_all_frames(specs[0], node.weights[:, :3], params)
     )
     # the payload is the local block of the prediction the round subtracted
     cross = predict_all_bins(node.streams()[1:], node.weights[:, 3:])
-    np.testing.assert_allclose(node.desired, specs[0].data - payload - cross,
+    np.testing.assert_allclose(node.desired, specs[0] - payload - cross,
                                rtol=1e-12, atol=1e-12)
 
 
@@ -321,8 +318,8 @@ def test_stale_inbox_fixed_point(rng):
                                         relaxation_decay=1.0)
     node = nodes[0]
     node.receive({1: compress_all_frames(
-        specs[1].data,
-        rng.standard_normal((WINDOW.num_bins, 3)) + 0j,
+        specs[1],
+        rng.standard_normal((BINS, 3)) + 0j,
         params,
     )})
     # huge floor makes sigma constant: one solve reaches the fixed point
@@ -337,7 +334,7 @@ def test_run_distributed_m1_identical_to_single(rng):
     params = WpeParams(delay=2, filter_order=3, max_iters=5, convergence_tol=1e-7)
     single = run_wpe([spec], 0, params)
     dist = run_distributed([spec], params, collab_period=2)
-    np.testing.assert_array_equal(single.desired.data, dist.nodes[0].desired)
+    np.testing.assert_array_equal(single.desired, dist.nodes[0].desired)
     assert dist.nodes[0].trace == single.trace
 
 
@@ -348,7 +345,7 @@ def test_run_distributed_ledger_and_inbox(rng):
     rows = result.ledger.rows
     assert sorted({r[0] for r in rows}) == [2, 4]
     # every broadcast round moves one scalar per (n, k) per directed pair
-    per_round = 3 * 2 * 16 * WINDOW.num_bins
+    per_round = 3 * 2 * 16 * BINS
     assert sum(r[4] for r in rows if r[0] == 2) == per_round
     assert sum(r[4] for r in rows) == 2 * per_round
     for node in result.nodes:
@@ -364,7 +361,7 @@ def test_run_distributed_compressor_snapshot_consistency(rng):
     result = run_distributed(specs, replace(params, max_iters=3), collab_period=2)
     broadcast_weights = at_broadcast.nodes[1].weights[:, :3]
     assert not np.array_equal(result.nodes[1].weights[:, :3], broadcast_weights)
-    expected = compress_all_frames(specs[1].data, broadcast_weights, params)
+    expected = compress_all_frames(specs[1], broadcast_weights, params)
     np.testing.assert_array_equal(result.nodes[0].inbox[1], expected)
 
 
@@ -394,7 +391,7 @@ def test_distributed_solve_dimension(rng):
     params, specs, _ = make_network(rng, num_nodes=3, frames=16)
     result = run_distributed(specs, replace(params, max_iters=3), collab_period=1)
     node = result.nodes[0]
-    assert node.weights.shape == (WINDOW.num_bins, params.filter_order + 2)
+    assert node.weights.shape == (BINS, params.filter_order + 2)
     # some cross weight is actually in use after the first broadcast
     assert np.linalg.norm(node.weights[:, params.filter_order:]) > 0
 
@@ -403,12 +400,12 @@ def test_silent_observation_gives_silent_output(rng):
     # an all-zero previous estimate has no relative change: it counts as
     # converged, not raise, even at tolerance 0, in run_wpe and in every
     # node of a distributed run alike
-    silent = Spectrogram(np.zeros((16, WINDOW.num_bins), dtype=complex), 16000, WINDOW)
+    silent = np.zeros((16, BINS), dtype=complex)
     for tol in (1e-4, 0.0):
         params = WpeParams(delay=2, filter_order=3, max_iters=4, convergence_tol=tol)
         single = run_wpe([silent], 0, params)
         assert single.trace.converged and single.trace.iterations == 1
-        assert np.all(single.desired.data == 0)
+        assert np.all(single.desired == 0)
         alone = run_distributed([silent], params, collab_period=2).nodes[0]
         assert alone.trace.converged and alone.trace.iterations == 1
         assert alone.trace == single.trace
@@ -462,7 +459,7 @@ def test_node_error_propagates_and_no_worker_outlives_the_run(rng, monkeypatch):
     solve = danse.solve_weights
 
     def failing_at_node_2(streams, data, *args):
-        if data is specs[2].data:
+        if data is specs[2]:
             raise SolverError("singular system at bin 0")
         return solve(streams, data, *args)
 
@@ -475,12 +472,14 @@ def test_node_error_propagates_and_no_worker_outlives_the_run(rng, monkeypatch):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("case", ["no observations", "shapes differ", "collab_period 0"])
+@pytest.mark.parametrize("case", ["no observations", "shapes differ", "non-finite",
+                                  "collab_period 0"])
 def test_run_distributed_rejects_bad_inputs_before_the_pool(rng, monkeypatch, case):
     params, specs, _ = make_network(rng, num_nodes=2, frames=16)
     observations, collab_period = {
         "no observations": ([], 2),
         "shapes differ": ([specs[0], random_spec(rng, 17)], 2),
+        "non-finite": ([specs[0], np.full_like(specs[1], np.nan)], 2),
         "collab_period 0": (specs, 0),
     }[case]
 

@@ -116,7 +116,7 @@ def test_single_node_error_propagates_and_no_worker_outlives_the_run(observation
     run_wpe = wpe.run_wpe
 
     def failing_at_node_2(channels, *args):
-        if np.array_equal(channels[0].data, failing_data):
+        if np.array_equal(channels[0], failing_data):
             raise SolverError("singular system at bin 0")
         return run_wpe(channels, *args)
 

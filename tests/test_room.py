@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from dwpe import room
 from dwpe.errors import ConfigurationError, InvalidInputError
 from dwpe.room import (
     ImpulseResponse,
@@ -91,10 +92,13 @@ def test_rir_deterministic(shipped_scenario):
     assert np.array_equal(a.taps, b.taps)
 
 
-def test_rir_highpass_matches_per_sample_loop(shipped_scenario):
+def test_rir_highpass_matches_per_sample_loop(shipped_scenario, monkeypatch):
     scen = shipped_scenario
     for mic in (0, 7):
-        raw = image_method_rir(scen, mic, highpass=False).taps
+        with monkeypatch.context() as patch:
+            # the raw image lattice: the high-pass passes its input through
+            patch.setattr(room, "_image_highpass", lambda taps, sample_rate: taps)
+            raw = image_method_rir(scen, mic).taps
         want = image_highpass_direct(raw, scen.sample_rate)
         got = image_method_rir(scen, mic).taps
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -188,6 +192,16 @@ def test_scenario_file_unknown_key(tmp_path):
     path.write_text('{"room_dims": [4,4,3], "source_pos": [1,1,1], '
                     '"mic_positions": [[2,2,1]], "t60": 0.5, "wallpaper": "red"}')
     with pytest.raises(ConfigurationError, match="wallpaper"):
+        scenario_from_file(path)
+
+
+@pytest.mark.parametrize("t60", ["NaN", "Infinity"])
+def test_scenario_file_non_finite_t60(tmp_path, t60):
+    # json loads these literals as floats; NaN compares false, so `t60 <= 0` let it in
+    path = tmp_path / "scen.json"
+    path.write_text('{"room_dims": [4,4,3], "source_pos": [1,1,1], '
+                    f'"mic_positions": [[2,2,1]], "t60": {t60}}}')
+    with pytest.raises(ConfigurationError, match=r"t60 must be positive and finite, got"):
         scenario_from_file(path)
 
 

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dwpe import room, wpe
-from dwpe.dsp import Spectrogram, WindowSpec, stft
+from dwpe.dsp import WindowSpec, stft
 from dwpe.errors import InvalidInputError, NumericalError, SolverError
 from dwpe.signals import speech_like
 from dwpe.wpe import (
     Gram,
     WpeParams,
     WpeTrace,
+    check_observations,
     gather_cells,
     normal_equations_all_bins,
     predict_all_bins,
@@ -31,11 +32,8 @@ from dwpe.wpe import (
 from oracles import gaussian_elimination_solve, normal_equations_direct, stacked_by_loop
 
 
-def random_spectrogram(rng, frames=10, window=None):
-    window = window or WindowSpec(frame_len=14, hop=7)
-    data = rng.standard_normal((frames, window.num_bins)) \
-        + 1j * rng.standard_normal((frames, window.num_bins))
-    return Spectrogram(data, 16000, window)
+def random_spectrogram(rng, frames=10, bins=8):
+    return rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
 
 
 def test_params_validation():
@@ -65,10 +63,10 @@ def test_params_reject_non_finite_and_negative_settings(name, value):
 def delayed_vectors(spec, params, frames, bins):
     """Delayed observation vectors of single-stream cells as (cells, order)
     rows, from both kernels that build them; they must agree exactly."""
-    streams = [(spec.data, params.filter_order, params.delay)]
+    streams = [(spec, params.filter_order, params.delay)]
     frames, bins = np.asarray(frames), np.asarray(bins)
     gathered = gather_cells(streams, frames, bins).T
-    chunk = stack_chunk(streams, 0, spec.num_frames, slice(0, spec.num_bins))
+    chunk = stack_chunk(streams, 0, spec.shape[0], slice(0, spec.shape[1]))
     np.testing.assert_array_equal(gathered, chunk[bins, :, frames])
     return gathered
 
@@ -85,14 +83,14 @@ def test_delayed_vector_order_one(rng):
     params = WpeParams(delay=2, filter_order=1)
     vec = delayed_vectors(spec, params, [7], [3])
     assert vec.shape == (1, 1)
-    assert vec[0, 0] == spec.data[5, 3]
+    assert vec[0, 0] == spec[5, 3]
 
 
 def test_delayed_vector_explicit_case(rng):
     spec = random_spectrogram(rng, frames=10)
     params = WpeParams(delay=2, filter_order=3)
     vec = delayed_vectors(spec, params, [8], [1])
-    expected = np.array([spec.data[6, 1], spec.data[5, 1], spec.data[4, 1]])
+    expected = np.array([spec[6, 1], spec[5, 1], spec[4, 1]])
     np.testing.assert_array_equal(vec[0], expected)
 
 
@@ -106,14 +104,14 @@ def test_delayed_vector_indexing_property(n, k, delay, order, seed):
     vec = delayed_vectors(spec, params, [n], [k])[0]
     for i in range(order):
         src = n - delay - i
-        expected = spec.data[src, k] if src >= 0 else 0.0
+        expected = spec[src, k] if src >= 0 else 0.0
         assert vec[i] == expected
 
 
 def test_predict_desired_zero_weights(rng):
     spec = random_spectrogram(rng)
-    late = predict_all_bins([(spec.data, 2, 1)], np.zeros((spec.num_bins, 2)))
-    np.testing.assert_array_equal(spec.data - late, spec.data)
+    late = predict_all_bins([(spec, 2, 1)], np.zeros((spec.shape[1], 2)))
+    np.testing.assert_array_equal(spec - late, spec)
 
 
 def test_predict_desired_zero_stacked(rng):
@@ -501,11 +499,9 @@ def test_resolve_psd_floor():
     assert resolve_psd_floor(np.zeros((2, 2)), None) > 0
 
 
-def make_reverb_pair(rng, frames=300, order=3, delay=2, window=None):
+def make_reverb_pair(rng, frames=300, order=3, delay=2, K=8):
     """Reference channel carrying synthetic late reverberation plus a helper
     channel, built to satisfy the prediction model exactly."""
-    window = window or WindowSpec(frame_len=14, hop=7)
-    K = window.num_bins
     desired = (0.4 + rng.random((frames, 1))) * (
         rng.standard_normal((frames, K)) + 1j * rng.standard_normal((frames, K))
     )
@@ -521,21 +517,17 @@ def make_reverb_pair(rng, frames=300, order=3, delay=2, window=None):
                 stacked[:, i] = ref[src]
                 stacked[:, order + i] = other[src]
         ref[n] = desired[n] + np.sum(true_w.conj() * stacked, axis=1)
-    return (
-        Spectrogram(ref, 16000, window),
-        Spectrogram(other, 16000, window),
-        desired,
-    )
+    return ref, other, desired
 
 
 def test_run_wpe_anechoic_passthrough(rng):
     # white input has no late structure: output stays close to input
     window = WindowSpec(frame_len=16, hop=4)
     x = rng.standard_normal(2000)
-    spec = stft(x, window)
+    spec = stft(x, window).data
     params = WpeParams(delay=3, filter_order=3, max_iters=4, convergence_tol=1e-8)
     result = run_wpe([spec], 0, params)
-    rel = np.linalg.norm(result.desired.data - spec.data) / np.linalg.norm(spec.data)
+    rel = np.linalg.norm(result.desired - spec) / np.linalg.norm(spec)
     assert rel < 0.25
     assert np.linalg.norm(result.weights) < 1.0
 
@@ -545,8 +537,8 @@ def test_run_wpe_model_matched_two_channel(rng):
     params = WpeParams(delay=2, filter_order=3, max_iters=5, convergence_tol=0.0,
                        psd_floor=0.1 * float(np.mean(np.abs(desired) ** 2)))
     result = run_wpe([ref, other], 0, params)
-    before = np.linalg.norm(ref.data - desired)
-    after = np.linalg.norm(result.desired.data - desired)
+    before = np.linalg.norm(ref - desired)
+    after = np.linalg.norm(result.desired - desired)
     assert 20 * np.log10(before / after) >= 10.0
 
 
@@ -573,14 +565,14 @@ def test_run_wpe_wls_optimality(rng):
     ref, other, _ = make_reverb_pair(rng, frames=300)
     params = WpeParams(delay=2, filter_order=3, max_iters=1, convergence_tol=0.0)
     result = run_wpe([ref, other], 0, params)
-    sigma = update_psd(ref.data, result.psd_floor).values
-    streams = [(ref.data, 3, 2), (other.data, 3, 2)]
-    base_cost = float(np.sum(np.abs(ref.data - predict_all_bins(streams, result.weights)) ** 2 / sigma))
+    sigma = update_psd(ref, result.psd_floor).values
+    streams = [(ref, 3, 2), (other, 3, 2)]
+    base_cost = float(np.sum(np.abs(ref - predict_all_bins(streams, result.weights)) ** 2 / sigma))
     worst = 0.0
     for _ in range(5):
         delta = 1e-4 * (rng.standard_normal(result.weights.shape)
                         + 1j * rng.standard_normal(result.weights.shape))
-        cost = float(np.sum(np.abs(ref.data - predict_all_bins(streams, result.weights + delta)) ** 2 / sigma))
+        cost = float(np.sum(np.abs(ref - predict_all_bins(streams, result.weights + delta)) ** 2 / sigma))
         worst = min(worst, cost - base_cost)
     assert worst >= -1e-6 * base_cost
 
@@ -594,6 +586,26 @@ def test_run_wpe_validates_inputs(rng):
     other = random_spectrogram(rng, frames=11)
     with pytest.raises(InvalidInputError):
         run_wpe([spec, other], 0, WpeParams())
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.ones(8, dtype=complex), r"observation 1 must be a non-empty 2-D .*got shape \(8,\)"),
+    (np.ones((0, 8), dtype=complex), r"observation 1 must be a non-empty 2-D"),
+    (np.full((10, 8), np.nan + 0j), "observation 1 contains non-finite entries"),
+    (np.full((10, 8), np.inf), "observation 1 contains non-finite entries"),
+], ids=["1-D", "no frames", "nan", "real inf"])
+def test_check_observations_rejects_non_spectrogram_arrays(rng, bad, message):
+    with pytest.raises(InvalidInputError, match=message):
+        check_observations([random_spectrogram(rng), bad])
+
+
+def test_check_observations_coerces_real_and_does_not_copy_complex(rng):
+    spec = random_spectrogram(rng)
+    real = spec.real.copy()
+    checked = check_observations([spec, real])
+    assert checked[0] is spec
+    assert checked[1].dtype == np.complex128
+    np.testing.assert_array_equal(checked[1], real)
 
 
 def test_weighted_cost_formula(rng):
