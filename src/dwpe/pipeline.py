@@ -128,10 +128,12 @@ def run(observations: list[np.ndarray], sample_rate: int,
         return (istft(Spectrogram(state.desired, sample_rate, STFT_WINDOW))[:total_len],
                 state.trace, state.psd_floor, state.weights.shape[1])
 
-    def solve(node: int, channels: list[np.ndarray], ref: int, like=None):
-        """finish() of one WPE run at the node, and the run's Gram."""
+    def solve(node: int, channels: list[np.ndarray], ref: int, like=None,
+              workers: int = 1, map_jobs=map):
+        """finish() of one WPE run at the node, and the run's Gram; the run
+        maps its bin blocks with map_jobs on `workers` workers."""
         try:
-            result = wpe.run_wpe(channels, ref, params, like)
+            result = wpe.run_wpe(channels, ref, params, like, workers, map_jobs)
         except (SolverError, NumericalError) as exc:
             raise type(exc)(f"node {node}: {exc}") from exc
         return finish(result), result.gram
@@ -156,10 +158,14 @@ def run(observations: list[np.ndarray], sample_rate: int,
             # transformed on arrival, so the run holds one node's spectrogram
             # estimate at a time; every report node predicts from the same
             # gathered streams, so each lends the next its Gram's C, and g
-            # follows the reference
+            # follows the reference. The nodes run one after another, and
+            # each maps its bin blocks on the node pool, which no node job
+            # here holds
             outputs, like = {}, None
+            workers = netsim.worker_count(n_bins)
             for node in config.report_nodes:
-                outputs[node], like = solve(node, specs, node, like)
+                outputs[node], like = solve(node, specs, node, like, workers,
+                                            netsim.map_nodes)
                 # every other node ships its delayed-vector stream to this one
                 for sender in (i for i in range(num_nodes) if i != node):
                     ledger.record(0, sender, node, params.filter_order * n_frames * n_bins)

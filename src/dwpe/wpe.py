@@ -45,9 +45,18 @@ recursion, one lag at a time, for the bin block of each Z.
 
 solve_weights forms and solves Z one bin block at a time, sized by
 SOLVE_BLOCK_BYTES, and solve_all_bins consumes each block (the ridge goes
-onto its diagonal in place). So only the generators and one Z block are
-live; at d <= 37 every bin fits in one block. Per bin, blocking changes no
-operation, so the weights do not depend on the block size.
+onto its diagonal in place); at d <= 37 every bin fits in one block. The
+blocks are independent, so a caller may map them over worker threads with
+a mapper it passes in (centralized mode uses the node pool; this module
+keeps none). Each worker forms its blocks in one Z buffer that it reuses,
+and the blocks shrink with the worker count, so only the generators and
+SOLVE_BLOCK_BYTES of Z are live. The other large transients are bounded
+too: Gram.build stacks GRAM_BLOCK_BYTES of observations at a time and
+normal_equations_all_bins gathers GATHER_BYTES of unfloored cells at a
+time. Worker threads allocate from their own malloc arenas, which keep
+what is freed into them, so a transient a worker does not bound stays
+resident. Per bin, neither blocking, grouping nor the worker count changes
+an operation, so the weights do not depend on them.
 
 The subtraction cancels most where unfloored cells with sigma >> c carry
 most of the energy. With the default floor (PSD_FLOOR_FRACTION) Z agrees
@@ -58,6 +67,7 @@ power leaves about 1e-9 in Z and 1e-8 in q.
 
 from __future__ import annotations
 
+import queue
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,14 +78,25 @@ from .errors import InvalidInputError, NumericalError, SolverError
 # floating-point results) never depends on signal length or caller.
 CHUNK_FRAMES = 512
 
-# Frequency bins per block when building the unweighted Gram; bounds the
-# stacked-observation transient to GRAM_BLOCK_BINS * d * CHUNK_FRAMES cells.
+# Frequency bins per block when building the unweighted Gram: as many as fit
+# GRAM_BLOCK_BYTES of stacked observations (bins, d, CHUNK_FRAMES), at most
+# GRAM_BLOCK_BINS and at least one. That is 16 bins at d <= 37 and 8 at
+# d = 312, where 16 bins made a 30 MB transient.
 GRAM_BLOCK_BINS = 16
+GRAM_BLOCK_BYTES = 20 * 2**20
 
-# Bytes of one block of weighted normal equations Z (bins, d, d) that
-# solve_weights forms and solves at a time: all bins at d <= 37 (K = 257),
-# 21 bins at d = 312.
+# Bytes of weighted normal equations Z (bins, d, d) live at a time in
+# solve_weights, shared by its block workers: one block of all bins at
+# d <= 37 (K = 257), 21 bins at d = 312 solved serially, or two blocks of
+# 10 bins on two workers.
 SOLVE_BLOCK_BYTES = 32 * 2**20
+
+# Bytes of the stacked vectors (d, cells) of unfloored cells that
+# normal_equations_all_bins gathers at a time, in groups of whole bins (a
+# bin with more cells is gathered alone): 525 cells at d = 312, where a
+# whole block's cells made up to 30 MB, and 4430 at d = 37. A fixed 500
+# cells made about 60 groups per distributed node round and slowed it.
+GATHER_BYTES = 5 * 2**19  # 2.5 MiB
 
 # Relative residual above which a per-bin solve is considered failed.
 SOLVE_RESIDUAL_TOL = 1e-8
@@ -218,14 +239,13 @@ def gather_cells(streams: list[Stream], frames: np.ndarray,
     row = 0
     for data, order, delay in streams:
         K = data.shape[1]
-        flat = data.ravel()
-        cells = frames * K + bins
-        for lag in range(order):
-            shift = delay + lag
-            # pre-signal cells clip to index 0 and are zeroed after
-            np.take(flat, cells - shift * K, out=out[row], mode="clip")
-            out[row, frames < shift] = 0.0
-            row += 1
+        shifts = np.arange(delay, delay + order)[:, None]
+        rows = out[row : row + order]
+        # all lags of the stream at once; pre-signal cells clip to index 0
+        # and are zeroed after
+        np.take(data.ravel(), frames * K + bins - shifts * K, out=rows, mode="clip")
+        rows[frames < shifts] = 0.0
+        row += order
     return out
 
 
@@ -254,11 +274,11 @@ class Gram:
     @classmethod
     def build(cls, streams: list[Stream], ref_data: np.ndarray,
               like: Gram | None = None) -> Gram:
-        """The Gram of streams and ref_data in one pass over fixed bin blocks
-        and frame chunks. C's generators are the products with the S lag-0
-        rows and the last chunk's final frame. `like`, a Gram of the same
-        stream arrays for another reference, lends its generators, so only
-        g is formed."""
+        """The Gram of streams and ref_data in one pass over bin blocks
+        (GRAM_BLOCK_BYTES) and frame chunks. C's generators are the products
+        with the S lag-0 rows and the last chunk's final frame. `like`, a
+        Gram of the same stream arrays for another reference, lends its
+        generators, so only g is formed."""
         N, K = ref_data.shape
         d = streams_dim(streams)
         if like is None:
@@ -268,8 +288,9 @@ class Gram:
         else:
             cols, last = like.cols, like.last
         g = np.zeros((K, d), dtype=np.complex128)
-        for k0 in range(0, K, GRAM_BLOCK_BINS):
-            bins = slice(k0, min(k0 + GRAM_BLOCK_BINS, K))
+        step = max(1, min(GRAM_BLOCK_BINS, GRAM_BLOCK_BYTES // (16 * d * CHUNK_FRAMES)))
+        for k0 in range(0, K, step):
+            bins = slice(k0, min(k0 + step, K))
             for start in range(0, N, CHUNK_FRAMES):
                 stop = min(start + CHUNK_FRAMES, N)
                 X = stack_chunk(streams, start, stop, bins)  # (bins, d, n)
@@ -280,9 +301,11 @@ class Gram:
                 last[bins] = X[:, :, -1]  # the last chunk ends at frame N-1
         return cls(cols, last, g, tuple(order for _, order, _ in streams))
 
-    def expand(self, bins: slice, divisor: float = 1.0) -> np.ndarray:
+    def expand(self, bins: slice, divisor: float = 1.0,
+               out: np.ndarray | None = None) -> np.ndarray:
         """C / divisor for the bins [bins.start, bins.stop), shape
-        (bins, d, d), from the generators in O(d^2) per bin.
+        (bins, d, d), from the generators in O(d^2) per bin. Given `out`,
+        writes every entry of it instead of allocating.
 
         Head rows (i,0) and head columns are the lag-0 columns; every other
         row (i,a) follows from row (i,a-1) by the shift recursion of the
@@ -294,7 +317,7 @@ class Gram:
         orders = np.array(self.orders)
         heads = np.cumsum(orders) - orders
         nb, d, _ = cols.shape
-        C = np.empty((nb, d, d), dtype=np.complex128)
+        C = np.empty((nb, d, d), dtype=np.complex128) if out is None else out
         C[:, heads, :] = cols.conj().transpose(0, 2, 1)
         C[:, :, heads] = cols
         for lag in range(1, orders.max()):
@@ -306,38 +329,50 @@ class Gram:
 
 def normal_equations_all_bins(streams: list[Stream], ref_data: np.ndarray,
                               sigma: np.ndarray, gram: Gram | None = None,
-                              bins: slice | None = None) -> tuple[np.ndarray, np.ndarray]:
+                              bins: slice | None = None,
+                              out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """PSD-weighted normal equations of the bins [bins.start, bins.stop)
     (default all), split around c = min(sigma) over all bins.
 
     Z = C/c minus a correction over the cells with sigma > c, each weighted
     by 1/c - 1/sigma in [0, 1/c); q likewise (see the module docstring).
     `gram` is the Gram of these streams and this reference; without one, a
-    throwaway Gram is built. Each bin's Z and q do not depend on which other
-    bins share the call.
+    throwaway Gram is built. The cells are gathered GATHER_BYTES at a time.
+    Each bin's Z and q do not depend on which other bins share the call.
 
-    Returns Z of shape (bins, d, d) and q of shape (bins, d).
+    Returns Z of shape (bins, d, d), written into `out` when given, and q
+    of shape (bins, d).
     """
     if gram is None:
         gram = Gram.build(streams, ref_data)
     if bins is None:
         bins = slice(0, ref_data.shape[1])
     c = float(sigma.min())
-    Z = gram.expand(bins, c)
+    Z = gram.expand(bins, c, out=out)
     q = gram.g[bins] / c
     # active cells sorted by bin, then frame; x x^H w = (x sqrt(w)) (x sqrt(w))^H
     rel, frames = np.nonzero(sigma[:, bins].T > c)
     cell_bins = rel + bins.start
     s = sigma[frames, cell_bins]
     root = np.sqrt((s - c) / (c * s))
-    X = gather_cells(streams, frames, cell_bins)
-    X *= root
     ref_scaled = ref_data[frames, cell_bins].conj() * root
     bounds = np.searchsorted(rel, np.arange(Z.shape[0] + 1))
-    for k in np.flatnonzero(np.diff(bounds)):
-        cells = slice(bounds[k], bounds[k + 1])
-        Z[k] -= X[:, cells] @ X[:, cells].conj().T
-        q[k] -= X[:, cells] @ ref_scaled[cells]
+    group_cells = GATHER_BYTES // (16 * Z.shape[1])
+    k0 = 0
+    while k0 < Z.shape[0]:
+        # whole bins from k0 on, group_cells cells or the one bin k0
+        k1 = max(k0 + 1, int(np.searchsorted(bounds, bounds[k0] + group_cells, "right")) - 1)
+        group = slice(bounds[k0], bounds[k1])
+        X = gather_cells(streams, frames[group], cell_bins[group])
+        X *= root[group]
+        ref_group = ref_scaled[group]
+        for k in range(k0, k1):
+            cells = slice(bounds[k] - group.start, bounds[k + 1] - group.start)
+            if cells.start < cells.stop:
+                Z[k] -= X[:, cells] @ X[:, cells].conj().T
+                q[k] -= X[:, cells] @ ref_group[cells]
+        del X  # not held while the next group is gathered
+        k0 = k1
     if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(q))):
         raise NumericalError("normal-equation accumulation produced non-finite values")
     return Z, q
@@ -400,26 +435,41 @@ def solve_all_bins(Z: np.ndarray, q: np.ndarray, ridge_scale: float,
 
 def solve_weights(streams: list[Stream], ref_data: np.ndarray, sigma: np.ndarray,
                   gram: Gram, ridge_scale: float, prox_scale: float = 0.0,
-                  prox_to: np.ndarray | None = None) -> np.ndarray:
+                  prox_to: np.ndarray | None = None, workers: int = 1,
+                  map_jobs=map) -> np.ndarray:
     """Prediction weights (K, d) of the PSD-weighted normal equations.
 
-    Forms and solves Z one bin block at a time, SOLVE_BLOCK_BYTES of Z per
-    block, so beside the Gram only one block is live. The weights
-    equal a single full-band block's byte for byte. prox_scale and prox_to
-    are as in solve_all_bins.
+    Forms and solves Z one bin block at a time. The blocks are the jobs of
+    map_jobs(fn, items), which returns fn's results in input order (map
+    runs them serially; netsim.map_nodes on its pool); with `workers`
+    workers, each block is at most a 1/workers share of the band and of
+    SOLVE_BLOCK_BYTES. Each worker forms its blocks in one reused Z buffer,
+    so beside the Gram only `workers` blocks are live. Errors are the first
+    failing block's in input order, as in a serial run. The weights equal
+    a single full-band block's byte for byte. prox_scale and prox_to are as
+    in solve_all_bins.
     """
     K = ref_data.shape[1]
     d = streams_dim(streams)
-    step = max(1, SOLVE_BLOCK_BYTES // (16 * d * d))  # bins; 16 bytes per complex entry
-    weights = np.empty((K, d), dtype=np.complex128)
-    for k0 in range(0, K, step):
+    step = max(1, min(SOLVE_BLOCK_BYTES // (16 * d * d * workers),  # 16 bytes per entry
+                      -(-K // workers)))
+    buffers = queue.SimpleQueue()  # the Z buffers no block is using
+    for _ in range(workers):
+        buffers.put(np.empty((min(step, K), d, d), dtype=np.complex128))
+
+    def solve_block(k0: int) -> np.ndarray:
         bins = slice(k0, min(k0 + step, K))
-        Z, q = normal_equations_all_bins(streams, ref_data, sigma, gram, bins)
-        weights[bins] = solve_all_bins(Z, q, ridge_scale, prox_scale,
-                                       None if prox_to is None else prox_to[bins],
-                                       first_bin=k0)
-        del Z  # consumed by the solve; not kept through the next block
-    return weights
+        Z = buffers.get()
+        try:
+            Zb, q = normal_equations_all_bins(streams, ref_data, sigma, gram, bins,
+                                              out=Z[: bins.stop - k0])
+            return solve_all_bins(Zb, q, ridge_scale, prox_scale,
+                                  None if prox_to is None else prox_to[bins],
+                                  first_bin=k0)
+        finally:
+            buffers.put(Z)  # consumed by the solve; the next block overwrites it
+
+    return np.concatenate(list(map_jobs(solve_block, range(0, K, step))))
 
 
 def predict_all_bins(streams: list[Stream], weights: np.ndarray) -> np.ndarray:
@@ -506,7 +556,8 @@ def check_observations(observations: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def run_wpe(observations: list[np.ndarray], ref_channel: int,
-            params: WpeParams, like: Gram | None = None) -> WpeResult:
+            params: WpeParams, like: Gram | None = None, workers: int = 1,
+            map_jobs=map) -> WpeResult:
     """Batch WPE over M observation channels, each an (N, K) spectrogram
     array (see check_observations).
 
@@ -517,7 +568,8 @@ def run_wpe(observations: list[np.ndarray], ref_channel: int,
     Frobenius). M = 1 is the single-channel variant.
 
     The run builds one Gram and returns it; `like`, an earlier run's Gram of
-    the same observation arrays, lends its C (see Gram.build).
+    the same observation arrays, lends its C (see Gram.build). `workers`
+    and `map_jobs` map each solve's bin blocks (see solve_weights).
     """
     observations = check_observations(observations)
     if not (0 <= ref_channel < len(observations)):
@@ -534,7 +586,8 @@ def run_wpe(observations: list[np.ndarray], ref_channel: int,
     gram = Gram.build(streams, ref, like)
     for _ in range(params.max_iters):
         psd = update_psd(desired, eps)
-        weights = solve_weights(streams, ref, psd.values, gram, params.ridge_scale)
+        weights = solve_weights(streams, ref, psd.values, gram, params.ridge_scale,
+                                workers=workers, map_jobs=map_jobs)
         previous, desired = desired, ref - predict_all_bins(streams, weights)
         if trace.record(previous, desired, psd.values, params.convergence_tol):
             break

@@ -9,8 +9,10 @@ option kept for its own tests.
 
 The modules are layered: the solver, network, room and signal modules
 import no scoring or orchestration module, the solvers (wpe, danse) import
-no framing (dsp), and metrics imports only errors. Importing the CLI loads no scipy.signal module: that import alone
-held 46 MB of resident memory."""
+no framing (dsp), and metrics imports only errors. wpe keeps no thread
+pool: it imports neither netsim nor concurrent.futures, and a caller that
+maps its bin blocks passes the mapper. Importing the CLI loads no
+scipy.signal module: that import alone held 46 MB of resident memory."""
 
 import ast
 import os
@@ -89,12 +91,12 @@ def defaulted_parameters() -> list[tuple[str, str, int | None]]:
     return found
 
 
-def program_calls() -> dict[str, list[tuple[int, set[str]]]]:
+def program_calls(tops=PROGRAM_DIRS) -> dict[str, list[tuple[int, set[str]]]]:
     """Callee name -> (positional count, keyword names) of each call in the
-    program's own files. A callee is the called name, through any
+    program's files under `tops`. A callee is the called name, through any
     `from ... import name as alias`, or the attribute of a method call."""
     calls: dict[str, list[tuple[int, set[str]]]] = {}
-    for top in PROGRAM_DIRS:
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text())
             aliases = {alias.asname: alias.name for node in ast.walk(tree)
@@ -114,18 +116,34 @@ def program_calls() -> dict[str, list[tuple[int, set[str]]]]:
     return calls
 
 
+def unpassed(parameters, calls) -> list[str]:
+    return sorted(
+        f"{function}({parameter}=)" for function, parameter, position in parameters
+        if not any(parameter in keywords or (position is not None and count > position)
+                   for count, keywords in calls.get(function, []))
+    )
+
+
+# the parameters that let pipeline map a centralized solve's bin blocks on
+# the node pool; the package itself passes them
+BLOCK_MAP_PARAMETERS = {
+    ("run_wpe", "workers", 4), ("run_wpe", "map_jobs", 5),
+    ("solve_weights", "workers", 7), ("solve_weights", "map_jobs", 8),
+    ("normal_equations_all_bins", "out", 5), ("expand", "out", 2),
+}
+
+
 def test_defaulted_parameters_are_passed_outside_tests():
     calls = program_calls()
     assert "cli_main" not in calls  # scripts/ calls cli.main by this alias
     parameters = defaulted_parameters()
     # the parser finds parameters; a method's position skips self
     assert {("run_wpe", "like", 3), ("expand", "divisor", 1)} <= set(parameters)
-    unpassed = sorted(
-        f"{function}({parameter}=)" for function, parameter, position in parameters
-        if not any(parameter in keywords or (position is not None and count > position)
-                   for count, keywords in calls.get(function, []))
-    )
-    assert not unpassed, f"defaulted parameters no program call passes: {unpassed}"
+    assert BLOCK_MAP_PARAMETERS <= set(parameters)
+    missing = unpassed(parameters, calls)
+    assert not missing, f"defaulted parameters no program call passes: {missing}"
+    missing = unpassed(BLOCK_MAP_PARAMETERS, program_calls(("src",)))
+    assert not missing, f"bin-block parameters src/ does not pass: {missing}"
 
 
 LOWER_MODULES = ("dsp", "wpe", "danse", "netsim", "room", "signals", "complexity")
@@ -151,8 +169,23 @@ def package_imports(module: str) -> set[str]:
     return found
 
 
+def absolute_imports(module: str) -> set[str]:
+    """The dotted names of the modules `module` imports absolutely."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module)
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+    return found
+
+
 def test_module_layering():
     assert package_imports("cli") >= {"pipeline", "room"}  # the parser finds imports
+    assert "concurrent.futures" in absolute_imports("netsim")
+    assert "netsim" not in package_imports("wpe")
+    pools = {name for name in absolute_imports("wpe") if name.split(".")[0] == "concurrent"}
+    assert not pools, f"wpe imports {pools}"
     upward = {module: sorted(package_imports(module) & UPPER_MODULES)
               for module in LOWER_MODULES}
     assert not any(upward.values()), f"lower modules import upward: {upward}"

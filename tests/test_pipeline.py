@@ -79,6 +79,40 @@ def test_single_mode_same_bytes_for_any_worker_count(observations, monkeypatch):
     assert pooled.unknowns == serial.unknowns
 
 
+def test_centralized_run_same_bytes_for_any_worker_count(observations, monkeypatch):
+    # d = 18: 64-bin blocks serially and 32-bin blocks on two workers, and
+    # about 200 cells per gather
+    monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 64 * 16 * 18 * 18)
+    monkeypatch.setattr(wpe, "GATHER_BYTES", 200 * 16 * 18)
+    mapped = []  # blocks per pool call
+    map_nodes = netsim.map_nodes
+
+    def recording(fn, items):
+        items = list(items)
+        mapped.append(len(items))
+        return map_nodes(fn, items)
+
+    monkeypatch.setattr(netsim, "map_nodes", recording)
+    config = pipeline.RunConfig("small.json", "centralized", params=PARAMS,
+                                report_nodes=(2, 0))
+    runs, blocks = [], []
+    for workers in (1, 2):
+        monkeypatch.setattr(netsim, "worker_count", lambda num_jobs, w=workers: w)
+        mapped.clear()
+        runs.append(pipeline.run(observations, 16000, config))
+        blocks.append(sorted(set(mapped)))
+    serial, pooled = runs
+    # every solve of both nodes maps its 257 bins on the pool
+    assert blocks == [[5], [9]]
+    assert len(mapped) == 2 * PARAMS.max_iters
+    assert list(pooled.estimates) == [2, 0]
+    for node, estimate in serial.estimates.items():
+        np.testing.assert_array_equal(pooled.estimates[node], estimate)
+    assert pooled.traces == serial.traces  # change and cost, float for float
+    assert pooled.ledger.rows == serial.ledger.rows
+    assert pooled.psd_floors == serial.psd_floors
+
+
 def test_single_mode_runs_report_nodes_concurrently(observations, monkeypatch):
     # each job waits for the other before solving: with one worker at a
     # time the barrier would time out

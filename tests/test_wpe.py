@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwpe import room, wpe
+from dwpe import netsim, room, wpe
 from dwpe.dsp import WindowSpec, stft
 from dwpe.errors import InvalidInputError, NumericalError, SolverError
 from dwpe.signals import speech_like
@@ -327,6 +328,9 @@ def test_shift_built_gram_matches_direct(rng, frames, shape):
     gram = Gram.build(streams, streams[0][0])
     C = gram.expand(slice(0, K))
     C_scaled = gram.expand(slice(0, K), 3.0)
+    out = np.full_like(C, np.nan)  # every entry must be written
+    assert gram.expand(slice(0, K), 3.0, out=out) is out
+    np.testing.assert_array_equal(out, C_scaled)
     for k in range(K):
         stacked = stacked_by_loop(streams, k)
         C_ref = stacked.T @ stacked.conj()
@@ -346,6 +350,20 @@ def blocked_system(rng, K, d, frames=120):
     return streams, ref, sigma
 
 
+def pool_of_two(monkeypatch):
+    """netsim.map_nodes on two threads, and the threads each job ran on."""
+    monkeypatch.setattr(netsim, "worker_count", lambda num_jobs: 2)
+    threads = set()
+
+    def map_jobs(fn, items):
+        def recorded(item):
+            threads.add(threading.get_ident())
+            return fn(item)
+        return netsim.map_nodes(recorded, items)
+
+    return map_jobs, threads
+
+
 @pytest.mark.parametrize("prox_scale", [0.0, 0.1])
 def test_blocked_solve_equals_one_block(rng, monkeypatch, prox_scale):
     streams, ref, sigma = blocked_system(rng, 11, 48)
@@ -360,6 +378,29 @@ def test_blocked_solve_equals_one_block(rng, monkeypatch, prox_scale):
     monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 3 * 16 * 48 * 48)
     blocked = solve_weights(streams, ref, sigma, gram, 1e-8, prox_scale, prox_to)
     np.testing.assert_array_equal(blocked, full)
+    # two workers: blocks of 1 bin (half the budget), mapped on the pool
+    map_jobs, threads = pool_of_two(monkeypatch)
+    pooled = solve_weights(streams, ref, sigma, gram, 1e-8, prox_scale, prox_to,
+                           workers=2, map_jobs=map_jobs)
+    np.testing.assert_array_equal(pooled, full)
+    assert threading.get_ident() not in threads
+
+
+def test_block_workers_reuse_one_Z_buffer_each(rng, monkeypatch):
+    streams, ref, sigma = blocked_system(rng, 12, 48)
+    gram = Gram.build(streams, ref)
+    buffers = set()
+    normal_equations = wpe.normal_equations_all_bins
+
+    def recording(*args, out):
+        buffers.add(out.base.ctypes.data if out.base is not None else out.ctypes.data)
+        return normal_equations(*args, out=out)
+
+    monkeypatch.setattr(wpe, "normal_equations_all_bins", recording)
+    monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 4 * 16 * 48 * 48)
+    map_jobs, _ = pool_of_two(monkeypatch)
+    solve_weights(streams, ref, sigma, gram, 1e-8, workers=2, map_jobs=map_jobs)
+    assert len(buffers) == 2  # six 2-bin blocks in one buffer per worker
 
 
 def test_blocked_solve_allocates_less_than_half_of_Z(rng, monkeypatch):
@@ -377,19 +418,101 @@ def test_blocked_solve_allocates_less_than_half_of_Z(rng, monkeypatch):
     assert peak < K * d * d * 16 / 2
 
 
+def test_block_workers_never_share_a_Z_buffer_under_thread_stress(rng, monkeypatch):
+    # 3 buffers for 8 threads and 24 one-bin blocks, switching threads often:
+    # a buffer two blocks filled at once would change their weights
+    streams, ref, sigma = blocked_system(rng, 24, 48, frames=60)
+    gram = Gram.build(streams, ref)
+    serial = solve_weights(streams, ref, sigma, gram, 1e-8)
+    monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 3 * 16 * 48 * 48)
+
+    def map_jobs(fn, items):
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            return list(pool.map(fn, items, timeout=60))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            pooled = solve_weights(streams, ref, sigma, gram, 1e-8, workers=3,
+                                   map_jobs=map_jobs)
+            np.testing.assert_array_equal(pooled, serial)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_blocked_solve_names_the_full_band_bin(rng, monkeypatch):
     streams, ref, _ = blocked_system(rng, 6, 24)
     sigma = np.ones(ref.shape)  # all floored: Z = C
     gram = Gram.build(streams, ref)
     # all-ones lag-0 columns and a zero last frame expand to an all-ones
-    # Gram: rank one with a nonzero trace
+    # Gram: rank one with a nonzero trace. Bins 4 and 5, in the second
+    # half of the band, are singular
     cols, last = gram.cols.copy(), gram.last.copy()
-    cols[4] = 1.0
-    last[4] = 0.0
+    cols[4:] = 1.0
+    last[4:] = 0.0
     gram = replace(gram, cols=cols, last=last)
+    # 2-bin blocks serially, 1-bin blocks on two workers; either way the
+    # first failing block in band order names its bin
     monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 2 * 16 * 24 * 24)
-    with pytest.raises(SolverError, match="bin 4"):
-        solve_weights(streams, ref, sigma, gram, 0.0)
+    map_jobs, _ = pool_of_two(monkeypatch)
+    for workers in (1, 2):
+        with pytest.raises(SolverError, match="bin 4 "):
+            solve_weights(streams, ref, sigma, gram, 0.0, workers=workers,
+                          map_jobs=map_jobs)
+
+
+@pytest.mark.parametrize("bins", [slice(0, 9), slice(3, 8)])
+def test_grouped_cell_gather_equals_one_group(rng, monkeypatch, bins):
+    # bins with 10 % to 90 % of their cells unfloored, and one all floored
+    streams, ref, _ = blocked_system(rng, 9, 48, frames=60)
+    sigma = np.where(rng.random((60, 9)) < np.linspace(0.1, 0.9, 9),
+                     1.0 + rng.random((60, 9)), 1.0)
+    sigma[:, 5] = 1.0
+    gram = Gram.build(streams, ref)
+    monkeypatch.setattr(wpe, "GATHER_BYTES", 16 * 48 * 60 * 9)
+    Z, q = normal_equations_all_bins(streams, ref, sigma, gram, bins)
+    gathered = []
+    gather = wpe.gather_cells
+
+    def counting(streams, frames, cell_bins):
+        gathered.append((np.unique(cell_bins).size, frames.size))
+        return gather(streams, frames, cell_bins)
+
+    monkeypatch.setattr(wpe, "gather_cells", counting)
+    # one bin's worth of cells (60) per group, and one cell: a bin each
+    for cells in (60, 1):
+        monkeypatch.setattr(wpe, "GATHER_BYTES", 16 * 48 * cells)
+        gathered.clear()
+        Z_grouped, q_grouped = normal_equations_all_bins(streams, ref, sigma, gram, bins)
+        np.testing.assert_array_equal(Z_grouped, Z)
+        np.testing.assert_array_equal(q_grouped, q)
+        assert len(gathered) > 1
+        assert all(size <= cells or group_bins == 1 for group_bins, size in gathered)
+
+
+def test_cell_gather_transient_stays_within_its_budget(rng, monkeypatch):
+    # every cell but the minimum's is unfloored: one gather of them all
+    # would be 8 budgets
+    K, d, frames = 32, 96, 400
+    streams, ref, _ = blocked_system(rng, K, d, frames=frames)
+    sigma = 1.0 + rng.random((frames, K))
+    gram = Gram.build(streams, ref)
+    out = np.empty((K, d, d), dtype=np.complex128)
+    budget = 16 * d * 4 * frames  # four bins' cells
+    peaks = []
+    for gather_bytes in (budget, 8 * budget):
+        monkeypatch.setattr(wpe, "GATHER_BYTES", gather_bytes)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            normal_equations_all_bins(streams, ref, sigma, gram, out=out)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    bounded, unbounded = peaks
+    assert bounded < 2 * budget
+    assert unbounded > 8 * budget
 
 
 def test_gram_holds_less_than_a_quarter_of_C(rng):
