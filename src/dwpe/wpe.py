@@ -58,6 +58,14 @@ what is freed into them, so a transient a worker does not bound stays
 resident. Per bin, neither blocking, grouping nor the worker count changes
 an operation, so the weights do not depend on them.
 
+predict_all_bins forms w^H x without stacking the rows. A stream of order
+> 1 is one per-bin matmul: the windows of `order` frames over a
+zero-padded, bin-major (K, N + delay + order - 1) copy of its array, times
+its reversed, conjugated weights. Only one such copy (1.6 MB at N = 372,
+K = 257) is live at a time, so the 12 streams of centralized mode cost no
+more transient memory than one. An order-1 stream, such as a distributed
+payload, is one scaled, shifted add; stacking those was slower.
+
 The subtraction cancels most where unfloored cells with sigma >> c carry
 most of the energy. With the default floor (PSD_FLOOR_FRACTION) Z agrees
 with direct accumulation to about 4e-14 relative and q to about 2e-13 in
@@ -71,6 +79,7 @@ import queue
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError, NumericalError, SolverError
 
@@ -476,19 +485,34 @@ def predict_all_bins(streams: list[Stream], weights: np.ndarray) -> np.ndarray:
     """Predicted late reverberation w^H x for all frames and bins; the
     desired-signal estimate is the reference minus this.
 
-    weights is (K, d) in the stream row order of `stack_chunk`.
+    weights is (K, d) in the stream row order of `stack_chunk`, and every
+    stream array has the first one's (N, K) shape. Returns a C-contiguous
+    (N, K) array, formed one stream at a time as the module docstring
+    describes.
     """
-    N = streams[0][0].shape[0]
-    late = np.zeros_like(streams[0][0])
+    N, K = streams[0][0].shape
+    shapes = {data.shape for data, _, _ in streams}
+    if shapes != {(N, K)}:
+        raise InvalidInputError(f"stream shapes differ: {sorted(shapes)}")
+    if weights.shape != (K, streams_dim(streams)):
+        raise InvalidInputError(
+            f"weights must be (K, d) = {(K, streams_dim(streams))}, got {weights.shape}")
+    late = np.zeros((K, N), dtype=np.complex128)
     row = 0
     for data, order, delay in streams:
-        for lag in range(order):
-            shift = delay + lag
-            w_row = weights[:, row].conj()[None, :]
-            if shift < N:
-                late[shift:, :] += data[: N - shift, :] * w_row
-            row += 1
-    return late
+        w = weights[:, row : row + order]
+        if order == 1:
+            if delay < N:
+                late[:, delay:] += data[: N - delay].T * w.conj()
+        else:
+            # window n holds frames n - delay - order + 1 .. n - delay
+            padded = np.zeros((K, N + delay + order - 1), dtype=np.complex128)
+            padded[:, delay + order - 1 :] = data.T
+            windows = sliding_window_view(padded, order, axis=1)[:, :N]
+            late += (windows @ w[:, ::-1, None].conj())[..., 0]
+            del padded, windows  # one padded copy live at a time
+        row += order
+    return np.ascontiguousarray(late.T)
 
 
 def weighted_cost(desired: np.ndarray, sigma: np.ndarray) -> float:

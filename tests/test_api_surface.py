@@ -191,6 +191,12 @@ def test_module_layering():
     assert not any(upward.values()), f"lower modules import upward: {upward}"
     framing = {module: "dsp" in package_imports(module) for module in ("wpe", "danse")}
     assert not any(framing.values()), f"solvers import dsp: {framing}"
+    # SciPy's f2py LAPACK/BLAS wrappers hold the GIL, so a solver kernel that
+    # calls them would serialize the node pool
+    scipy = {module: sorted(name for name in absolute_imports(module)
+                            if name.split(".")[0] == "scipy")
+             for module in ("wpe", "danse")}
+    assert not any(scipy.values()), f"solvers import scipy: {scipy}"
     assert package_imports("metrics") <= {"errors"}
 
 

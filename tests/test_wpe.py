@@ -133,6 +133,47 @@ def test_predict_desired_hand_expanded():
     assert late[0, 0] == 0 and late[1, 0] == 0
 
 
+@pytest.mark.parametrize("layout", [
+    [(3, 2), (3, 1), (3, 4)],  # centralized-like: three order-3 streams
+    [(4, 3), (1, 0), (1, 0)],  # distributed-like: local block, two payloads
+    [(2, 12), (3, 2)],  # delay >= N: the first stream predicts nothing
+    [(5, 8), (1, 11)],  # delay + order > N
+], ids=["centralized", "distributed", "delay-past-end", "window-past-start"])
+def test_predict_matches_per_cell_oracle(rng, layout):
+    frames, bins = 12, 6
+    streams = [(random_spectrogram(rng, frames, bins), order, delay)
+               for order, delay in layout]
+    d = sum(order for order, _ in layout)
+    weights = rng.standard_normal((bins, d)) + 1j * rng.standard_normal((bins, d))
+    late = predict_all_bins(streams, weights)
+    assert late.shape == (frames, bins) and late.flags.c_contiguous
+    expected = np.empty((frames, bins), dtype=complex)
+    for k in range(bins):
+        stacked = stacked_by_loop(streams, k)
+        for n in range(frames):
+            expected[n, k] = np.vdot(weights[k], stacked[n])
+    np.testing.assert_allclose(late, expected, rtol=0,
+                               atol=1e-12 * np.abs(expected).max())
+
+
+def test_predict_rejects_extra_weight_columns(rng):
+    spec = random_spectrogram(rng)
+    with pytest.raises(InvalidInputError, match=r"weights must be \(K, d\) = \(8, 2\), got \(8, 3\)"):
+        predict_all_bins([(spec, 2, 1)], np.zeros((8, 3), dtype=complex))
+
+
+def test_predict_rejects_missing_weight_columns(rng):
+    spec = random_spectrogram(rng)
+    with pytest.raises(InvalidInputError, match=r"weights must be .*got \(8, 2\)"):
+        predict_all_bins([(spec, 2, 1), (spec, 1, 0)], np.zeros((8, 2), dtype=complex))
+
+
+def test_predict_rejects_a_longer_stream(rng):
+    streams = [(random_spectrogram(rng, 10), 2, 1), (random_spectrogram(rng, 12), 1, 0)]
+    with pytest.raises(InvalidInputError, match="stream shapes differ"):
+        predict_all_bins(streams, np.zeros((8, 3), dtype=complex))
+
+
 def test_update_psd_above_floor():
     psd = update_psd(np.array([[np.sqrt(0.5)]]), 1e-4)
     assert psd.values[0, 0] == pytest.approx(0.5)
