@@ -49,6 +49,12 @@ from .wpe import (
     update_psd,
 )
 
+# Decay of the step of a node's weight update once it uses cross-node data:
+# round r moves RELAXATION_DECAY ** (r - 1) of the way to its solve (the
+# full step in round 1). Simultaneous network-wide updates need the damping
+# to settle (rS-DANSE, Bertrand & Moonen 2010).
+RELAXATION_DECAY = 0.9
+
 
 @dataclass
 class NodeState:
@@ -127,12 +133,13 @@ def node_round(node: NodeState, round_index: int,
     system is solved and taken as is.
 
     With cross-node data the solve is proximally regularized toward the
-    current weights, (Z + lam I) w = q + lam w_prev: directions Z barely
-    constrains stay where they were instead of wandering with every new
-    compressor snapshot, while any fixed point still satisfies Z w = q. The
-    weights then move toward the solution with the geometrically decaying
-    step of params.step_size; simultaneous exact updates across the network
-    need not settle, while the damped update keeps the fixed point unchanged.
+    current weights, (Z + lam I) w = q + lam w_prev with lam from
+    wpe.PROX_SCALE: directions Z barely constrains stay where they were
+    instead of wandering with every new compressor snapshot, while any fixed
+    point still satisfies Z w = q. The weights then move toward the solution
+    with the step RELAXATION_DECAY ** max(0, round_index - 1); simultaneous
+    exact updates across the network need not settle, while the damped
+    update keeps the fixed point unchanged.
     """
     psd = update_psd(node.desired, node.psd_floor)
     streams = node.streams()
@@ -144,12 +151,12 @@ def node_round(node: NodeState, round_index: int,
         node.gram = Gram.build(streams, data)
     try:
         # without cross-node data there is no proximal pull (prox_to=None)
-        solved = solve_weights(streams, data, psd.values, node.gram, node.params.ridge_scale,
-                               node.params.prox_scale, node.weights if cross else None)
+        solved = solve_weights(streams, data, psd.values, node.gram,
+                               node.weights if cross else None)
     except (SolverError, NumericalError) as exc:
         raise type(exc)(f"node {node.node_id}: {exc}") from exc
     if cross:
-        mu = node.params.step_size(round_index)
+        mu = RELAXATION_DECAY ** max(0, round_index - 1)
         node.weights = (1.0 - mu) * node.weights + mu * solved
     else:
         node.weights = solved

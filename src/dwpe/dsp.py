@@ -18,18 +18,12 @@ from scipy.linalg.lapack import dtbtrs
 
 from .errors import ConfigurationError, InvalidInputError, NumericalError
 
-_WINDOW_KINDS = ("hann",)
-
 # Relative deviation allowed for the overlap-added window product on the
 # interior before a window/hop pair is rejected as non-COLA.
 COLA_TOL = 1e-10
 
 
-def _nominal_window(kind: str, frame_len: int) -> np.ndarray:
-    if kind not in _WINDOW_KINDS:
-        raise ConfigurationError(
-            f"unknown window kind {kind!r}; supported: {_WINDOW_KINDS}"
-        )
+def _nominal_window(frame_len: int) -> np.ndarray:
     # periodic Hann, the DFT-even variant
     t = np.arange(frame_len)
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * t / frame_len)
@@ -37,7 +31,7 @@ def _nominal_window(kind: str, frame_len: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """STFT framing: frame length, hop and window kind.
+    """STFT framing of a periodic Hann window: frame length and hop.
 
     The default 512/128 at 16 kHz is the 32 ms frame with 75% overlap used
     throughout the pipeline.
@@ -45,7 +39,6 @@ class WindowSpec:
 
     frame_len: int = 512
     hop: int = 128
-    window_kind: str = "hann"
 
     def __post_init__(self):
         if self.frame_len < 1:
@@ -62,10 +55,10 @@ class WindowSpec:
         return self.frame_len // 2 + 1
 
     def analysis_window(self) -> np.ndarray:
-        return np.sqrt(_nominal_window(self.window_kind, self.frame_len))
+        return np.sqrt(_nominal_window(self.frame_len))
 
     def synthesis_window(self) -> np.ndarray:
-        return np.sqrt(_nominal_window(self.window_kind, self.frame_len))
+        return np.sqrt(_nominal_window(self.frame_len))
 
     def num_frames(self, num_samples: int) -> int:
         """Frame count for a signal of the given length (trailing partial
@@ -129,14 +122,6 @@ class Spectrogram:
             )
         if not np.all(np.isfinite(self.data)):
             raise InvalidInputError("spectrogram contains non-finite entries")
-
-    @property
-    def num_frames(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def num_bins(self) -> int:
-        return self.data.shape[1]
 
 
 def stft(signal: np.ndarray, spec: WindowSpec | None = None,

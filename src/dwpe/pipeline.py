@@ -66,7 +66,6 @@ class RunConfig:
                 "mode": self.mode,
                 "frame_len": STFT_WINDOW.frame_len,
                 "hop": STFT_WINDOW.hop,
-                "window_kind": STFT_WINDOW.window_kind,
                 "seed": self.seed,
                 "ref": self.ref_channel,
             },

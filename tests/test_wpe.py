@@ -46,14 +46,10 @@ def test_params_validation():
         WpeParams(psd_floor=0.0)
     with pytest.raises(InvalidInputError):
         WpeParams(max_iters=0)
-    with pytest.raises(InvalidInputError):
-        WpeParams(relaxation=1.5)
 
 
 @pytest.mark.parametrize("name, value", [
     ("psd_floor", np.nan), ("psd_floor", np.inf),
-    ("ridge_scale", np.nan), ("ridge_scale", np.inf),
-    ("prox_scale", np.nan), ("prox_scale", np.inf),
     ("convergence_tol", np.nan), ("convergence_tol", np.inf), ("convergence_tol", -1e-4),
 ])
 def test_params_reject_non_finite_and_negative_settings(name, value):
@@ -407,21 +403,22 @@ def pool_of_two(monkeypatch):
 
 @pytest.mark.parametrize("prox_scale", [0.0, 0.1])
 def test_blocked_solve_equals_one_block(rng, monkeypatch, prox_scale):
+    monkeypatch.setattr(wpe, "PROX_SCALE", prox_scale)
     streams, ref, sigma = blocked_system(rng, 11, 48)
     sigma *= 1.0 + np.arange(11)  # only the first block holds min(sigma)
     prox_to = rng.standard_normal((11, 48)) + 1j * rng.standard_normal((11, 48))
     gram = Gram.build(streams, ref)
-    full = solve_weights(streams, ref, sigma, gram, 1e-8, prox_scale, prox_to)
+    full = solve_weights(streams, ref, sigma, gram, prox_to)
     Z, q = normal_equations_all_bins(streams, ref, sigma, gram)
     assert Z.shape[0] == 11  # the default budget holds every bin at once
-    np.testing.assert_array_equal(full, solve_all_bins(Z, q, 1e-8, prox_scale, prox_to))
+    np.testing.assert_array_equal(full, solve_all_bins(Z, q, wpe.RIDGE_SCALE, prox_to))
     # 3 bins per block, the last one short
     monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 3 * 16 * 48 * 48)
-    blocked = solve_weights(streams, ref, sigma, gram, 1e-8, prox_scale, prox_to)
+    blocked = solve_weights(streams, ref, sigma, gram, prox_to)
     np.testing.assert_array_equal(blocked, full)
     # two workers: blocks of 1 bin (half the budget), mapped on the pool
     map_jobs, threads = pool_of_two(monkeypatch)
-    pooled = solve_weights(streams, ref, sigma, gram, 1e-8, prox_scale, prox_to,
+    pooled = solve_weights(streams, ref, sigma, gram, prox_to,
                            workers=2, map_jobs=map_jobs)
     np.testing.assert_array_equal(pooled, full)
     assert threading.get_ident() not in threads
@@ -440,7 +437,7 @@ def test_block_workers_reuse_one_Z_buffer_each(rng, monkeypatch):
     monkeypatch.setattr(wpe, "normal_equations_all_bins", recording)
     monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 4 * 16 * 48 * 48)
     map_jobs, _ = pool_of_two(monkeypatch)
-    solve_weights(streams, ref, sigma, gram, 1e-8, workers=2, map_jobs=map_jobs)
+    solve_weights(streams, ref, sigma, gram, workers=2, map_jobs=map_jobs)
     assert len(buffers) == 2  # six 2-bin blocks in one buffer per worker
 
 
@@ -452,7 +449,7 @@ def test_blocked_solve_allocates_less_than_half_of_Z(rng, monkeypatch):
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        solve_weights(streams, ref, sigma, gram, 1e-8)
+        solve_weights(streams, ref, sigma, gram)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -464,7 +461,7 @@ def test_block_workers_never_share_a_Z_buffer_under_thread_stress(rng, monkeypat
     # a buffer two blocks filled at once would change their weights
     streams, ref, sigma = blocked_system(rng, 24, 48, frames=60)
     gram = Gram.build(streams, ref)
-    serial = solve_weights(streams, ref, sigma, gram, 1e-8)
+    serial = solve_weights(streams, ref, sigma, gram)
     monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 3 * 16 * 48 * 48)
 
     def map_jobs(fn, items):
@@ -475,7 +472,7 @@ def test_block_workers_never_share_a_Z_buffer_under_thread_stress(rng, monkeypat
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            pooled = solve_weights(streams, ref, sigma, gram, 1e-8, workers=3,
+            pooled = solve_weights(streams, ref, sigma, gram, workers=3,
                                    map_jobs=map_jobs)
             np.testing.assert_array_equal(pooled, serial)
     finally:
@@ -496,11 +493,11 @@ def test_blocked_solve_names_the_full_band_bin(rng, monkeypatch):
     # 2-bin blocks serially, 1-bin blocks on two workers; either way the
     # first failing block in band order names its bin
     monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 2 * 16 * 24 * 24)
+    monkeypatch.setattr(wpe, "RIDGE_SCALE", 0.0)
     map_jobs, _ = pool_of_two(monkeypatch)
     for workers in (1, 2):
         with pytest.raises(SolverError, match="bin 4 "):
-            solve_weights(streams, ref, sigma, gram, 0.0, workers=workers,
-                          map_jobs=map_jobs)
+            solve_weights(streams, ref, sigma, gram, workers=workers, map_jobs=map_jobs)
 
 
 @pytest.mark.parametrize("bins", [slice(0, 9), slice(3, 8)])
@@ -629,8 +626,10 @@ def random_psd_systems(rng, K, d):
 
 
 def test_solve_allocates_less_than_half_of_Z(rng):
-    # the ridge goes onto Z's diagonal in place: no (K, d, d) copy
+    # the ridge goes onto Z's diagonal in place: no (K, d, d) copy, not even
+    # of the live bins when one is silent
     Z, q = random_psd_systems(rng, 32, 96)
+    Z[5] = 0.0
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -645,15 +644,17 @@ def test_solve_mixed_silent_and_live_bins(rng):
     Z, q = random_psd_systems(rng, 5, 4)
     Z[[1, 3]] = 0.0
     prox_to = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
-    for prox_scale in (0.0, 0.1):
-        w = solve_all_bins(Z.copy(), q, ridge_scale=1e-3,
-                           prox_scale=prox_scale, prox_to=prox_to)
+    q_before = q.copy()
+    for pull in (None, prox_to):
+        w = solve_all_bins(Z.copy(), q, ridge_scale=1e-3, prox_to=pull)
         np.testing.assert_array_equal(w[[1, 3]], 0.0)
+        prox_scale = 0.0 if pull is None else wpe.PROX_SCALE
         for k in (0, 2, 4):
             shift = np.trace(Z[k]).real / 4
             A = Z[k] + (1e-3 + prox_scale) * shift * np.eye(4)
             expected = gaussian_elimination_solve(A, q[k] + prox_scale * shift * prox_to[k])
             np.testing.assert_allclose(w[k], expected, rtol=1e-10)
+    np.testing.assert_array_equal(q, q_before)  # only Z is consumed
 
 
 def test_resolve_psd_floor():
