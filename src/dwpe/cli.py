@@ -10,9 +10,6 @@ All outputs are deterministic functions of (config, seed); `dereverb`
 fingerprints the seed that `simulate` recorded in the manifest. Every CSV row
 carries the scenario name, mode and a parameter fingerprint. Exit codes:
 0 success, 2 configuration/input error, 3 I/O error, 4 numerical failure.
-
-The output directory can be overridden with the DWPE_OUTDIR environment
-variable when --outdir is not given.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -61,7 +57,7 @@ def write_wav(path, rate: int, data: np.ndarray) -> None:
 
 
 def _resolve_outdir(given: str | None, fallback: str) -> Path:
-    out = Path(given or os.environ.get("DWPE_OUTDIR") or fallback)
+    out = Path(given or fallback)
     out.mkdir(parents=True, exist_ok=True)
     return out
 

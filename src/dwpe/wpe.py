@@ -6,13 +6,22 @@ from a reference channel. The prediction weights minimize the PSD-weighted
 squared residual, alternating a closed-form per-bin weight solve with an
 update of the desired-signal PSD estimate (floored elementwise).
 
-Each job has one batched kernel: gather_cells and stack_chunk build delayed
+Each job has one batched kernel: lag_windows and gather_cells build delayed
 observation vectors, normal_equations_all_bins forms the weighted normal
 equations of a bin block, solve_all_bins solves them, solve_weights runs
 the two block by block, and predict_all_bins returns the late reverberation
 that callers subtract from the reference. The distributed module runs the
 same kernels, so the single-node network degenerates to exactly this code
 path. Per-element references live in the tests.
+
+lag_windows is the one layout of a stream's stacked rows: a read-only
+(K, N, order) view whose [k, n, a] is frame n - delay - a of bin k, zero
+before the signal, over one zero-padded, bin-major (K, N + delay + order -
+1) copy of the stream's array (the array itself when there is no pad).
+Gram.build concatenates the streams' transposed windows, one bin block and
+frame chunk at a time, into the rows it multiplies, and predict_all_bins
+multiplies them by the weights, so both read the stacked vector the same
+way. gather_cells reads single cells of it straight from the stream arrays.
 
 The weighted normal equations are split around c = min(sigma), which is
 the PSD floor whenever any cell is floored:
@@ -51,7 +60,8 @@ a mapper it passes in (centralized mode uses the node pool; this module
 keeps none). Each worker forms its blocks in one Z buffer that it reuses,
 and the blocks shrink with the worker count, so only the generators and
 SOLVE_BLOCK_BYTES of Z are live. The other large transients are bounded
-too: Gram.build stacks GRAM_BLOCK_BYTES of observations at a time and
+too: Gram.build stacks GRAM_BLOCK_BYTES of observations at a time, beside
+its streams' padded copies (as large as the stream arrays), and
 normal_equations_all_bins gathers GATHER_BYTES of unfloored cells at a
 time. Worker threads allocate from their own malloc arenas, which keep
 what is freed into them, so a transient a worker does not bound stays
@@ -59,9 +69,8 @@ resident. Per bin, neither blocking, grouping nor the worker count changes
 an operation, so the weights do not depend on them.
 
 predict_all_bins forms w^H x without stacking the rows. A stream of order
-> 1 is one per-bin matmul: the windows of `order` frames over a
-zero-padded, bin-major (K, N + delay + order - 1) copy of its array, times
-its reversed, conjugated weights. Only one such copy (1.6 MB at N = 372,
+> 1 is one per-bin matmul of its lag windows over all bins by its
+conjugated weights, in row order. Only one padded copy (1.6 MB at N = 372,
 K = 257) is live at a time, so the 12 streams of centralized mode cost no
 more transient memory than one. An order-1 stream, such as a distributed
 payload, is one scaled, shifted add; stacking those was slower.
@@ -88,11 +97,9 @@ from .errors import InvalidInputError, NumericalError, SolverError
 CHUNK_FRAMES = 512
 
 # Frequency bins per block when building the unweighted Gram: as many as fit
-# GRAM_BLOCK_BYTES of stacked observations (bins, d, CHUNK_FRAMES), at most
-# GRAM_BLOCK_BINS and at least one. That is 16 bins at d <= 37 and 8 at
-# d = 312, where 16 bins made a 30 MB transient.
-GRAM_BLOCK_BINS = 16
-GRAM_BLOCK_BYTES = 20 * 2**20
+# GRAM_BLOCK_BYTES of stacked observations (bins, d, CHUNK_FRAMES), and at
+# least one. That is 2 bins at d = 312, 17 at d = 37 and 24 at d = 26.
+GRAM_BLOCK_BYTES = 5 * 2**20
 
 # Bytes of weighted normal equations Z (bins, d, d) live at a time in
 # solve_weights, shared by its block workers: one block of all bins at
@@ -203,29 +210,21 @@ def streams_dim(streams: list[Stream]) -> int:
     return sum(order for _, order, _ in streams)
 
 
-def stack_chunk(streams: list[Stream], start: int, stop: int,
-                bins: slice) -> np.ndarray:
-    """Materialize stacked observation rows for frames [start, stop) of the
-    bins [bins.start, bins.stop).
-
-    Returns a bin-major block of shape (bins, d, stop-start) ready for the
-    batched matrix products.
-    """
-    n_chunk = stop - start
-    out = np.empty((bins.stop - bins.start, streams_dim(streams), n_chunk),
-                   dtype=np.complex128)
-    row = 0
-    for data, order, delay in streams:
-        for lag in range(order):
-            shift = delay + lag
-            # frames before the signal are zero; when the whole row lies
-            # there, j0 >= n_chunk and this zeroes all of it
-            j0 = max(0, shift - start)
-            out[:, row, :j0] = 0.0
-            if j0 < n_chunk:
-                out[:, row, j0:] = data[start + j0 - shift : stop - shift, bins].T
-            row += 1
-    return out
+def lag_windows(data: np.ndarray, order: int, delay: int) -> np.ndarray:
+    """The stacked rows of the stream (data, order, delay): a read-only
+    (K, N, order) view with [k, n, a] = data[n - delay - a, k], zero before
+    the signal. It reads one zero-padded, bin-major copy of data, or data
+    itself when delay + order - 1 == 0."""
+    N, K = data.shape
+    pad = delay + order - 1
+    columns = data.T
+    if pad:
+        padded = np.zeros((K, N + pad), dtype=np.complex128)
+        padded[:, pad:] = columns
+        columns = padded
+    # window n holds frames n - delay - order + 1 .. n - delay; reversed,
+    # lag a is frame n - delay - a
+    return sliding_window_view(columns, order, axis=1)[:, :N, ::-1]
 
 
 def gather_cells(streams: list[Stream], frames: np.ndarray,
@@ -273,7 +272,8 @@ class Gram:
     def build(cls, streams: list[Stream], ref_data: np.ndarray,
               like: Gram | None = None) -> Gram:
         """The Gram of streams and ref_data in one pass over bin blocks
-        (GRAM_BLOCK_BYTES) and frame chunks. C's generators are the products
+        (GRAM_BLOCK_BYTES) and frame chunks of the streams' lag windows,
+        which are formed once per build. C's generators are the products
         with the S lag-0 rows and the last chunk's final frame. `like`, a
         Gram of the same stream arrays for another reference, lends its
         generators, so only g is formed."""
@@ -286,12 +286,14 @@ class Gram:
         else:
             cols, last = like.cols, like.last
         g = np.zeros((K, d), dtype=np.complex128)
-        step = max(1, min(GRAM_BLOCK_BINS, GRAM_BLOCK_BYTES // (16 * d * CHUNK_FRAMES)))
+        step = max(1, GRAM_BLOCK_BYTES // (16 * d * CHUNK_FRAMES))
+        windows = [lag_windows(*stream) for stream in streams]
         for k0 in range(0, K, step):
             bins = slice(k0, min(k0 + step, K))
             for start in range(0, N, CHUNK_FRAMES):
                 stop = min(start + CHUNK_FRAMES, N)
-                X = stack_chunk(streams, start, stop, bins)  # (bins, d, n)
+                X = np.concatenate([w[bins, start:stop].transpose(0, 2, 1) for w in windows],
+                                   axis=1)  # (bins, d, n)
                 if like is None:
                     cols[bins] += X @ X[:, heads].conj().transpose(0, 2, 1)
                 g[bins] += (X @ ref_data[start:stop, bins].conj().T[:, :, None])[..., 0]
@@ -467,10 +469,10 @@ def predict_all_bins(streams: list[Stream], weights: np.ndarray) -> np.ndarray:
     """Predicted late reverberation w^H x for all frames and bins; the
     desired-signal estimate is the reference minus this.
 
-    weights is (K, d) in the stream row order of `stack_chunk`, and every
-    stream array has the first one's (N, K) shape. Returns a C-contiguous
-    (N, K) array, formed one stream at a time as the module docstring
-    describes.
+    weights is (K, d) in stream row order: stream after stream, each
+    stream's lags as lag_windows lays them out. Every stream array has the
+    first one's (N, K) shape. Returns a C-contiguous (N, K) array, formed
+    one stream at a time as the module docstring describes.
     """
     N, K = streams[0][0].shape
     shapes = {data.shape for data, _, _ in streams}
@@ -487,12 +489,9 @@ def predict_all_bins(streams: list[Stream], weights: np.ndarray) -> np.ndarray:
             if delay < N:
                 late[:, delay:] += data[: N - delay].T * w.conj()
         else:
-            # window n holds frames n - delay - order + 1 .. n - delay
-            padded = np.zeros((K, N + delay + order - 1), dtype=np.complex128)
-            padded[:, delay + order - 1 :] = data.T
-            windows = sliding_window_view(padded, order, axis=1)[:, :N]
-            late += (windows @ w[:, ::-1, None].conj())[..., 0]
-            del padded, windows  # one padded copy live at a time
+            windows = lag_windows(data, order, delay)
+            late += (windows @ w[:, :, None].conj())[..., 0]
+            del windows  # one padded copy live at a time
         row += order
     return np.ascontiguousarray(late.T)
 

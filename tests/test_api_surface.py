@@ -15,7 +15,10 @@ import no scoring or orchestration module, the solvers (wpe, danse) import
 no framing (dsp), and metrics imports only errors. wpe keeps no thread
 pool: it imports neither netsim nor concurrent.futures, and a caller that
 maps its bin blocks passes the mapper. Importing the CLI loads no
-scipy.signal module: that import alone held 46 MB of resident memory."""
+scipy.signal module: that import alone held 46 MB of resident memory.
+
+A stream's stacked rows have one layout, wpe.lag_windows: no other code in
+the package windows an array with sliding_window_view."""
 
 import ast
 import os
@@ -228,3 +231,17 @@ def test_cli_import_loads_no_scipy_signal():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]", f"import dwpe.cli loads {out.strip()}"
+
+
+def test_only_lag_windows_windows_a_stream():
+    users = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            if isinstance(top, (ast.Import, ast.ImportFrom)):
+                continue
+            for node in ast.walk(top):
+                if (getattr(node, "id", None) == "sliding_window_view"
+                        or getattr(node, "attr", None) == "sliding_window_view"):
+                    users.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert users == {"wpe.lag_windows"}, f"sliding_window_view used by {sorted(users)}"

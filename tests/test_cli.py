@@ -609,13 +609,6 @@ def test_failed_report_writes_no_table(tmp_path, order, counts):
     assert list(outdir.glob("*.csv")) == []
 
 
-def test_outdir_env_override(small_scenario_file, tmp_path, monkeypatch):
-    target = tmp_path / "env_out"
-    monkeypatch.setenv("DWPE_OUTDIR", str(target))
-    assert main(["report", "--filter-order", "26", "--node-counts", "6"]) == 0
-    assert (target / "betas.csv").exists()
-
-
 def test_read_wav_8bit_is_centred(tmp_path):
     # 8-bit PCM is unsigned: 128 is silence, 0 and 255 the extremes
     path = tmp_path / "u8.wav"

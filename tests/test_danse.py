@@ -18,6 +18,7 @@ from dwpe.wpe import (
     Gram,
     WpeParams,
     gather_cells,
+    lag_windows,
     predict_all_bins,
     run_wpe,
     solve_weights,
@@ -118,6 +119,8 @@ def test_assemble_extended_order_markers(rng):
     vec = gather_cells(node.streams(), np.array([5]), np.array([1]))[:, 0]
     np.testing.assert_array_equal(vec, [specs[0][3, 1], specs[0][2, 1],
                                         specs[0][1, 1], 11j, 22j, 33j])
+    windows = [lag_windows(*stream)[1, 5] for stream in node.streams()]
+    np.testing.assert_array_equal(np.concatenate(windows), vec)
 
 
 def test_assemble_extended_missing_neighbor(rng):

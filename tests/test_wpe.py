@@ -19,13 +19,13 @@ from dwpe.wpe import (
     WpeTrace,
     check_observations,
     gather_cells,
+    lag_windows,
     normal_equations_all_bins,
     predict_all_bins,
     resolve_psd_floor,
     run_wpe,
     solve_all_bins,
     solve_weights,
-    stack_chunk,
     update_psd,
     weighted_cost,
 )
@@ -60,11 +60,11 @@ def test_params_reject_non_finite_and_negative_settings(name, value):
 def delayed_vectors(spec, params, frames, bins):
     """Delayed observation vectors of single-stream cells as (cells, order)
     rows, from both kernels that build them; they must agree exactly."""
-    streams = [(spec, params.filter_order, params.delay)]
+    stream = (spec, params.filter_order, params.delay)
     frames, bins = np.asarray(frames), np.asarray(bins)
-    gathered = gather_cells(streams, frames, bins).T
-    chunk = stack_chunk(streams, 0, spec.shape[0], slice(0, spec.shape[1]))
-    np.testing.assert_array_equal(gathered, chunk[bins, :, frames])
+    gathered = gather_cells([stream], frames, bins).T
+    windows = lag_windows(*stream)
+    np.testing.assert_array_equal(gathered, windows[bins, frames])
     return gathered
 
 
@@ -570,23 +570,43 @@ def test_gram_keeps_no_stream_alive(rng):
     assert dead() is None and gram.orders == (3, 1)
 
 
-def test_stack_chunk_zeroes_rows_before_the_signal(rng, monkeypatch):
-    # fewer frames than delay + order: the deepest rows lie wholly before
-    # the signal; fresh buffers are filled with NaN so no unwritten cell hides
-    streams = [(rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)), 8, 4),
-               (rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)), 3, 2)]
-    empty = np.empty
+def test_lag_windows_match_the_loop_oracle(rng):
+    # fewer frames than delay + order: the deepest lags lie wholly before
+    # the signal; (order 1, delay 0) needs no pad and views its stream
+    for order, delay in [(8, 4), (3, 2), (1, 0)]:
+        data = rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5))
+        windows = lag_windows(data, order, delay)
+        assert windows.shape == (5, 9, order) and not windows.flags.writeable
+        for k in range(5):
+            np.testing.assert_array_equal(windows[k], stacked_by_loop([(data, order, delay)], k))
+        assert np.shares_memory(windows, data) == (delay + order == 1)
 
-    def nan_empty(*args, **kwargs):
-        out = empty(*args, **kwargs)
-        out.fill(np.nan)
-        return out
 
-    monkeypatch.setattr(np, "empty", nan_empty)
-    for start, stop in [(0, 9), (0, 5), (5, 9)]:
-        chunk = stack_chunk(streams, start, stop, slice(0, 3))
-        for k in range(3):
-            np.testing.assert_array_equal(chunk[k], stacked_by_loop(streams, k)[start:stop].T)
+@pytest.mark.parametrize("d", [24, 96])
+def test_gram_stacking_stays_within_its_block_budget(rng, monkeypatch, d):
+    # two chunks of frames; one block of all 16 bins stacks 8 budgets at
+    # d = 96 and 2 at d = 24. The streams' padded copies, 0.4 budgets at
+    # d = 96, come on top
+    K, frames = 16, 600
+    streams, ref, _ = blocked_system(rng, K, d, frames=frames)
+    budget = 16 * 96 * wpe.CHUNK_FRAMES * 2
+    grams, peaks = [], []
+    for block_bytes in (budget, 8 * budget):
+        monkeypatch.setattr(wpe, "GRAM_BLOCK_BYTES", block_bytes)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            grams.append(Gram.build(streams, ref))
+            held, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak - held)
+        finally:
+            tracemalloc.stop()
+    bounded, one_block = peaks
+    assert bounded < 2 * budget
+    assert one_block > (7 if d == 96 else 1.5) * budget
+    # block size changes no bin's operations
+    for name in ("cols", "last", "g"):
+        assert getattr(grams[0], name).tobytes() == getattr(grams[1], name).tobytes()
 
 
 def test_solve_identity():
