@@ -6,7 +6,6 @@ from .errors import (
     ConfigurationError,
     DwpeError,
     InvalidInputError,
-    MissingDataError,
     NumericalError,
     SolverError,
     UndefinedLagError,

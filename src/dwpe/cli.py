@@ -207,7 +207,7 @@ def dereverb(config: RunConfig, manifest: dict, manifest_dir: Path,
         "num_nodes": len(observations),
         "sample_rate": fs,
         "lags": result.lags,
-        "report_nodes": list(config.report_nodes),
+        "report_nodes": list(result.estimates),
         "params": config.run_params(),
         "window": {"frame_len": STFT_WINDOW.frame_len, "hop": STFT_WINDOW.hop},
         "fingerprint": config.fingerprint(),

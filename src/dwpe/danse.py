@@ -3,11 +3,12 @@
 Each node predicts its own late reverberation from its local delayed frames
 plus one compressed scalar stream per neighbor. The compressor a node
 broadcasts is its own local prediction filter at the broadcast round,
-refreshed every collab_period rounds. A round's broadcasts are one
-{sender: payload} map delivered to every other node. NodeState.receive is
-the only writer of a node's read-only inbox: it keeps the last payload of
-each sender and drops the node's Gram, which the next round rebuilds for the
-new streams. Compression is applied to the same delayed frames the local
+refreshed every collab_period rounds. Every node broadcasts on the same
+rounds, and a round's broadcasts are one {sender: payload} map delivered
+whole to every other node. NodeState.receive is the only writer of a node's
+read-only inbox: the inbox becomes the last broadcast round's payloads, and
+the node's Gram is dropped, which the next round rebuilds for the new
+streams. Compression is applied to the same delayed frames the local
 prediction uses, so both blocks of the extended observation share one time
 support, and the payload a node broadcasts is the local block of the late
 reverberation it has just predicted: node_round computes it once and both
@@ -35,7 +36,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import InvalidInputError, MissingDataError, NumericalError, SolverError
+from .errors import InvalidInputError, NumericalError, SolverError
 from .netsim import TransmissionLedger, deliver_round, map_nodes
 from .wpe import (
     Gram,
@@ -64,12 +65,11 @@ class NodeState:
     and again after receive changes the streams).
 
     weights is the node's one filter in the row order of streams(): the
-    filter_order local taps, then one weight per neighbor in ascending id
+    filter_order local taps, then one weight per inbox sender in ascending id
     order once cross-node data has arrived.
     """
 
     node_id: int
-    num_nodes: int
     observation: np.ndarray
     params: WpeParams
     weights: np.ndarray = field(init=False)
@@ -80,10 +80,6 @@ class NodeState:
     trace: WpeTrace = field(init=False, default_factory=WpeTrace)
 
     def __post_init__(self):
-        if not (0 <= self.node_id < self.num_nodes):
-            raise InvalidInputError(
-                f"node_id {self.node_id} out of range for {self.num_nodes} nodes"
-            )
         K = self.observation.shape[1]
         self.weights = np.zeros((K, self.params.filter_order), dtype=np.complex128)
         # zero-initialized filters make the first desired estimate the observation
@@ -91,21 +87,16 @@ class NodeState:
         self.psd_floor = resolve_psd_floor(self.observation, self.params.psd_floor)
 
     def receive(self, payloads: dict[int, np.ndarray]) -> None:
-        """Keep each sender's newest payload; new streams drop the Gram."""
+        """Make one broadcast round's {sender: payload} map the inbox, a
+        read-only copy, and drop the Gram of the old streams. A round
+        without broadcasts delivers {} and changes nothing."""
         if payloads:
-            self.inbox, self.gram = MappingProxyType({**self.inbox, **payloads}), None
+            self.inbox, self.gram = MappingProxyType(dict(payloads)), None
 
     def streams(self) -> list[Stream]:
         """Extended observation as kernel streams: local delayed block first,
-        then, once any cross-node data has arrived, one compressed stream per
-        neighbor in ascending id order; raises on a partial inbox."""
+        then one compressed stream per inbox sender in ascending id order."""
         local: Stream = (self.observation, self.params.filter_order, self.params.delay)
-        if not self.inbox:
-            return [local]
-        missing = [j for j in range(self.num_nodes) if j != self.node_id and j not in self.inbox]
-        if missing:
-            raise MissingDataError(
-                f"node {self.node_id}: no compressed data from neighbor {missing[0]}")
         return [local] + [(self.inbox[j], 1, 0) for j in sorted(self.inbox)]
 
 
@@ -196,9 +187,8 @@ def run_distributed(observations: list[np.ndarray], params: WpeParams,
     observations = check_observations(observations)
     if collab_period < 1:
         raise InvalidInputError(f"collab_period must be >= 1, got {collab_period}")
-    num_nodes = len(observations)
     nodes = [
-        NodeState(node_id=i, num_nodes=num_nodes, observation=obs, params=params)
+        NodeState(node_id=i, observation=obs, params=params)
         for i, obs in enumerate(observations)
     ]
     ledger = TransmissionLedger(mode="distributed")
@@ -207,7 +197,7 @@ def run_distributed(observations: list[np.ndarray], params: WpeParams,
         sent = map_nodes(lambda node: node_round(node, round_index, collab_period), nodes)
         payloads = {node.node_id: payload for node, payload in zip(nodes, sent)
                     if payload is not None}
-        received = deliver_round(payloads, round_index, num_nodes, ledger)
+        received = deliver_round(payloads, round_index, len(nodes), ledger)
         for node in nodes:
             node.receive(received[node.node_id])
         if all(node.trace.converged for node in nodes):

@@ -14,10 +14,6 @@ class ConfigurationError(DwpeError):
     reverberation target, unknown config keys)."""
 
 
-class MissingDataError(DwpeError):
-    """A node tried to use cross-node data that has not been delivered."""
-
-
 class SolverError(DwpeError):
     """A linear system could not be solved to the required residual accuracy."""
 

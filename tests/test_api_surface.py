@@ -1,6 +1,7 @@
 """Every public function, class and method of the package, and every public
 module-level UPPER_CASE constant, is named, as a whole word, somewhere in the
-program's own Python files (src/, bench/ or scripts/) besides its definition.
+program's own Python files (src/, bench/ or scripts/) besides its definition
+and the import statements that bring it in.
 A name that only tests use is library surface kept for its own tests: delete
 it, or call it; a constant nothing reads is a dead setting. Likewise every
 defaulted parameter of a public function or method is passed, by keyword or
@@ -54,13 +55,24 @@ def public_definitions() -> dict[str, set[tuple[Path, int]]]:
     return found
 
 
+def program_lines() -> list[tuple[Path, int, str]]:
+    """(file, line number, text) of every line of the program's files that
+    is not part of an import statement: importing a name does not use it."""
+    lines = []
+    for top in PROGRAM_DIRS:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            source = path.read_text()
+            imports = {number for node in ast.walk(ast.parse(source))
+                       if isinstance(node, (ast.Import, ast.ImportFrom))
+                       for number in range(node.lineno, node.end_lineno + 1)}
+            lines += [(path, number, text)
+                      for number, text in enumerate(source.splitlines(), start=1)
+                      if number not in imports]
+    return lines
+
+
 def test_public_names_have_callers_outside_tests():
-    lines = [
-        (path, number, text)
-        for top in PROGRAM_DIRS
-        for path in sorted((ROOT / top).rglob("*.py"))
-        for number, text in enumerate(path.read_text().splitlines(), start=1)
-    ]
+    lines = program_lines()
     definitions = public_definitions()
     assert definitions
     unused = sorted(

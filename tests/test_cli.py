@@ -373,6 +373,9 @@ def test_run_json_keys(simulated, tmp_path, mode):
                  "--outdir", str(outdir)]) == 0
     info = json.loads((outdir / "run.json").read_text())
     assert list(info) == RUN_JSON_KEYS
+    # the nodes estimated, written and scored: every node in distributed mode
+    assert info["report_nodes"] == ([0, 1, 2] if mode == "distributed" else [0])
+    assert info["report_nodes"] == [int(node) for node in info["estimates"]]
     # convergence.csv holds rounds 1 .. rounds_run of every estimated node
     with open(outdir / "convergence.csv") as fh:
         rows = list(csv.DictReader(fh))

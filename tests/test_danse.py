@@ -13,7 +13,7 @@ from dwpe.danse import (
     node_round,
     run_distributed,
 )
-from dwpe.errors import InvalidInputError, MissingDataError, SolverError
+from dwpe.errors import InvalidInputError, SolverError
 from dwpe.wpe import (
     Gram,
     WpeParams,
@@ -41,7 +41,7 @@ def make_network(rng, num_nodes=2, frames=12, **param_overrides):
     params = WpeParams(**defaults)
     specs = [random_spec(rng, frames) for _ in range(num_nodes)]
     nodes = [
-        NodeState(node_id=i, num_nodes=num_nodes, observation=s, params=params)
+        NodeState(node_id=i, observation=s, params=params)
         for i, s in enumerate(specs)
     ]
     return params, specs, nodes
@@ -104,30 +104,25 @@ def test_inbox_is_written_only_by_receive(rng):
     node.receive({1: specs[1]})
     with pytest.raises(TypeError):
         node.inbox[2] = specs[2]
-    node.receive({2: specs[2]})
-    node.receive({1: specs[2]})  # a sender's newer payload replaces its older one
-    assert sorted(node.inbox) == [1, 2]
-    assert node.inbox[1] is specs[2] and node.inbox[2] is specs[2]
+    delivered = {2: specs[2]}
+    node.receive(delivered)  # a round replaces the whole inbox
+    assert list(node.inbox) == [2]  # sender 1's older payload is gone
+    delivered[1] = specs[1]  # the inbox is a copy of what was delivered
+    assert list(node.inbox) == [2] and node.inbox[2] is specs[2]
 
 
 def test_assemble_extended_order_markers(rng):
-    # distinct markers confirm ascending neighbor order after the local block
+    # one round delivered in sender order 3, 1, 2: distinct markers confirm
+    # ascending neighbor order after the local block
     _, specs, nodes = make_network(rng, num_nodes=4)
     node = nodes[0]
-    for j, marker in ((3, 33j), (1, 11j), (2, 22j)):
-        node.receive({j: np.full_like(specs[0], marker)})
+    node.receive({j: np.full_like(specs[0], marker)
+                  for j, marker in ((3, 33j), (1, 11j), (2, 22j))})
     vec = gather_cells(node.streams(), np.array([5]), np.array([1]))[:, 0]
     np.testing.assert_array_equal(vec, [specs[0][3, 1], specs[0][2, 1],
                                         specs[0][1, 1], 11j, 22j, 33j])
     windows = [lag_windows(*stream)[1, 5] for stream in node.streams()]
     np.testing.assert_array_equal(np.concatenate(windows), vec)
-
-
-def test_assemble_extended_missing_neighbor(rng):
-    _, specs, nodes = make_network(rng, num_nodes=3)
-    nodes[0].receive({1: specs[1]})
-    with pytest.raises(MissingDataError, match="neighbor 2"):
-        nodes[0].streams()
 
 
 def test_local_predict_zero_weights_returns_observation(rng):
@@ -230,9 +225,9 @@ def test_local_solve_rebuilds_gram_for_new_inbox(rng):
     node.receive({})  # a round without broadcasts
     node_round(node, 2, collab_period=5)
     assert node.gram is gram  # same streams: the Gram is kept
-    node.receive({2: payload(2)})
+    node.receive({1: payload(1), 2: payload(2)})  # the next broadcast round
     assert node.gram is None  # new streams: the Gram is dropped
-    fresh = NodeState(node_id=0, num_nodes=3, observation=specs[0], params=params)
+    fresh = NodeState(node_id=0, observation=specs[0], params=params)
     fresh.receive(node.inbox)
     fresh.weights, fresh.desired = node.weights.copy(), node.desired.copy()
     node_round(node, 3, collab_period=5)
@@ -340,18 +335,26 @@ def test_run_distributed_m1_identical_to_single(rng):
     assert dist.nodes[0].trace == single.trace
 
 
-def test_run_distributed_ledger_and_inbox(rng):
+@pytest.mark.parametrize("collab_period", [1, 2, 3])
+def test_run_distributed_ledger_and_inbox(rng, collab_period):
     params, specs, _ = make_network(rng, num_nodes=3, frames=16)
-    result = run_distributed(specs, replace(params, max_iters=4), collab_period=2)
-    # broadcasts land on even rounds only
+    result = run_distributed(specs, replace(params, max_iters=6),
+                             collab_period=collab_period)
+    # broadcasts land on the multiples of collab_period only
     rows = result.ledger.rows
-    assert sorted({r[0] for r in rows}) == [2, 4]
+    broadcasts = list(range(collab_period, 7, collab_period))
+    assert sorted({r[0] for r in rows}) == broadcasts
     # every broadcast round moves one scalar per (n, k) per directed pair
     per_round = 3 * 2 * 16 * BINS
-    assert sum(r[4] for r in rows if r[0] == 2) == per_round
-    assert sum(r[4] for r in rows) == 2 * per_round
-    for node in result.nodes:
+    assert sum(r[4] for r in rows if r[0] == collab_period) == per_round
+    assert sum(r[4] for r in rows) == len(broadcasts) * per_round
+    nodes = result.nodes
+    for node in nodes:
         assert sorted(node.inbox) == [j for j in range(3) if j != node.node_id]
+    # one array per sender, shared by its recipients: M payloads, not M(M-1)
+    for sender in range(3):
+        held = [node.inbox[sender] for node in nodes if node.node_id != sender]
+        assert all(payload is held[0] for payload in held)
 
 
 def test_run_distributed_compressor_snapshot_consistency(rng):
