@@ -8,7 +8,6 @@ from .errors import (
     InvalidInputError,
     NumericalError,
     SolverError,
-    UndefinedLagError,
     UndefinedMetricError,
 )
 

@@ -426,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     der.add_argument("--convergence-tol", type=float, default=1e-4)
     der.add_argument("--collab-period", type=int, default=2)
     der.add_argument("--nodes", default=None,
-                     help="report nodes, comma separated (default: 0,3,6 "
-                          "clipped to the network size)")
+                     help="report nodes, estimated and written in every mode, comma "
+                          "separated (default: 0,3,6 clipped to the network size)")
     der.add_argument("--ref", type=int, default=0, help="synchronization reference node")
     der.add_argument("--outdir", default=None)
     der.set_defaults(func=cmd_dereverb)

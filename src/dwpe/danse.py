@@ -173,7 +173,9 @@ def run_distributed(observations: list[np.ndarray], params: WpeParams,
                     collab_period: int = 2) -> DistributedResult:
     """Batch distributed dereverberation over a fully-connected network,
     one node per observation, an (N, K) spectrogram array (see
-    wpe.check_observations).
+    wpe.check_observations). Every node runs every round whichever nodes
+    the caller reports, since each one's broadcasts feed the others; an
+    all-zero observation is a node like any other and estimates silence.
 
     All nodes execute their rounds between synchronization barriers, on
     netsim.map_nodes; payloads broadcast in round r are readable

@@ -24,7 +24,3 @@ class NumericalError(DwpeError):
 
 class UndefinedMetricError(DwpeError):
     """A quality metric is undefined for the given inputs (e.g. silent reference)."""
-
-
-class UndefinedLagError(DwpeError):
-    """Time-delay estimation is undefined (e.g. an all-zero signal)."""

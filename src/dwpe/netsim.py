@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, UndefinedLagError
+from .errors import InvalidInputError
 
 MODES = ("single", "centralized", "distributed")
 
@@ -135,6 +135,7 @@ def gcc_phat_lag(sig_a: np.ndarray, sig_b: np.ndarray, max_lag: int) -> int:
     """Integer lag maximizing the phase-transform cross-correlation.
 
     Positive lag means sig_b lags sig_a (sig_b looks like sig_a delayed).
+    An all-zero signal, either one, has no delay to measure and gets lag 0.
     """
     a = np.asarray(sig_a, dtype=np.float64)
     b = np.asarray(sig_b, dtype=np.float64)
@@ -145,7 +146,7 @@ def gcc_phat_lag(sig_a: np.ndarray, sig_b: np.ndarray, max_lag: int) -> int:
             f"max_lag {max_lag} must be in [0, {min(a.size, b.size)})"
         )
     if not np.any(a) or not np.any(b):
-        raise UndefinedLagError("lag undefined for an all-zero signal")
+        return 0
     n = a.size + b.size
     spec_a = np.fft.rfft(a, n=n)
     spec_b = np.fft.rfft(b, n=n)
@@ -166,7 +167,9 @@ def synchronize(observations: list[np.ndarray],
     Each signal is shifted by its measured lag (zero-padded at the displaced
     edge) so that all direct paths line up with the reference. Lags are
     searched up to min(2000, n - 1) samples either way, n the reference
-    length.
+    length. A silent signal, or every signal when the reference is silent,
+    gets lag 0 (gcc_phat_lag), so a dead microphone stays in the run as an
+    all-zero node.
     """
     if not observations:
         raise InvalidInputError("at least one signal required")
@@ -174,15 +177,8 @@ def synchronize(observations: list[np.ndarray],
         raise InvalidInputError(f"reference {reference} out of range")
     ref = np.asarray(observations[reference], dtype=np.float64)
     max_lag = min(2000, ref.size - 1)
-    lags: list[int] = []
-    for i, sig in enumerate(observations):
-        if i == reference:
-            lags.append(0)
-            continue
-        try:
-            lags.append(gcc_phat_lag(ref, np.asarray(sig, dtype=np.float64), max_lag))
-        except UndefinedLagError as exc:
-            raise UndefinedLagError(f"node {i}: {exc}") from exc
+    lags = [0 if i == reference else gcc_phat_lag(ref, sig, max_lag)
+            for i, sig in enumerate(observations)]
     aligned = apply_lags(observations, lags)
     return aligned, lags
 

@@ -1,8 +1,10 @@
 """One in-memory dereverberation run, the same for every mode, and its score.
 
 `run` synchronizes the observations to the reference node, transforms them,
-dereverberates in the configured mode and returns per-node time-domain
-estimates with the run's ledger and diagnostics. `score` rates those
+dereverberates in the configured mode and returns the time-domain estimates
+of the report nodes, in their order, with the run's ledger and diagnostics.
+Every mode treats a silent observation like any other: it gets lag 0, and
+the run goes on. `score` rates those
 estimates and the unprocessed observations by cepstral distance and
 frequency-weighted segmental SNR against each node's clean-plus-early
 reference. Neither reads nor writes a file; `dwpe.cli` wraps them in
@@ -76,7 +78,10 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    """What one run produced, keyed by node id in reporting order."""
+    """What one run produced. estimates holds the report nodes in report
+    order; psd_floors and traces hold every node that solved: the report
+    nodes, or every node in distributed mode, where all nodes run their
+    rounds."""
 
     estimates: dict[int, np.ndarray]  # time domain, as long as the observations
     lags: list[int]
@@ -84,11 +89,11 @@ class RunResult:
     psd_floors: dict[int, float]
     traces: dict[int, wpe.WpeTrace]
     num_frames: int
-    unknowns: int  # the most unknowns per bin any estimated node solved
+    unknowns: int  # the most unknowns per bin any node solved
 
     @property
     def converged(self) -> bool:
-        """Every estimated node converged in its last round."""
+        """Every node that solved converged in its last round."""
         return all(trace.converged for trace in self.traces.values())
 
     @property
@@ -104,8 +109,9 @@ def run(observations: list[np.ndarray], sample_rate: int,
         config: RunConfig) -> RunResult:
     """Synchronize, transform and dereverberate in the configured mode.
 
-    Single and centralized mode estimate the report nodes; distributed mode
-    estimates every node. Each estimate is trimmed to the observation length.
+    Every mode estimates the report nodes; distributed mode runs and traces
+    every node but transforms back only the report nodes. Each estimate is
+    trimmed to the observation length.
     A delay of at least the STFT frame count is rejected before any solve.
     """
     num_nodes = len(observations)
@@ -121,11 +127,13 @@ def run(observations: list[np.ndarray], sample_rate: int,
             f"delay {params.delay} leaves nothing to predict: the signal has "
             f"{n_frames} STFT frames, and the delay must be below that")
 
-    def finish(state) -> tuple:
-        """The time-domain estimate, trace, PSD floor and unknowns per bin of
-        a node's final state, a wpe.WpeResult or a danse.NodeState."""
-        return (istft(Spectrogram(state.desired, sample_rate, STFT_WINDOW))[:total_len],
-                state.trace, state.psd_floor, state.weights.shape[1])
+    def finish(node: int, state) -> tuple:
+        """The time-domain estimate (None off the report nodes), trace, PSD
+        floor and unknowns per bin of the node's final state, a
+        wpe.WpeResult or a danse.NodeState."""
+        estimate = (istft(Spectrogram(state.desired, sample_rate, STFT_WINDOW))[:total_len]
+                    if node in config.report_nodes else None)
+        return estimate, state.trace, state.psd_floor, state.weights.shape[1]
 
     def solve(node: int, channels: list[np.ndarray], ref: int, like=None,
               workers: int = 1, map_jobs=map):
@@ -135,7 +143,7 @@ def run(observations: list[np.ndarray], sample_rate: int,
             result = wpe.run_wpe(channels, ref, params, like, workers, map_jobs)
         except (SolverError, NumericalError) as exc:
             raise type(exc)(f"node {node}: {exc}") from exc
-        return finish(result), result.gram
+        return finish(node, result), result.gram
 
     ledger = netsim.TransmissionLedger(mode=config.mode)
     if config.mode == "single":
@@ -152,7 +160,7 @@ def run(observations: list[np.ndarray], sample_rate: int,
         if config.mode == "distributed":
             dist = danse.run_distributed(specs, params, collab_period=config.collab_period)
             ledger = dist.ledger
-            outputs = {state.node_id: finish(state) for state in dist.nodes}
+            outputs = {state.node_id: finish(state.node_id, state) for state in dist.nodes}
         else:
             # transformed on arrival, so the run holds one node's spectrogram
             # estimate at a time; every report node predicts from the same
@@ -168,8 +176,9 @@ def run(observations: list[np.ndarray], sample_rate: int,
                 # every other node ships its delayed-vector stream to this one
                 for sender in (i for i in range(num_nodes) if i != node):
                     ledger.record(0, sender, node, params.filter_order * n_frames * n_bins)
-    estimates, traces, psd_floors, unknowns = (
-        {node: out[i] for node, out in outputs.items()} for i in range(4))
+    estimates = {node: outputs[node][0] for node in config.report_nodes}
+    traces, psd_floors, unknowns = (
+        {node: out[i] for node, out in outputs.items()} for i in (1, 2, 3))
     return RunResult(estimates, lags, ledger, psd_floors, traces, n_frames,
                      max(unknowns.values()))
 

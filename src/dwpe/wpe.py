@@ -158,17 +158,10 @@ class WpeParams:
 
 @dataclass
 class PsdEstimate:
-    """Desired-signal power estimate, strictly positive via the floor."""
+    """Desired-signal power estimate, strictly positive via the floor
+    (update_psd)."""
 
     values: np.ndarray
-    floor: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.floor <= 0:
-            raise InvalidInputError(f"psd floor must be positive, got {self.floor}")
-        if self.values.min(initial=np.inf) < self.floor:
-            raise InvalidInputError("PSD estimate has entries below its floor")
 
 
 # Default PSD floor as a fraction of the mean observed power. Large enough
@@ -191,9 +184,11 @@ def resolve_psd_floor(data: np.ndarray, psd_floor: float | None) -> float:
 
 
 def update_psd(desired: np.ndarray, floor: float) -> PsdEstimate:
-    """Elementwise max(|desired|^2, floor)."""
+    """Elementwise max(|desired|^2, floor), the floor positive."""
+    if not floor > 0:
+        raise InvalidInputError(f"psd floor must be positive, got {floor}")
     power = np.abs(np.asarray(desired)) ** 2
-    return PsdEstimate(values=np.maximum(power, floor), floor=floor)
+    return PsdEstimate(values=np.maximum(power, floor))
 
 
 # ---------------------------------------------------------------------------

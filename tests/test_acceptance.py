@@ -1,4 +1,6 @@
-"""Acceptance suite: one test per criterion, each printing a pass line.
+"""Acceptance suite: one test per criterion, each printing a pass line, and
+beside criterion 8 a check that the equal-size centralized reference leads
+distributed mode.
 
 The end-to-end criteria run the shipped 12-node scenario with the published
 parameter set (filter order 26, prediction delay 4, collaboration period 2
@@ -169,26 +171,31 @@ def test_criterion_7_single_node_reduction():
           f"({time.time()-t0:.1f}s)")
 
 
-def test_criterion_8_directional_quality(rirs):
-    t0 = time.time()
+@pytest.fixture(scope="module")
+def quality_runs(rirs):
+    """A function that runs one mode on criterion 8's input at the report
+    nodes and scores it, and criterion 8's scored single and distributed
+    runs, which the centralized check beside it shares."""
     clean = signals.speech_like(6.0, FS, seed=7)
     observations = observe(rirs, clean)
     boundary = 4 * pipeline.STFT_WINDOW.hop
 
     def run(mode, params):
         config = pipeline.RunConfig(SCENARIO, mode, params=params, report_nodes=REPORT_NODES)
-        return pipeline.run(observations, FS, config)
+        result = pipeline.run(observations, FS, config)
+        return result, pipeline.score(clean, rirs, observations, result.estimates,
+                                      result.lags, boundary, FS)
 
-    single = run("single", wpe.WpeParams(delay=4, filter_order=26, max_iters=30,
-                                         convergence_tol=1e-3))
-    dist = run("distributed", wpe.WpeParams(delay=4, filter_order=26, max_iters=24,
-                                            convergence_tol=0.0))
+    t0 = time.time()
+    _, single_scores = run("single", wpe.WpeParams(delay=4, filter_order=26, max_iters=30,
+                                                   convergence_tol=1e-3))
+    _, dist_scores = run("distributed", wpe.WpeParams(delay=4, filter_order=26, max_iters=24,
+                                                      convergence_tol=0.0))
+    return run, single_scores, dist_scores, time.time() - t0
 
-    def score(result):
-        estimates = {node: result.estimates[node] for node in REPORT_NODES}
-        return pipeline.score(clean, rirs, observations, estimates, result.lags, boundary, FS)
 
-    single_scores, dist_scores = score(single), score(dist)
+def test_criterion_8_directional_quality(quality_runs):
+    _, single_scores, dist_scores, elapsed = quality_runs
     for node in REPORT_NODES:
         (cd_u, fsnr_u), (cd_s, fsnr_s) = single_scores[node]
         _, (cd_d, fsnr_d) = dist_scores[node]
@@ -197,7 +204,25 @@ def test_criterion_8_directional_quality(rirs):
         assert cd_d < cd_s - 0.1, f"node {node}: CD dist {cd_d} vs single {cd_s}"
         assert cd_s < cd_u - 0.1, f"node {node}: CD single {cd_s} vs unproc {cd_u}"
     ok(8, f"per-node quality ordering distributed > single > unprocessed with "
-          f"required margins ({time.time()-t0:.0f}s)")
+          f"required margins ({elapsed:.0f}s)")
+
+
+def test_centralized_reference_beats_distributed(quality_runs):
+    # the honest centralized reference: filter order 3 on all 12 channels,
+    # d = 36 unknowns per bin, no more than distributed's L + M - 1 = 37.
+    # On this input it led distributed by at least 0.50 dB CD and 3.00 dB
+    # F-SNR per node; the margins are half of that
+    run, single_scores, dist_scores, _ = quality_runs
+    cent, cent_scores = run("centralized", wpe.WpeParams(delay=4, filter_order=3, max_iters=3))
+    assert cent.unknowns == 36
+    for node in REPORT_NODES:
+        _, (cd_c, fsnr_c) = cent_scores[node]
+        _, (cd_d, fsnr_d) = dist_scores[node]
+        _, (cd_s, fsnr_s) = single_scores[node]
+        assert fsnr_c > fsnr_d + 1.5, f"node {node}: F-SNR cent {fsnr_c} vs dist {fsnr_d}"
+        assert cd_c < cd_d - 0.25, f"node {node}: CD cent {cd_c} vs dist {cd_d}"
+        assert fsnr_d > fsnr_s and cd_d < cd_s, f"node {node}: dist not above single"
+    print("centralized L=3 > distributed > single at nodes", REPORT_NODES)
 
 
 def test_criterion_9_convergence_traces(rirs, monkeypatch):
@@ -207,7 +232,8 @@ def test_criterion_9_convergence_traces(rirs, monkeypatch):
     params = wpe.WpeParams(delay=4, filter_order=26, max_iters=30,
                            convergence_tol=0.0)
     for m in (6, 9, 12):
-        # distributed mode reports every node; report node 0 is in range for all m
+        # distributed mode runs and traces every node whatever it reports;
+        # report node 0 is in range for all m
         config = pipeline.RunConfig(SCENARIO, "distributed", params=params,
                                     collab_period=1, report_nodes=(0,))
         result = pipeline.run(observe(rirs[:m], clean), FS, config)

@@ -19,7 +19,11 @@ maps its bin blocks passes the mapper. Importing the CLI loads no
 scipy.signal module: that import alone held 46 MB of resident memory.
 
 A stream's stacked rows have one layout, wpe.lag_windows: no other code in
-the package windows an array with sliding_window_view."""
+the package windows an array with sliding_window_view.
+
+Every error class of dwpe.errors is raised by some raise statement in the
+package. An except clause that catches a class, or a raise of it inside
+that clause, does not count: it only passes on what another raise made."""
 
 import ast
 import os
@@ -257,3 +261,26 @@ def test_only_lag_windows_windows_a_stream():
                         or getattr(node, "attr", None) == "sliding_window_view"):
                     users.add(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
     assert users == {"wpe.lag_windows"}, f"sliding_window_view used by {sorted(users)}"
+
+
+def raised_names(tree: ast.AST, caught: frozenset = frozenset()) -> set[str]:
+    """The class names that the raise statements under `tree` raise, by
+    name or through a call; none caught by an enclosing except clause."""
+    if isinstance(tree, ast.Raise) and tree.exc is not None:
+        target = tree.exc.func if isinstance(tree.exc, ast.Call) else tree.exc
+        name = getattr(target, "id", getattr(target, "attr", None))
+        return {name} - caught if name else set()
+    if isinstance(tree, ast.ExceptHandler) and tree.type is not None:
+        types = tree.type.elts if isinstance(tree.type, ast.Tuple) else [tree.type]
+        caught = caught | {getattr(t, "id", getattr(t, "attr", None)) for t in types}
+    return set().union(*(raised_names(child, caught) for child in ast.iter_child_nodes(tree)))
+
+
+def test_every_error_class_is_raised():
+    classes = {node.name for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef) and node.name != "DwpeError"}
+    raised = set().union(*(raised_names(ast.parse(path.read_text()))
+                           for path in sorted(PACKAGE.glob("*.py"))))
+    assert {"InvalidInputError", "SolverError"} <= classes & raised  # the parser finds both
+    unraised = sorted(classes - raised)
+    assert not unraised, f"error classes no raise statement raises: {unraised}"

@@ -190,7 +190,8 @@ def test_dereverb_distributed_even_round_broadcasts(simulated, tmp_path):
                "--convergence-tol", "0", "--outdir", str(outdir)])
     assert rc == 0
     info = json.loads((outdir / "run.json").read_text())
-    assert len(info["estimates"]) == 3  # distributed reports every node
+    # the default report nodes in range of the three: node 0 alone
+    assert info["estimates"] == {"0": "estimate_node00.wav"}
     assert info["per_frame_bin_transmissions"] == 2
     with open(outdir / "transmissions.csv") as fh:
         rounds = sorted({int(row["round"]) for row in csv.DictReader(fh)})
@@ -373,15 +374,28 @@ def test_run_json_keys(simulated, tmp_path, mode):
                  "--outdir", str(outdir)]) == 0
     info = json.loads((outdir / "run.json").read_text())
     assert list(info) == RUN_JSON_KEYS
-    # the nodes estimated, written and scored: every node in distributed mode
-    assert info["report_nodes"] == ([0, 1, 2] if mode == "distributed" else [0])
+    # the nodes estimated, written and scored: the report nodes in every mode
+    assert info["report_nodes"] == [0]
     assert info["report_nodes"] == [int(node) for node in info["estimates"]]
-    # convergence.csv holds rounds 1 .. rounds_run of every estimated node
+    # convergence.csv holds rounds 1 .. rounds_run of every node that solved,
+    # which distributed mode runs all of
+    solved = ["0", "1", "2"] if mode == "distributed" else ["0"]
+    assert list(info["psd_floors"]) == solved
     with open(outdir / "convergence.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert list(rows[0]) == ["node", "round", "change", "cost"]
     assert [(row["node"], int(row["round"])) for row in rows] == [
-        (node, r) for node in info["estimates"] for r in range(1, info["rounds_run"] + 1)]
+        (node, r) for node in solved for r in range(1, info["rounds_run"] + 1)]
+
+
+def test_distributed_writes_only_the_report_nodes(simulated, tmp_path):
+    outdir = tmp_path / "dist"
+    assert main(["dereverb", "--manifest", str(simulated / "manifest.json"),
+                 "--mode", "distributed", "--filter-order", "6", "--delay", "2",
+                 "--max-iters", "4", "--nodes", "1", "--outdir", str(outdir)]) == 0
+    info = json.loads((outdir / "run.json").read_text())
+    assert info["report_nodes"] == [1]
+    assert sorted(path.name for path in outdir.glob("*.wav")) == ["estimate_node01.wav"]
 
 
 @pytest.fixture(scope="module")
@@ -389,7 +403,7 @@ def dereverbed(simulated, tmp_path_factory):
     outdir = tmp_path_factory.mktemp("run")
     rc = main(["dereverb", "--manifest", str(simulated / "manifest.json"),
                "--mode", "distributed", "--filter-order", "8", "--delay", "2",
-               "--max-iters", "8", "--outdir", str(outdir)])
+               "--max-iters", "8", "--nodes", "0,1,2", "--outdir", str(outdir)])
     assert rc == 0
     return outdir
 

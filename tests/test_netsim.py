@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dwpe.errors import InvalidInputError, UndefinedLagError
+from dwpe.errors import InvalidInputError
 from dwpe.netsim import (
     TransmissionLedger,
     apply_lags,
@@ -142,9 +142,14 @@ def test_gcc_phat_shift_equivariance(seed, d):
     assert gcc_phat_lag(x, shifted, 40) == d
 
 
-def test_gcc_phat_zero_signal_undefined():
-    with pytest.raises(UndefinedLagError):
-        gcc_phat_lag(np.zeros(100), np.ones(100), 10)
+def test_gcc_phat_all_zero_signal_gets_lag_zero(rng):
+    # the shifted signal measures 7; an all-zero one, as either argument or
+    # both, measures nothing and gets 0
+    x = rng.standard_normal(100)
+    shifted, silent = np.roll(x, 7), np.zeros(100)
+    assert gcc_phat_lag(x, shifted, 10) == 7
+    for a, b in [(silent, shifted), (x, silent), (silent, silent)]:
+        assert gcc_phat_lag(a, b, 10) == 0
 
 
 def test_gcc_phat_max_lag_validation(rng):
@@ -182,10 +187,19 @@ def test_synchronize_reference_is_identity(rng):
     np.testing.assert_array_equal(aligned[0], x)
 
 
-def test_synchronize_zero_signal_names_node(rng):
+def test_synchronize_all_zero_signal_gets_lag_zero(rng):
     x = rng.standard_normal(2000)
-    with pytest.raises(UndefinedLagError, match="node 1"):
-        synchronize([x, np.zeros_like(x)], reference=0)
+    delayed = np.zeros_like(x)
+    delayed[40:] = x[:-40]
+    silent = np.zeros_like(x)
+    aligned, lags = synchronize([x, silent, delayed], reference=0)
+    assert lags == [0, 0, 40]
+    np.testing.assert_array_equal(aligned[1], silent)
+    # an all-zero reference leaves every signal where it is
+    aligned, lags = synchronize([silent, x, delayed], reference=0)
+    assert lags == [0, 0, 0]
+    for sig, out in zip([silent, x, delayed], aligned):
+        np.testing.assert_array_equal(out, sig)
 
 
 def test_apply_lags_negative(rng):

@@ -19,15 +19,17 @@ def observations(small_scenario):
             for i in range(small_scenario.num_nodes)]
 
 
+# nodes: the nodes that solve, which distributed mode runs all of
 @pytest.mark.parametrize("mode, nodes", [
-    ("single", [0, 2]), ("centralized", [0, 2]), ("distributed", [0, 1, 2]),
+    ("single", [2, 0]), ("centralized", [2, 0]), ("distributed", [0, 1, 2]),
 ])
 def test_run_writes_nothing(observations, tmp_path, monkeypatch, mode, nodes):
     monkeypatch.chdir(tmp_path)
-    config = pipeline.RunConfig("small.json", mode, params=PARAMS, report_nodes=(0, 2))
+    config = pipeline.RunConfig("small.json", mode, params=PARAMS, report_nodes=(2, 0))
     result = pipeline.run(observations, 16000, config)
     assert os.listdir(tmp_path) == []
-    assert list(result.estimates) == nodes
+    # every mode estimates exactly the report nodes, in report order
+    assert list(result.estimates) == [2, 0]
     assert list(result.psd_floors) == nodes
     for node, estimate in result.estimates.items():
         assert estimate.shape == observations[node].shape
@@ -35,6 +37,27 @@ def test_run_writes_nothing(observations, tmp_path, monkeypatch, mode, nodes):
     assert list(result.traces) == nodes
     for trace in result.traces.values():
         assert len(trace.change) == len(trace.cost) == result.rounds_run
+
+
+@pytest.mark.parametrize("mode", netsim.MODES)
+def test_run_completes_with_a_silent_node(observations, mode):
+    # a dead microphone gets lag 0, and every mode runs on; the silent node
+    # estimates silence. Four rounds let distributed nodes use the others'
+    # broadcasts of round 2
+    params = wpe.WpeParams(delay=2, filter_order=6, max_iters=4, convergence_tol=0.0)
+    config = pipeline.RunConfig("small.json", mode, params=params, report_nodes=(2, 1, 0))
+    silenced = [observations[0], np.zeros_like(observations[1]), observations[2]]
+    result = pipeline.run(silenced, 16000, config)
+    assert result.lags[1] == 0
+    assert list(result.estimates) == [2, 1, 0]
+    assert not np.any(result.estimates[1])
+    for node in (0, 2):
+        assert np.all(np.isfinite(result.estimates[node])) and np.any(result.estimates[node])
+    if mode == "single":
+        # no single-mode node reads another: the others are the unsilenced run's
+        unsilenced = pipeline.run(observations, 16000, config)
+        for node in (0, 2):
+            assert result.estimates[node].tobytes() == unsilenced.estimates[node].tobytes()
 
 
 @pytest.mark.parametrize("mode", ["single", "centralized", "distributed"])

@@ -180,6 +180,12 @@ def test_update_psd_floor_active():
     assert np.all(psd.values == 1e-4)
 
 
+def test_update_psd_rejects_a_non_positive_floor():
+    for floor in (0.0, -1e-4, np.nan):
+        with pytest.raises(InvalidInputError, match="psd floor must be positive"):
+            update_psd(np.ones((3, 4)), floor)
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 999), floor=st.floats(1e-6, 1.0))
 def test_update_psd_elementwise_property(seed, floor):
