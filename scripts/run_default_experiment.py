@@ -7,8 +7,8 @@ all 12 channels (36 unknowns per bin, against 37 at a distributed node),
 3 iterations. Each mode's metrics.csv lands in <outdir>/<mode>/.
 
 Runs from a source checkout without an install: it imports `dwpe` from
-./src. With the default 6 s of speech it takes about 33 s on a shared 2-core
-x86-64 machine (11 s at 1.5 s of speech). Pass an output directory and
+./src. With the default 6 s of speech it takes about 20 s on a shared 2-core
+x86-64 machine (9 s at 1.5 s of speech). Pass an output directory and
 optionally a clean-speech duration in seconds:
 
     python scripts/run_default_experiment.py out/experiment 6.0

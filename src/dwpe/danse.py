@@ -155,7 +155,8 @@ def node_round(node: NodeState, round_index: int,
     late = (local_late + predict_all_bins(streams[1:], node.weights[:, L:])
             if cross else local_late)
     previous, node.desired = node.desired, data - late
-    node.trace.record(previous, node.desired, psd.values, node.params.convergence_tol)
+    node.trace.record([previous], [node.desired], psd.values,
+                      node.params.convergence_tol)
     if round_index % collab_period == 0:
         return local_late
     return None

@@ -81,7 +81,8 @@ class RunResult:
     """What one run produced. estimates holds the report nodes in report
     order; psd_floors and traces hold every node that solved: the report
     nodes, or every node in distributed mode, where all nodes run their
-    rounds."""
+    rounds. In centralized mode the report nodes share one trace, their
+    one run's."""
 
     estimates: dict[int, np.ndarray]  # time domain, as long as the observations
     lags: list[int]
@@ -127,23 +128,29 @@ def run(observations: list[np.ndarray], sample_rate: int,
             f"delay {params.delay} leaves nothing to predict: the signal has "
             f"{n_frames} STFT frames, and the delay must be below that")
 
-    def finish(node: int, state) -> tuple:
-        """The time-domain estimate (None off the report nodes), trace, PSD
-        floor and unknowns per bin of the node's final state, a
-        wpe.WpeResult or a danse.NodeState."""
-        estimate = (istft(Spectrogram(state.desired, sample_rate, STFT_WINDOW))[:total_len]
-                    if node in config.report_nodes else None)
-        return estimate, state.trace, state.psd_floor, state.weights.shape[1]
+    def to_time(node: int, desired: np.ndarray) -> np.ndarray | None:
+        """The node's time-domain estimate; None off the report nodes."""
+        if node not in config.report_nodes:
+            return None
+        return istft(Spectrogram(desired, sample_rate, STFT_WINDOW))[:total_len]
 
-    def solve(node: int, channels: list[np.ndarray], ref: int, like=None,
-              workers: int = 1, map_jobs=map):
-        """finish() of one WPE run at the node, and the run's Gram; the run
-        maps its bin blocks with map_jobs on `workers` workers."""
+    def finish(node: int, state) -> tuple:
+        """The estimate (to_time), trace, PSD floor and unknowns per bin of
+        the node's final state, a one-target wpe.WpeResult or a
+        danse.NodeState."""
+        return (to_time(node, state.desired), state.trace, state.psd_floor,
+                state.weights.shape[1])
+
+    def solve(nodes: tuple[int, ...], channels: list[np.ndarray], targets,
+              workers: int = 1, map_jobs=map) -> wpe.WpeResult:
+        """One WPE run of `targets` for the report nodes `nodes`, which its
+        errors name; the run maps its bin blocks with map_jobs on `workers`
+        workers."""
         try:
-            result = wpe.run_wpe(channels, ref, params, like, workers, map_jobs)
+            return wpe.run_wpe(channels, targets, params, workers, map_jobs)
         except (SolverError, NumericalError) as exc:
-            raise type(exc)(f"node {node}: {exc}") from exc
-        return finish(node, result), result.gram
+            named = ", ".join(map(str, nodes))
+            raise type(exc)(f"node{'s' * (len(nodes) > 1)} {named}: {exc}") from exc
 
     ledger = netsim.TransmissionLedger(mode=config.mode)
     if config.mode == "single":
@@ -151,7 +158,8 @@ def run(observations: list[np.ndarray], sample_rate: int,
         # the pool workers' spectrograms are live, and no other node is
         # transformed
         done = netsim.map_nodes(
-            lambda node: solve(node, [stft(aligned[node], STFT_WINDOW, sample_rate).data], 0)[0],
+            lambda node: finish(node, solve(
+                (node,), [stft(aligned[node], STFT_WINDOW, sample_rate).data], 0)),
             config.report_nodes)
         outputs = dict(zip(config.report_nodes, done))
     else:
@@ -162,17 +170,16 @@ def run(observations: list[np.ndarray], sample_rate: int,
             ledger = dist.ledger
             outputs = {state.node_id: finish(state.node_id, state) for state in dist.nodes}
         else:
-            # transformed on arrival, so the run holds one node's spectrogram
-            # estimate at a time; every report node predicts from the same
-            # gathered streams, so each lends the next its Gram's C, and g
-            # follows the reference. The nodes run one after another, and
-            # each maps its bin blocks on the node pool, which no node job
-            # here holds
-            outputs, like = {}, None
-            workers = netsim.worker_count(n_bins)
-            for node in config.report_nodes:
-                outputs[node], like = solve(node, specs, node, like, workers,
-                                            netsim.map_nodes)
+            # one MIMO-WPE run estimates every report node from the same
+            # gathered streams: one shared PSD, one Gram and one solve per
+            # bin block with a right-hand side per node, its bin blocks
+            # mapped on the node pool. Each node shares the run's trace
+            nodes = config.report_nodes
+            result = solve(nodes, specs, nodes, netsim.worker_count(n_bins), netsim.map_nodes)
+            outputs = {}
+            for node, desired, floor in zip(nodes, result.desired, result.psd_floor):
+                outputs[node] = (to_time(node, desired), result.trace, floor,
+                                 result.weights.shape[1])
                 # every other node ships its delayed-vector stream to this one
                 for sender in (i for i in range(num_nodes) if i != node):
                     ledger.record(0, sender, node, params.filter_order * n_frames * n_bins)

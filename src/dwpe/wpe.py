@@ -6,6 +6,14 @@ from a reference channel. The prediction weights minimize the PSD-weighted
 squared residual, alternating a closed-form per-bin weight solve with an
 update of the desired-signal PSD estimate (floored elementwise).
 
+A run may dereverberate several target channels at once (MIMO WPE:
+Yoshioka & Nakatani, IEEE TASLP 2012; NARA-WPE). Every target is then
+weighted by one PSD, the mean of the targets' floored estimates, so the
+weighted normal equations Z are the same for all of them: each bin block
+forms one Z and solves it once with one right-hand side per target, and
+each target subtracts its own prediction. One target is single-target WPE,
+operation for operation.
+
 Each job has one batched kernel: lag_windows and gather_cells build delayed
 observation vectors, normal_equations_all_bins forms the weighted normal
 equations of a bin block, solve_all_bins solves them, solve_weights runs
@@ -30,8 +38,9 @@ the PSD floor whenever any cell is floored:
     q = g/c - sum_{sigma > c} x conj(ref) (1/c - 1/sigma)
 
 C = sum x x^H and g = sum x conj(ref) are unweighted: C depends only on the
-stream arrays and g also on the reference array. Both form one immutable
-Gram, built by whoever sets up or changes the streams. Each call then
+stream arrays and g also on the reference arrays, one column per target.
+Both form one immutable Gram, built by whoever sets up or changes the
+streams. Each call then
 touches only the unfloored cells, which on speech are a small share of the
 time-frequency plane: the per-call cost scales with their number,
 O(nnz d^2), instead of O(N K d^2).
@@ -46,10 +55,10 @@ a, b >= 1
 (the frame before the signal is zero). A Gram therefore keeps only these
 generators, (K, d, S) columns and a (K, d) frame instead of the (K, d, d)
 matrix: 17 MB instead of 400 MB at centralized M=12 (d = 312). A build costs
-O(N K d S) instead of O(N K d^2). It happens once per run_wpe, once per
-centralized dereverb (each later report node's Gram borrows the first one's
-generators and forms only its O(N K d) g), and, in distributed mode,
-whenever a node's inbox changes (at each broadcast). Gram.expand runs the
+O(N K d S) instead of O(N K d^2), plus O(N K d) per target for g. It
+happens once per run_wpe, so once per centralized dereverb whatever the
+number of report nodes, and, in distributed mode, whenever a node's inbox
+changes (at each broadcast). Gram.expand runs the
 recursion, one lag at a time, for the bin block of each Z.
 
 solve_weights forms and solves Z one bin block at a time, sized by
@@ -84,6 +93,7 @@ power leaves about 1e-9 in Z and 1e-8 in q.
 
 from __future__ import annotations
 
+import math
 import queue
 from dataclasses import dataclass, field
 
@@ -130,7 +140,7 @@ class WpeParams:
     """Prediction-filter configuration shared by all dereverberation modes.
 
     psd_floor=None resolves at run time to a fraction of the mean observed
-    power of the reference channel (see resolve_psd_floor). The solve's
+    power of each target channel (see resolve_psd_floor). The solve's
     ridge (RIDGE_SCALE), the distributed proximal pull (PROX_SCALE) and
     step (danse.RELAXATION_DECAY) are module constants, not settings.
     """
@@ -243,44 +253,47 @@ def gather_cells(streams: list[Stream], frames: np.ndarray,
 
 @dataclass(frozen=True)
 class Gram:
-    """Unweighted normal equations of one stream set and one reference.
-    g = sum_n x_n conj(ref_n) is kept in full, shape (K, d); C = sum_n x_n
-    x_n^H as the generators of its shift structure: its S lag-0 columns
-    `cols`, shape (K, d, S), and the last stacked frame `last`, shape (K, d),
-    from which expand() rebuilds one bin block. `orders` are the streams'.
+    """Unweighted normal equations of one stream set and its targets.
+    `refs` are the T targets' (N, K) reference arrays, held, not copied.
+    g = sum_n x_n conj(ref_n) is kept in full, shape (K, d, T), or (K, d)
+    when the Gram was built from one reference array. C = sum_n x_n x_n^H,
+    the same for every target, is kept as the generators of its shift
+    structure: its S lag-0 columns `cols`, shape (K, d, S), and the last
+    stacked frame `last`, shape (K, d), from which expand() rebuilds one
+    bin block. `orders` are the streams'.
 
     The arrays are read-only and no stream array is held, so threads share
-    a Gram freely and it keeps no replaced stream alive. Stream arrays must
-    not be modified in place while their Gram is in use.
+    a Gram freely and it keeps no replaced stream alive. Stream and
+    reference arrays must not be modified in place while their Gram is in
+    use.
     """
 
     cols: np.ndarray
     last: np.ndarray
     g: np.ndarray
     orders: tuple[int, ...]
+    refs: tuple[np.ndarray, ...]
 
     def __post_init__(self):
         for array in (self.cols, self.last, self.g):
             array.flags.writeable = False
 
     @classmethod
-    def build(cls, streams: list[Stream], ref_data: np.ndarray,
-              like: Gram | None = None) -> Gram:
-        """The Gram of streams and ref_data in one pass over bin blocks
+    def build(cls, streams: list[Stream], refs) -> Gram:
+        """The Gram of streams and the targets' references `refs`, one (N,
+        K) array or a sequence of T, in one pass over bin blocks
         (GRAM_BLOCK_BYTES) and frame chunks of the streams' lag windows,
         which are formed once per build. C's generators are the products
-        with the S lag-0 rows and the last chunk's final frame. `like`, a
-        Gram of the same stream arrays for another reference, lends its
-        generators, so only g is formed."""
-        N, K = ref_data.shape
+        with the S lag-0 rows and the last chunk's final frame; each
+        target's column of g is the product with its reference, target
+        after target, so it is a one-target build's g byte for byte."""
+        targets = (refs,) if isinstance(refs, np.ndarray) else tuple(refs)
+        N, K = targets[0].shape
         d = streams_dim(streams)
-        if like is None:
-            cols = np.zeros((K, d, len(streams)), dtype=np.complex128)
-            last = np.empty((K, d), dtype=np.complex128)
-            heads = np.cumsum([0] + [order for _, order, _ in streams[:-1]])
-        else:
-            cols, last = like.cols, like.last
-        g = np.zeros((K, d), dtype=np.complex128)
+        cols = np.zeros((K, d, len(streams)), dtype=np.complex128)
+        last = np.empty((K, d), dtype=np.complex128)
+        heads = np.cumsum([0] + [order for _, order, _ in streams[:-1]])
+        g = np.zeros((K, d, len(targets)), dtype=np.complex128)
         step = max(1, GRAM_BLOCK_BYTES // (16 * d * CHUNK_FRAMES))
         windows = [lag_windows(*stream) for stream in streams]
         for k0 in range(0, K, step):
@@ -289,12 +302,13 @@ class Gram:
                 stop = min(start + CHUNK_FRAMES, N)
                 X = np.concatenate([w[bins, start:stop].transpose(0, 2, 1) for w in windows],
                                    axis=1)  # (bins, d, n)
-                if like is None:
-                    cols[bins] += X @ X[:, heads].conj().transpose(0, 2, 1)
-                g[bins] += (X @ ref_data[start:stop, bins].conj().T[:, :, None])[..., 0]
-            if like is None:
-                last[bins] = X[:, :, -1]  # the last chunk ends at frame N-1
-        return cls(cols, last, g, tuple(order for _, order, _ in streams))
+                cols[bins] += X @ X[:, heads].conj().transpose(0, 2, 1)
+                for t, ref in enumerate(targets):
+                    g[bins, :, t] += (X @ ref[start:stop, bins].conj().T[:, :, None])[..., 0]
+            last[bins] = X[:, :, -1]  # the last chunk ends at frame N-1
+        if refs is targets[0]:
+            g = g[..., 0]  # one reference array: no target axis
+        return cls(cols, last, g, tuple(order for _, order, _ in streams), targets)
 
     def expand(self, bins: slice, divisor: float = 1.0,
                out: np.ndarray | None = None) -> np.ndarray:
@@ -331,12 +345,15 @@ def normal_equations_all_bins(streams: list[Stream], ref_data: np.ndarray,
 
     Z = C/c minus a correction over the cells with sigma > c, each weighted
     by 1/c - 1/sigma in [0, 1/c); q likewise (see the module docstring).
-    `gram` is the Gram of these streams and this reference; without one, a
-    throwaway Gram is built. The cells are gathered GATHER_BYTES at a time.
-    Each bin's Z and q do not depend on which other bins share the call.
+    `gram` is the Gram of these streams, and every target of it shares
+    sigma, so Z serves them all; q has one column per target, read from the
+    Gram's references. Without a Gram, a throwaway one of the one reference
+    ref_data is built; with one, ref_data is its first reference. The cells
+    are gathered GATHER_BYTES at a time. Each bin's Z and q do not depend
+    on which other bins share the call.
 
     Returns Z of shape (bins, d, d), written into `out` when given, and q
-    of shape (bins, d).
+    of the shape of the Gram's g over the bins: (bins, d, T), or (bins, d).
     """
     if gram is None:
         gram = Gram.build(streams, ref_data)
@@ -350,7 +367,8 @@ def normal_equations_all_bins(streams: list[Stream], ref_data: np.ndarray,
     cell_bins = rel + bins.start
     s = sigma[frames, cell_bins]
     root = np.sqrt((s - c) / (c * s))
-    ref_scaled = ref_data[frames, cell_bins].conj() * root
+    ref_cells = np.stack([ref[frames, cell_bins] for ref in gram.refs], axis=-1)
+    ref_scaled = (ref_cells.conj() * root[:, None]).reshape(root.shape + q.shape[2:])
     bounds = np.searchsorted(rel, np.arange(Z.shape[0] + 1))
     group_cells = GATHER_BYTES // (16 * Z.shape[1])
     k0 = 0
@@ -378,31 +396,33 @@ def solve_all_bins(Z: np.ndarray, q: np.ndarray, ridge_scale: float,
                    first_bin: int = 0) -> np.ndarray:
     """Solve every bin's system with per-bin ridge ridge_scale*trace(Z)/d.
 
-    Given prox_to, the solve is proximally regularized toward it:
+    q is (K, d), one right-hand side per bin, or (K, d, T), T of them, all
+    solved with one factorization of the bin's Z. Given prox_to, of q's
+    shape, the solve is proximally regularized toward it:
     (Z + (ridge + lam) I) w = q + lam prox_to with lam = PROX_SCALE*trace/d.
     A bin whose accumulation is identically zero (a silent bin) gets a unit
     ridge and a zero right-hand side, so zero weights. Returns weights of
-    shape (K, d). Errors name bins counted from first_bin, the index of Z's
+    q's shape. Errors name bins counted from first_bin, the index of Z's
     first bin in the full band.
 
     Z is consumed: the ridge is added to its diagonal in place and the
     solve runs on Z itself, so no (K, d, d) copy is ever made.
     """
-    d = Z.shape[1]
+    K, d = Z.shape[:2]
     trace = np.real(np.einsum("kii->k", Z))
     live = trace > 0
     ridge = ridge_scale * trace / d
-    rhs = q
+    rhs = q.reshape(K, d, -1)  # one column per right-hand side
     if prox_to is not None:
         lam = PROX_SCALE * trace / d
         ridge = ridge + lam
-        rhs = rhs + lam[:, None] * prox_to
+        rhs = rhs + lam[:, None, None] * prox_to.reshape(rhs.shape)
     ridge[~live] = 1.0
-    rhs = np.where(live[:, None], rhs, 0.0)
+    rhs = np.where(live[:, None, None], rhs, 0.0)
     diagonal = np.einsum("kii->ki", Z)  # a writable view
     diagonal += ridge[:, None]
     try:
-        w = np.linalg.solve(Z, rhs[:, :, None])[..., 0]
+        w = np.linalg.solve(Z, rhs)
     except np.linalg.LinAlgError as exc:
         conds = np.linalg.cond(Z)
         worst = int(np.argmax(conds))
@@ -410,29 +430,31 @@ def solve_all_bins(Z: np.ndarray, q: np.ndarray, ridge_scale: float,
             f"singular system at bin {first_bin + worst} "
             f"(condition ~ {conds[worst]:.3e})"
         ) from exc
-    residual = np.linalg.norm((Z @ w[:, :, None])[..., 0] - rhs, axis=1)
-    qn = np.linalg.norm(rhs, axis=1)
-    bad = ~np.isfinite(w).all(axis=1) | (residual > SOLVE_RESIDUAL_TOL * np.maximum(qn, 1e-300))
+    relative = np.linalg.norm(Z @ w - rhs, axis=1) / np.maximum(np.linalg.norm(rhs, axis=1),
+                                                                1e-300)
+    bad = ~np.isfinite(w).all(axis=1) | (relative > SOLVE_RESIDUAL_TOL)
     if np.any(bad):
-        first = int(np.argmax(bad))
+        first = int(np.argmax(bad.any(axis=1)))
         raise SolverError(
             f"ill-conditioned solve at bin {first_bin + first}: relative residual "
-            f"{float((residual / np.maximum(qn, 1e-300))[first]):.3e}"
+            f"{float(relative[first].max()):.3e}"
         )
-    return w
+    return w.reshape(q.shape)
 
 
 def solve_weights(streams: list[Stream], ref_data: np.ndarray, sigma: np.ndarray,
                   gram: Gram, prox_to: np.ndarray | None = None, workers: int = 1,
                   map_jobs=map) -> np.ndarray:
-    """Prediction weights (K, d) of the PSD-weighted normal equations, with
-    the ridge RIDGE_SCALE and, given prox_to, the pull of solve_all_bins.
+    """Prediction weights of the PSD-weighted normal equations, with the
+    ridge RIDGE_SCALE and, given prox_to, the pull of solve_all_bins: one
+    column per target of `gram`, (K, d, T), or (K, d) like its g. ref_data
+    is the Gram's first reference (see normal_equations_all_bins).
 
-    Forms and solves Z one bin block at a time. The blocks are the jobs of
-    map_jobs(fn, items), which returns fn's results in input order (map
-    runs them serially; netsim.map_nodes on its pool); with `workers`
-    workers, each block is at most a 1/workers share of the band and of
-    SOLVE_BLOCK_BYTES. Each worker forms its blocks in one reused Z buffer,
+    Forms and solves Z one bin block at a time, once for every target. The
+    blocks are the jobs of map_jobs(fn, items), which returns fn's results
+    in input order (map runs them serially; netsim.map_nodes on its pool);
+    with `workers` workers, each block is at most a 1/workers share of the
+    band and of SOLVE_BLOCK_BYTES. Each worker forms its blocks in one reused Z buffer,
     so beside the Gram only `workers` blocks are live. Errors are the first
     failing block's in input order, as in a serial run. The weights equal
     a single full-band block's byte for byte.
@@ -496,12 +518,23 @@ def weighted_cost(desired: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.sum(np.abs(desired) ** 2 / sigma + np.log(np.pi * sigma)))
 
 
+def shared_psd(desired: list[np.ndarray], floors: list[float]) -> np.ndarray:
+    """The one PSD every target is weighted by: the mean of the targets'
+    floored PSDs (update_psd), summed in place in target order. One target
+    gets its own floored PSD."""
+    sigma = update_psd(desired[0], floors[0]).values
+    for estimate, floor in zip(desired[1:], floors[1:]):
+        sigma += update_psd(estimate, floor).values
+    sigma /= len(desired)
+    return sigma
+
+
 @dataclass
 class WpeTrace:
-    """One node's run, one entry per round: the relative change of its
-    desired estimate (round 1 against the observation) and the weighted cost
-    of the new estimate at the PSD the round solved with. converged holds
-    for the last recorded round."""
+    """One run's rounds, one entry per round: the relative change of its
+    desired estimates (round 1 against the observations) and the weighted
+    cost of the new estimates at the PSD the round solved with, summed over
+    the targets. converged holds for the last recorded round."""
 
     change: list[float] = field(default_factory=list)
     cost: list[float] = field(default_factory=list)
@@ -511,27 +544,34 @@ class WpeTrace:
     def iterations(self) -> int:
         return len(self.change)
 
-    def record(self, previous: np.ndarray, desired: np.ndarray, sigma: np.ndarray,
-               tol: float) -> bool:
-        """Append one round; return whether the node converged in it. The one
-        stop rule of every mode: a node has converged in a round when its
-        previous estimate was all zero or its relative change is below tol,
-        and a run stops after the first round in which all its nodes have."""
-        norm = float(np.linalg.norm(previous))
-        change = float(np.linalg.norm(desired - previous)) / norm if norm else 0.0
+    def record(self, previous: list[np.ndarray], desired: list[np.ndarray],
+               sigma: np.ndarray, tol: float) -> bool:
+        """Append one round of the targets' estimates, one array each in
+        the same order; return whether the run converged in it. The one stop
+        rule of every mode: a run has converged in a round when its previous
+        estimates were all zero or their relative change (Frobenius, over
+        all targets) is below tol, and a run stops after the first round in
+        which all its nodes have."""
+        norm = math.hypot(*(float(np.linalg.norm(p)) for p in previous))
+        moved = math.hypot(*(float(np.linalg.norm(d - p)) for p, d in zip(previous, desired)))
+        change = moved / norm if norm else 0.0
         self.change.append(change)
-        self.cost.append(weighted_cost(desired, sigma))
+        self.cost.append(sum(weighted_cost(d, sigma) for d in desired))
         self.converged = not norm or change < tol
         return self.converged
 
 
 @dataclass
 class WpeResult:
-    desired: np.ndarray  # (N, K) estimate of the reference channel
+    """A run's estimates, weights and PSD floors per target: an (N, K)
+    estimate, (K, M*filter_order) weights and a float for one target
+    channel; lists of T arrays, (K, M*filter_order, T) weights and a list
+    of T floats for a sequence of them."""
+
+    desired: np.ndarray | list[np.ndarray]
     trace: WpeTrace
-    weights: np.ndarray  # (K, M*filter_order)
-    psd_floor: float
-    gram: Gram
+    weights: np.ndarray
+    psd_floor: float | list[float]
 
 
 def check_observations(observations: list[np.ndarray]) -> list[np.ndarray]:
@@ -555,47 +595,49 @@ def check_observations(observations: list[np.ndarray]) -> list[np.ndarray]:
     return checked
 
 
-def run_wpe(observations: list[np.ndarray], ref_channel: int,
-            params: WpeParams, like: Gram | None = None, workers: int = 1,
-            map_jobs=map) -> WpeResult:
+def run_wpe(observations: list[np.ndarray], targets, params: WpeParams,
+            workers: int = 1, map_jobs=map) -> WpeResult:
     """Batch WPE over M observation channels, each an (N, K) spectrogram
-    array (see check_observations).
+    array (see check_observations), of the target channels `targets`: one
+    channel index, or a sequence of T (MIMO WPE).
 
-    Alternates the PSD update with the per-bin closed-form weight solve and
-    the desired-signal re-prediction. Stops after max_iters rounds or the
-    first round in which the node converged (WpeTrace.record): its previous
-    estimate was all zero or changed by less than convergence_tol (relative
-    Frobenius). M = 1 is the single-channel variant.
-
-    The run builds one Gram and returns it; `like`, an earlier run's Gram of
-    the same observation arrays, lends its C (see Gram.build). `workers`
-    and `map_jobs` map each solve's bin blocks (see solve_weights).
+    Every target is weighted by one PSD (shared_psd), so one Gram and one Z
+    per bin block serve them all: each solve has T right-hand sides, and
+    each target subtracts its own prediction, one target at a time. One
+    target is single-target WPE. Alternates the PSD update with the per-bin
+    closed-form weight solve and the desired-signal re-prediction. Stops
+    after max_iters rounds or the first round in which the run converged
+    (WpeTrace.record): its previous estimates were all zero or changed by
+    less than convergence_tol (relative Frobenius). M = 1 is the
+    single-channel variant. `workers` and `map_jobs` map each solve's bin
+    blocks (see solve_weights).
     """
     observations = check_observations(observations)
-    if not (0 <= ref_channel < len(observations)):
-        raise InvalidInputError(
-            f"ref_channel {ref_channel} out of range for {len(observations)} channels"
-        )
-    ref = observations[ref_channel]
+    one = np.ndim(targets) == 0
+    channels = [targets] if one else list(targets)
+    if not channels:
+        raise InvalidInputError("at least one target channel required")
+    for channel in channels:
+        if not 0 <= channel < len(observations):
+            raise InvalidInputError(
+                f"target channel {channel} out of range for {len(observations)} channels")
+    refs = [observations[channel] for channel in channels]
     streams: list[Stream] = [
         (data, params.filter_order, params.delay) for data in observations
     ]
-    eps = resolve_psd_floor(ref, params.psd_floor)
-    desired = ref
+    floors = [resolve_psd_floor(ref, params.psd_floor) for ref in refs]
+    desired = refs
     trace = WpeTrace()
-    gram = Gram.build(streams, ref, like)
+    gram = Gram.build(streams, refs)
     for _ in range(params.max_iters):
-        psd = update_psd(desired, eps)
-        weights = solve_weights(streams, ref, psd.values, gram, workers=workers,
+        sigma = shared_psd(desired, floors)
+        weights = solve_weights(streams, refs[0], sigma, gram, workers=workers,
                                 map_jobs=map_jobs)
-        previous, desired = desired, ref - predict_all_bins(streams, weights)
-        if trace.record(previous, desired, psd.values, params.convergence_tol):
+        previous, desired = desired, [ref - predict_all_bins(streams, weights[..., t])
+                                      for t, ref in enumerate(refs)]
+        if trace.record(previous, desired, sigma, params.convergence_tol):
             break
         del previous  # not held through the next round's solve
-    return WpeResult(
-        desired=desired,
-        trace=trace,
-        weights=weights,
-        psd_floor=eps,
-        gram=gram,
-    )
+    if one:
+        return WpeResult(desired[0], trace, weights[..., 0], floors[0])
+    return WpeResult(desired, trace, weights, floors)

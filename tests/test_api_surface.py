@@ -149,7 +149,7 @@ def unpassed(parameters, calls) -> list[str]:
 # the parameters that let pipeline map a centralized solve's bin blocks on
 # the node pool; the package itself passes them
 BLOCK_MAP_PARAMETERS = {
-    ("run_wpe", "workers", 4), ("run_wpe", "map_jobs", 5),
+    ("run_wpe", "workers", 3), ("run_wpe", "map_jobs", 4),
     ("solve_weights", "workers", 5), ("solve_weights", "map_jobs", 6),
     ("normal_equations_all_bins", "out", 5), ("expand", "out", 2),
 }
@@ -160,7 +160,7 @@ def test_defaulted_parameters_are_passed_outside_tests():
     assert "cli_main" not in calls  # scripts/ calls cli.main by this alias
     parameters = defaulted_parameters()
     # the parser finds parameters; a method's position skips self
-    assert {("run_wpe", "like", 3), ("expand", "divisor", 1)} <= set(parameters)
+    assert {("solve_weights", "prox_to", 4), ("expand", "divisor", 1)} <= set(parameters)
     assert BLOCK_MAP_PARAMETERS <= set(parameters)
     missing = unpassed(parameters, calls)
     assert not missing, f"defaulted parameters no program call passes: {missing}"

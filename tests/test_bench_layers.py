@@ -51,8 +51,11 @@ def test_traced_iterations_match_run_traces(layers, small_scenario, mode):
     config = pipeline.RunConfig("small.json", mode, params=params, report_nodes=(0, 2))
     with layers.install(layers.Tracer()) as tracer:
         result = pipeline.run(observations, fs, config)
-    rounds = sum(trace.iterations for trace in result.traces.values())
-    assert rounds == params.max_iters * len(result.traces)
+    runs = {id(trace): trace for trace in result.traces.values()}  # one trace per run
+    # one centralized run estimates, and traces, every report node
+    assert len(runs) == (1 if mode == "centralized" else len(result.traces))
+    rounds = sum(trace.iterations for trace in runs.values())
+    assert rounds == params.max_iters * len(runs)
     assert tracer.counts["wpe.iterations"] == rounds
     if mode == "distributed":
         assert tracer.counts["danse.node_rounds"] == rounds

@@ -216,32 +216,32 @@ def test_dereverb_centralized_ledger(simulated, tmp_path):
 
 
 def test_centralized_dereverb_builds_gram_once(simulated, tmp_path, monkeypatch):
-    lenders = []
+    targets = []
     build = wpe.Gram.build
 
-    def counting_build(streams, ref_data, like=None):
-        lenders.append(like)
-        return build(streams, ref_data, like)
+    def counting_build(streams, refs):
+        targets.append(len(refs))
+        return build(streams, refs)
 
     monkeypatch.setattr(wpe.Gram, "build", counting_build)
     outdir = tmp_path / "cent"
     assert main(["dereverb", "--manifest", str(simulated / "manifest.json"),
                  "--mode", "centralized", "--filter-order", "6", "--delay", "2",
                  "--max-iters", "2", "--nodes", "0,2", "--outdir", str(outdir)]) == 0
-    # C is built once; the second report node borrows it and forms only g
-    assert len(lenders) == 2 and lenders.count(None) == 1
+    # one Gram, of both report nodes' references, serves the whole run
+    assert targets == [2]
     monkeypatch.undo()
 
-    # each report node alone, with its own Gram, gives the same bytes
+    # the estimates are one two-target run's, byte for byte
     manifest = json.loads((simulated / "manifest.json").read_text())
     fs, observations = cli._load_observations(manifest, simulated)
     aligned, _ = netsim.synchronize(observations, 0)
     specs = [stft(sig, cli.STFT_WINDOW, fs).data for sig in aligned]
     params = wpe.WpeParams(delay=2, filter_order=6, max_iters=2)
-    for node in (0, 2):
-        desired = wpe.run_wpe(specs, node, params).desired
+    result = wpe.run_wpe(specs, (0, 2), params)
+    for node, desired in zip((0, 2), result.desired):
         estimate = istft(Spectrogram(desired, fs, cli.STFT_WINDOW))
-        expected = tmp_path / f"alone{node}.wav"
+        expected = tmp_path / f"expected{node}.wav"
         write_wav(expected, fs, estimate[: aligned[0].size])
         assert (outdir / f"estimate_node{node:02d}.wav").read_bytes() == expected.read_bytes()
 

@@ -125,15 +125,47 @@ def test_centralized_run_same_bytes_for_any_worker_count(observations, monkeypat
         runs.append(pipeline.run(observations, 16000, config))
         blocks.append(sorted(set(mapped)))
     serial, pooled = runs
-    # every solve of both nodes maps its 257 bins on the pool
+    # every solve of the one run for both nodes maps its 257 bins on the pool
     assert blocks == [[5], [9]]
-    assert len(mapped) == 2 * PARAMS.max_iters
+    assert len(mapped) == PARAMS.max_iters
     assert list(pooled.estimates) == [2, 0]
     for node, estimate in serial.estimates.items():
         np.testing.assert_array_equal(pooled.estimates[node], estimate)
     assert pooled.traces == serial.traces  # change and cost, float for float
     assert pooled.ledger.rows == serial.ledger.rows
     assert pooled.psd_floors == serial.psd_floors
+
+
+def test_centralized_work_does_not_grow_with_the_report_nodes(observations, monkeypatch):
+    # one run serves every report node: three make as many Gram builds and
+    # block solves as one, and their order only orders the estimates
+    counts = {}
+    build, solve = wpe.Gram.build, wpe.solve_all_bins
+
+    def counting_build(*args):
+        counts["builds"] += 1
+        return build(*args)
+
+    def counting_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(wpe.Gram, "build", counting_build)
+    monkeypatch.setattr(wpe, "solve_all_bins", counting_solve)
+    work, runs = [], {}
+    for nodes in [(0,), (0, 1, 2), (2, 1, 0)]:
+        counts.update(builds=0, solves=0)
+        config = pipeline.RunConfig("small.json", "centralized", params=PARAMS,
+                                    report_nodes=nodes)
+        runs[nodes] = pipeline.run(observations, 16000, config)
+        work.append(dict(counts))
+    assert work[0]["builds"] == 1 and work[0]["solves"] >= PARAMS.max_iters
+    assert work[0] == work[1] == work[2]
+    forward, backward = runs[(0, 1, 2)], runs[(2, 1, 0)]
+    assert list(backward.estimates) == [2, 1, 0]
+    for node, estimate in forward.estimates.items():
+        error = np.max(np.abs(backward.estimates[node] - estimate))
+        assert error <= 1e-9 * np.max(np.abs(estimate))
 
 
 def test_single_mode_runs_report_nodes_concurrently(observations, monkeypatch):

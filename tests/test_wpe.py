@@ -308,18 +308,60 @@ def test_split_kernel_reuses_gram_for_same_arrays(rng):
         np.testing.assert_array_equal(q, q_fresh)
 
 
-def test_gram_like_shares_C_across_references(rng):
-    # same streams, another reference: C's generators are lent, g is formed
+def test_gram_of_T_targets_is_each_targets_one_target_gram(rng):
+    # one pass over the streams serves three references: C's generators are
+    # a one-target build's, and column t of g is target t's alone
     streams, ref = random_streams(rng, 30, 4)
-    other_ref = streams[1][0]
+    refs = [ref, streams[1][0], random_spectrogram(rng, 30, 4)]
     sigma = np.maximum(np.abs(ref) ** 2, 0.5)
-    gram = Gram.build(streams, ref)
-    borrowed = Gram.build(streams, other_ref, like=gram)
-    assert borrowed.cols is gram.cols and borrowed.last is gram.last
-    Z, q = normal_equations_all_bins(streams, other_ref, sigma, borrowed)
-    Z_fresh, q_fresh = normal_equations_all_bins(streams, other_ref, sigma)
-    np.testing.assert_array_equal(Z, Z_fresh)
-    np.testing.assert_array_equal(q, q_fresh)
+    gram = Gram.build(streams, refs)
+    assert gram.g.shape == (4, 4, 3) and len(gram.refs) == 3
+    Z, q = normal_equations_all_bins(streams, ref, sigma, gram)
+    for t, target in enumerate(refs):
+        alone = Gram.build(streams, target)
+        assert alone.g.shape == (4, 4)
+        for name in ("cols", "last"):
+            assert getattr(gram, name).tobytes() == getattr(alone, name).tobytes()
+        np.testing.assert_array_equal(gram.g[..., t], alone.g)
+        Z_alone, q_alone = normal_equations_all_bins(streams, target, sigma, alone)
+        np.testing.assert_array_equal(Z, Z_alone)
+        # the unfloored cells' correction is one product for all columns
+        np.testing.assert_allclose(q[..., t], q_alone, rtol=1e-13)
+
+
+def test_mimo_weights_match_the_per_element_shared_psd_solve(rng, monkeypatch):
+    # three channels, all three targets, one iteration: every target is
+    # weighted by the mean of the three floored PSDs, and each target's
+    # weights solve that system bin by bin
+    monkeypatch.setattr(wpe, "RIDGE_SCALE", 0.0)
+    specs = [random_spectrogram(rng, 40, 5) for _ in range(3)]
+    params = WpeParams(delay=2, filter_order=2, max_iters=1)
+    result = run_wpe(specs, (0, 1, 2), params)
+    assert result.weights.shape == (5, 6, 3) and len(result.desired) == 3
+    floors = [resolve_psd_floor(spec, None) for spec in specs]
+    assert result.psd_floor == floors
+    sigma = np.mean([np.maximum(np.abs(spec) ** 2, floor)
+                     for spec, floor in zip(specs, floors)], axis=0)
+    streams = [(spec, 2, 2) for spec in specs]
+    for k in range(5):
+        stacked = stacked_by_loop(streams, k)
+        for t, target in enumerate(specs):
+            Z, q = normal_equations_direct(stacked, target[:, k], sigma[:, k])
+            want = gaussian_elimination_solve(Z, q)
+            np.testing.assert_allclose(result.weights[k, :, t], want, rtol=1e-10, atol=1e-12)
+            late = stacked @ want.conj()
+            np.testing.assert_allclose(result.desired[t][:, k], target[:, k] - late,
+                                       rtol=1e-10, atol=1e-12)
+
+
+def test_one_target_in_a_sequence_is_the_one_target_run(rng):
+    specs = [random_spectrogram(rng, 40, 5) for _ in range(3)]
+    params = WpeParams(delay=2, filter_order=2, max_iters=3)
+    alone = run_wpe(specs, 1, params)
+    listed = run_wpe(specs, [1], params)
+    assert listed.desired[0].tobytes() == alone.desired.tobytes()
+    assert listed.weights[..., 0].tobytes() == alone.weights.tobytes()
+    assert listed.trace == alone.trace and listed.psd_floor == [alone.psd_floor]
 
 
 def test_gram_arrays_reject_writes(rng):
@@ -774,6 +816,10 @@ def test_run_wpe_validates_inputs(rng):
         run_wpe([], 0, WpeParams())
     with pytest.raises(InvalidInputError):
         run_wpe([spec], 3, WpeParams())
+    with pytest.raises(InvalidInputError, match="target channel 3 out of range"):
+        run_wpe([spec, spec], (1, 3), WpeParams())
+    with pytest.raises(InvalidInputError, match="at least one target"):
+        run_wpe([spec], (), WpeParams())
     other = random_spectrogram(rng, frames=11)
     with pytest.raises(InvalidInputError):
         run_wpe([spec, other], 0, WpeParams())
