@@ -8,9 +8,10 @@ unit the published transmission figures use.
 
 Each node has its own compute, so map_nodes runs a set of node jobs at the
 same time and returns once all have finished: the barrier of a distributed
-round, and the per-node work of single mode. Centralized mode, whose report
-nodes run one after another, maps each node's frequency-bin blocks on it
-instead; no pool job maps again, so pools never nest. The jobs spend their
+round, the per-node work of single mode, and the scoring of each node.
+Centralized mode, whose one run serves every report node, maps that run's
+frequency-bin blocks on it instead; no pool job maps again, so pools never
+nest. The jobs spend their
 time in numpy and BLAS calls that release the GIL, so they overlap on
 separate cores. The pool has min(jobs, usable CPUs // BLAS threads) workers, at
 least 1 (worker_count): the BLAS thread count is the first integer among
@@ -53,9 +54,9 @@ def worker_count(num_jobs: int) -> int:
 
 def map_nodes(fn, items) -> list:
     """[fn(item) for item in items], run on worker_count(len(items))
-    threads, results in input order: the nodes of a single-mode run or a
-    distributed round, or the bin blocks of a centralized solve
-    (wpe.solve_weights). A job must not call map_nodes itself. The jobs must
+    threads, results in input order: the nodes of a single-mode run, a
+    distributed round or a scoring (pipeline.score), or the bin blocks of a
+    centralized solve (wpe.solve_weights). A job must not call map_nodes itself. The jobs must
     share no mutable state; then the results do not depend on the number of
     workers. If a job raises, the jobs not yet started are cancelled and the
     first error in input order propagates once the pool's threads have

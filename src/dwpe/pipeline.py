@@ -7,8 +7,8 @@ Every mode treats a silent observation like any other: it gets lag 0, and
 the run goes on. `score` rates those
 estimates and the unprocessed observations by cepstral distance and
 frequency-weighted segmental SNR against each node's clean-plus-early
-reference. Neither reads nor writes a file; `dwpe.cli` wraps them in
-WAV/JSON/CSV I/O.
+reference, one node per pool job. Neither reads nor writes a file;
+`dwpe.cli` wraps them in WAV/JSON/CSV I/O.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 
 from . import danse, metrics, netsim, room, wpe
 from .dsp import Spectrogram, WindowSpec, istft, stft
-from .errors import ConfigurationError, InvalidInputError, NumericalError, SolverError
+from .errors import (ConfigurationError, InvalidInputError, NumericalError, SolverError,
+                     UndefinedMetricError)
 
 # STFT framing of every dereverberation run; part of the fingerprint.
 STFT_WINDOW = WindowSpec()
@@ -194,24 +195,34 @@ def score(clean: np.ndarray, rirs, observations, estimates: dict[int, np.ndarray
           lags: list[int], early_boundary: int, sample_rate: int
           ) -> dict[int, tuple[tuple[float, float], tuple[float, float]]]:
     """(CD, F-SNR) of the lag-aligned observation and of the estimate, in
-    that order, for every node of `estimates`.
+    that order, for every node of `estimates`, in its order.
 
     rirs (room.ImpulseResponse), observations and lags are indexed by node.
     A node's reference is the clean signal through the first
     `early_boundary` taps of its RIR (room.early_reference), shifted by the
     node's lag like its observation, since `run` estimates from the
     synchronized observations. Each pair is scored over the shorter of the
-    reference and the scored signal.
+    reference and the scored signal. Each node is one `netsim.map_nodes`
+    job, which scores both signals against one `metrics.Reference` of its
+    reference (one per scored length). A metric error names the node and
+    the signal; the first failing node's, in node order, propagates.
     """
-    def pair(reference: np.ndarray, signal: np.ndarray) -> tuple[float, float]:
-        n = min(reference.size, signal.size)
-        return (metrics.cepstral_distance(reference[:n], signal[:n], sample_rate),
-                metrics.fw_segmental_snr(reference[:n], signal[:n], sample_rate))
-
-    scores = {}
-    for node, estimate in estimates.items():
+    def node_scores(node: int) -> tuple[tuple[float, float], tuple[float, float]]:
         early = room.early_reference(clean, rirs[node], early_boundary)
         reference, observation = netsim.apply_lags(
             [early, observations[node]], [lags[node]] * 2)
-        scores[node] = (pair(reference, observation), pair(reference, estimate))
-    return scores
+        halves: dict[int, metrics.Reference] = {}  # by scored length
+
+        def pair(name: str, signal: np.ndarray) -> tuple[float, float]:
+            n = min(reference.size, signal.size)
+            try:
+                if n not in halves:
+                    halves[n] = metrics.Reference(reference[:n], sample_rate)
+                return (metrics.cepstral_distance(halves[n], signal[:n], sample_rate),
+                        metrics.fw_segmental_snr(halves[n], signal[:n], sample_rate))
+            except (InvalidInputError, UndefinedMetricError) as exc:
+                raise type(exc)(f"node {node} {name}: {exc}") from exc
+
+        return pair("observation", observation), pair("estimate", estimates[node])
+
+    return dict(zip(estimates, netsim.map_nodes(node_scores, estimates)))

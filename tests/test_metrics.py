@@ -7,6 +7,7 @@ from dwpe.errors import InvalidInputError, UndefinedMetricError
 from dwpe.metrics import (
     FSNR_CLAMP,
     MEL_BANDS,
+    Reference,
     _mel_filterbank,
     cepstral_distance,
     fw_segmental_snr,
@@ -43,6 +44,42 @@ def test_cd_silent_reference_undefined():
 def test_cd_length_mismatch(utterance):
     with pytest.raises(InvalidInputError):
         cepstral_distance(utterance, utterance[:-1])
+
+
+@pytest.fixture(scope="module")
+def noisy_pair():
+    x = speech_like(1.0, seed=1)
+    return x, x + 0.05 * np.random.default_rng(0).standard_normal(x.size)
+
+
+@pytest.mark.parametrize("measure", [cepstral_distance, fw_segmental_snr])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_samples_are_rejected_by_name(noisy_pair, measure, bad):
+    # unchecked, NaN error power made an infinite band SNR that F-SNR clamped
+    # to 35 dB, and CD returned nan
+    x, y = noisy_pair
+    broken = y.copy()
+    broken[2000:12000:400] = bad
+    with pytest.raises(InvalidInputError, match="^estimate has non-finite samples$"):
+        measure(x, broken)
+    with pytest.raises(InvalidInputError, match="^reference has non-finite samples$"):
+        measure(broken, x)
+    with pytest.raises(InvalidInputError, match="^reference has non-finite samples$"):
+        Reference(broken)
+
+
+def test_reference_half_scores_like_the_signal(noisy_pair):
+    # one half serves any number of signals, each value bit for bit the
+    # value of the pair
+    x, y = noisy_pair
+    half = Reference(x)
+    for estimate in (y, 0.5 * y, np.roll(y, 80)):
+        assert cepstral_distance(half, estimate) == cepstral_distance(x, estimate)
+        assert fw_segmental_snr(half, estimate) == fw_segmental_snr(x, estimate)
+    with pytest.raises(InvalidInputError, match="framed at 16000 Hz, scored at 8000 Hz"):
+        cepstral_distance(half, y, 8000)
+    with pytest.raises(InvalidInputError, match="equal-length"):
+        fw_segmental_snr(half, y[:-1])
 
 
 def test_cd_too_short():

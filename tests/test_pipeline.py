@@ -4,19 +4,26 @@ import threading
 import numpy as np
 import pytest
 
-from dwpe import danse, netsim, pipeline, room, wpe
-from dwpe.errors import ConfigurationError, InvalidInputError, SolverError
+from dwpe import danse, metrics, netsim, pipeline, room, wpe
+from dwpe.errors import ConfigurationError, InvalidInputError, SolverError, UndefinedMetricError
 from dwpe.signals import speech_like
 
 PARAMS = wpe.WpeParams(delay=2, filter_order=6, max_iters=2)
 
 
 @pytest.fixture(scope="module")
-def observations(small_scenario):
-    fs = small_scenario.sample_rate
-    clean = speech_like(1.0, fs, seed=0)
-    return [room.render_observation(clean, fs, room.image_method_rir(small_scenario, i))
-            for i in range(small_scenario.num_nodes)]
+def clean():
+    return speech_like(1.0, 16000, seed=0)
+
+
+@pytest.fixture(scope="module")
+def rirs(small_scenario):
+    return [room.image_method_rir(small_scenario, i) for i in range(small_scenario.num_nodes)]
+
+
+@pytest.fixture(scope="module")
+def observations(clean, rirs):
+    return [room.render_observation(clean, 16000, rir) for rir in rirs]
 
 
 # nodes: the nodes that solve, which distributed mode runs all of
@@ -232,3 +239,74 @@ def test_score_shifts_the_reference_by_the_lag():
     estimate[:-k] = observation[k:]
     scores = pipeline.score(clean, [rir], [observation], {0: estimate}, [k], 512, fs)
     assert scores == {0: ((0.0, 35.0), (0.0, 35.0))}
+
+
+@pytest.fixture(scope="module")
+def single_result(observations):
+    return single_run(observations)
+
+
+def score(clean, rirs, observations, estimates, lags):
+    return pipeline.score(clean, rirs, observations, estimates, lags, 512, 16000)
+
+
+def test_score_equals_each_pairs_metrics(clean, rirs, observations, single_result):
+    expected = {}
+    for node, estimate in single_result.estimates.items():
+        early = room.early_reference(clean, rirs[node], 512)
+        lag = single_result.lags[node]
+        reference, observation = netsim.apply_lags([early, observations[node]], [lag] * 2)
+        pairs = []
+        for signal in (observation, estimate):
+            n = min(reference.size, signal.size)
+            pairs.append((metrics.cepstral_distance(reference[:n], signal[:n], 16000),
+                          metrics.fw_segmental_snr(reference[:n], signal[:n], 16000)))
+        expected[node] = tuple(pairs)
+    scores = score(clean, rirs, observations, single_result.estimates, single_result.lags)
+    assert list(scores) == [0, 1, 2]
+    assert scores == expected  # float for float
+
+
+def test_score_same_values_for_any_worker_count(clean, rirs, observations, single_result,
+                                               monkeypatch):
+    runs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(netsim, "worker_count", lambda num_jobs, w=workers: w)
+        estimates = {node: single_result.estimates[node] for node in (2, 0, 1)}
+        runs.append(score(clean, rirs, observations, estimates, single_result.lags))
+    serial, pooled = runs
+    assert list(pooled) == [2, 0, 1]
+    assert pooled == serial
+
+
+def test_score_forms_one_reference_half_per_node(clean, rirs, observations, single_result,
+                                                 monkeypatch):
+    # the active-frame mask is part of the reference half: both signals and
+    # both measures of a node share it
+    masks = []
+    active_frames = metrics._active_frames
+
+    def counting(frames):
+        masks.append(frames.shape)
+        return active_frames(frames)
+
+    monkeypatch.setattr(metrics, "_active_frames", counting)
+    score(clean, rirs, observations, single_result.estimates, single_result.lags)
+    assert len(masks) == 3
+
+
+def test_score_errors_name_the_first_failing_node(clean, rirs, observations, single_result,
+                                                  monkeypatch):
+    monkeypatch.setattr(netsim, "worker_count", lambda num_jobs: 2)
+    estimates = dict(single_result.estimates)
+    estimates[1] = np.zeros_like(estimates[1])
+    estimates[2] = np.zeros_like(estimates[2])
+    with pytest.raises(UndefinedMetricError,
+                       match="^node 1 estimate: no usable active frames for cepstral distance$"):
+        score(clean, rirs, observations, estimates, single_result.lags)
+    broken = list(observations)
+    broken[2] = observations[2].copy()
+    broken[2][4000] = np.nan
+    with pytest.raises(InvalidInputError,
+                       match="^node 2 observation: estimate has non-finite samples$"):
+        score(clean, rirs, broken, single_result.estimates, single_result.lags)
