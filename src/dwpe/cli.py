@@ -106,21 +106,21 @@ def simulate(scenario: room.RoomScenario, clean: np.ndarray, outdir: Path,
              seed: int = 0, scenario_path: str = "") -> dict:
     """Render one reverberant observation per node and dump the RIRs.
 
-    Returns the manifest dictionary (also written to manifest.json).
+    Each node is one `netsim.map_nodes` job: its RIR, its observation, both
+    WAVs and its T60 estimate. Returns the manifest dictionary (also
+    written to manifest.json).
     """
     fs = scenario.sample_rate
-    obs_paths, rir_paths = [], []
-    t60_estimates = []
-    for i in range(scenario.num_nodes):
-        rir = room.image_method_rir(scenario, i)
-        observation = room.render_observation(clean, fs, rir)
-        obs_name = f"observation_{i:02d}.wav"
-        rir_name = f"rir_{i:02d}.wav"
-        write_wav(outdir / obs_name, fs, observation)
-        write_wav(outdir / rir_name, fs, rir.taps)
-        obs_paths.append(obs_name)
-        rir_paths.append(rir_name)
-        t60_estimates.append(room.estimate_t60(rir))
+
+    def node_setup(node: int) -> float:
+        rir = room.image_method_rir(scenario, node)
+        write_wav(outdir / f"observation_{node:02d}.wav", fs,
+                  room.render_observation(clean, fs, rir))
+        write_wav(outdir / f"rir_{node:02d}.wav", fs, rir.taps)
+        return room.estimate_t60(rir)
+
+    nodes = range(scenario.num_nodes)
+    t60_estimates = netsim.map_nodes(node_setup, nodes)
     write_wav(outdir / "clean.wav", fs, clean)
     manifest = {
         "scenario_name": scenario.name,
@@ -128,8 +128,8 @@ def simulate(scenario: room.RoomScenario, clean: np.ndarray, outdir: Path,
         "num_nodes": scenario.num_nodes,
         "sample_rate": fs,
         "clean": "clean.wav",
-        "observations": obs_paths,
-        "rirs": rir_paths,
+        "observations": [f"observation_{i:02d}.wav" for i in nodes],
+        "rirs": [f"rir_{i:02d}.wav" for i in nodes],
         "t60_target": scenario.t60,
         "t60_estimate": float(np.mean(t60_estimates)),
         "seed": seed,

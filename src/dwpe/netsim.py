@@ -8,7 +8,8 @@ unit the published transmission figures use.
 
 Each node has its own compute, so map_nodes runs a set of node jobs at the
 same time and returns once all have finished: the barrier of a distributed
-round, the per-node work of single mode, and the scoring of each node.
+round, the per-node work of single mode, the scoring of each node, and the
+set-up of each node (cli.simulate: its RIR, observation and WAVs).
 Centralized mode, whose one run serves every report node, maps that run's
 frequency-bin blocks on it instead; no pool job maps again, so pools never
 nest. The jobs spend their
@@ -55,8 +56,9 @@ def worker_count(num_jobs: int) -> int:
 def map_nodes(fn, items) -> list:
     """[fn(item) for item in items], run on worker_count(len(items))
     threads, results in input order: the nodes of a single-mode run, a
-    distributed round or a scoring (pipeline.score), or the bin blocks of a
-    centralized solve (wpe.solve_weights). A job must not call map_nodes itself. The jobs must
+    distributed round, a scoring (pipeline.score) or a set-up
+    (cli.simulate), or the bin blocks of a centralized solve
+    (wpe.solve_weights). A job must not call map_nodes itself. The jobs must
     share no mutable state; then the results do not depend on the number of
     workers. If a job raises, the jobs not yet started are cancelled and the
     first error in input order propagates once the pool's threads have

@@ -18,6 +18,8 @@ from .dsp import fft_convolve, iir_filter
 from .errors import ConfigurationError, InvalidInputError
 
 SPEED_OF_SOUND = 343.0
+# x-lattice indices per accumulation block of image_method_rir
+IMAGE_BLOCK = 8
 
 
 @dataclass
@@ -41,6 +43,11 @@ class RoomScenario:
         self.room_dims = tuple(float(v) for v in self.room_dims)
         self.source_pos = tuple(float(v) for v in self.source_pos)
         self.mic_positions = [tuple(float(v) for v in p) for p in self.mic_positions]
+        for label, values in [("room_dims", self.room_dims), ("source_pos", self.source_pos)] + [
+            (f"mic_positions[{i}]", p) for i, p in enumerate(self.mic_positions)
+        ]:
+            if not np.all(np.isfinite(values)):
+                raise ConfigurationError(f"{label} must be finite, got {values}")
         if len(self.room_dims) != 3 or any(v <= 0 for v in self.room_dims):
             raise ConfigurationError(f"room_dims must be 3 positive lengths, got {self.room_dims}")
         for label, pos in [("source", self.source_pos)] + [
@@ -49,6 +56,11 @@ class RoomScenario:
             if len(pos) != 3 or not all(0 < pos[d] < self.room_dims[d] for d in range(3)):
                 raise ConfigurationError(
                     f"{label} position {pos} not strictly inside room {self.room_dims}"
+                )
+        for i, pos in enumerate(self.mic_positions):
+            if pos == self.source_pos:
+                raise ConfigurationError(
+                    f"mic {i} is at the source position {pos}: its direct path has no length"
                 )
         if len(self.mic_positions) < 1:
             raise ConfigurationError("scenario needs at least one microphone")
@@ -117,14 +129,30 @@ def _image_highpass(taps: np.ndarray, sample_rate: int,
     return iir_filter([1.0, a1, r1], [1.0, -b1, -b2], taps)
 
 
+def _within(halves: list[tuple[np.ndarray, np.ndarray]], radius: float
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates and orders of one axis's images with |coord| <= radius,
+    in lattice order. Each parity half ascends in m, so its images within
+    the radius are one slice."""
+    coords, orders = [], []
+    for c, o in halves:
+        lo, hi = np.searchsorted(c, -radius), np.searchsorted(c, radius, side="right")
+        coords.append(c[lo:hi])
+        orders.append(o[lo:hi])
+    return np.concatenate(coords), np.concatenate(orders)
+
+
 def image_method_rir(scenario: RoomScenario, mic_index: int) -> ImpulseResponse:
     """Image-source RIR between the scenario source and one microphone.
 
-    Deterministic given the scenario: the image lattice is enumerated out to
-    the distance the configured RIR length can represent, each image
-    contributing beta^order / (4 pi d) at the nearest-sample arrival time.
-    The standard 100 Hz image-method high-pass removes the model's
-    nonphysical DC build-up.
+    Deterministic given the scenario: every image within the distance the
+    configured RIR length can represent contributes beta^order / (4 pi d)
+    at its nearest-sample arrival time. The lattice is walked in blocks of
+    IMAGE_BLOCK x indices, each broadcast only over the y and z indices
+    that can still reach that distance, so memory is bounded by one block;
+    the taps are accumulated in lattice order, the same adds as over the
+    full image cube. The standard 100 Hz image-method high-pass removes the
+    model's nonphysical DC build-up.
     """
     if not (0 <= mic_index < scenario.num_nodes):
         raise InvalidInputError(
@@ -141,29 +169,35 @@ def image_method_rir(scenario: RoomScenario, mic_index: int) -> ImpulseResponse:
     # Per-axis image coordinates relative to the mic and their reflection
     # orders, for lattice index m and source parity q in {0, 1}:
     #   coord = (1 - 2q) * src + 2 m L - mic,  order = |m - q| + |m|
-    coords = []
-    orders = []
+    # Each axis lists the q = 0 half, then the q = 1 half, m ascending.
+    halves, max_order = [], 0
     for axis in range(3):
         n_img = int(np.ceil(max_dist / (2.0 * dims[axis])))
         m = np.arange(-n_img, n_img + 1)
-        per_axis_coord = []
-        per_axis_order = []
-        for q in (0, 1):
-            per_axis_coord.append((1 - 2 * q) * src[axis] + 2.0 * m * dims[axis] - mic[axis])
-            per_axis_order.append(np.abs(m - q) + np.abs(m))
-        coords.append(np.concatenate(per_axis_coord))
-        orders.append(np.concatenate(per_axis_order))
+        halves.append([((1 - 2 * q) * src[axis] + 2.0 * m * dims[axis] - mic[axis],
+                        np.abs(m - q) + np.abs(m)) for q in (0, 1)])
+        max_order += 2 * n_img + 1  # at m = -n_img, q = 1
+    gain_of_order = beta ** np.arange(max_order + 1)
 
-    cx, cy, cz = coords
-    ox, oy, oz = orders
-    dist = np.sqrt(
-        cx[:, None, None] ** 2 + cy[None, :, None] ** 2 + cz[None, None, :] ** 2
-    ).ravel()
-    order = (ox[:, None, None] + oy[None, :, None] + oz[None, None, :]).ravel()
-    sample = np.rint(dist * fs / SPEED_OF_SOUND).astype(np.int64)
-    keep = (sample < n_taps) & (dist > 0)
-    gain = beta ** order[keep] / (4.0 * np.pi * dist[keep])
-    taps = np.bincount(sample[keep], weights=gain, minlength=n_taps)
+    # Pruning is by the radius max_dist itself. A kept image arrives before
+    # tap n_taps - 1/2, at least half a sample (about 1 cm) inside that
+    # radius, so no rounding in the bounds below can drop one; the mask
+    # still decides which images count.
+    taps = np.zeros(n_taps)
+    cx, ox = _within(halves[0], max_dist)
+    for start in range(0, cx.size, IMAGE_BLOCK):
+        bx, box = cx[start:start + IMAGE_BLOCK], ox[start:start + IMAGE_BLOCK]
+        reach = np.sqrt(max_dist ** 2 - np.min(np.abs(bx)) ** 2)
+        cy, oy = _within(halves[1], reach)
+        cz, oz = _within(halves[2], reach)
+        dist = np.sqrt(
+            bx[:, None, None] ** 2 + cy[None, :, None] ** 2 + cz[None, None, :] ** 2
+        ).ravel()
+        sample = np.rint(dist * fs / SPEED_OF_SOUND).astype(np.int64)
+        keep = (sample < n_taps) & (dist > 0)
+        order = (box[:, None, None] + oy[None, :, None] + oz[None, None, :]).ravel()[keep]
+        # in-order adds into zeroed taps, as np.bincount makes them
+        np.add.at(taps, sample[keep], gain_of_order[order] / (4.0 * np.pi * dist[keep]))
     return ImpulseResponse(taps=_image_highpass(taps, fs), sample_rate=fs)
 
 

@@ -125,6 +125,33 @@ def image_highpass_direct(taps: np.ndarray, sample_rate: int,
     return out
 
 
+def image_rir_full_cube(room_dims, source_pos, mic_pos, beta: float,
+                        sample_rate: int, n_taps: int) -> np.ndarray:
+    """Raw image-source taps (before the high-pass) from the whole image
+    cube: every lattice image out to 343 n_taps / sample_rate metres per
+    axis is evaluated, and those arriving in time are summed with
+    np.bincount, in lattice order."""
+    dims, src, mic = (np.asarray(v, dtype=float) for v in (room_dims, source_pos, mic_pos))
+    max_dist = 343.0 * n_taps / sample_rate
+    coords, orders = [], []
+    for axis in range(3):
+        n_img = int(np.ceil(max_dist / (2.0 * dims[axis])))
+        m = np.arange(-n_img, n_img + 1)
+        coords.append(np.concatenate([(1 - 2 * q) * src[axis] + 2.0 * m * dims[axis]
+                                      - mic[axis] for q in (0, 1)]))
+        orders.append(np.concatenate([np.abs(m - q) + np.abs(m) for q in (0, 1)]))
+    cx, cy, cz = coords
+    ox, oy, oz = orders
+    dist = np.sqrt(
+        cx[:, None, None] ** 2 + cy[None, :, None] ** 2 + cz[None, None, :] ** 2
+    ).ravel()
+    order = (ox[:, None, None] + oy[None, :, None] + oz[None, None, :]).ravel()
+    sample = np.rint(dist * sample_rate / 343.0).astype(np.int64)
+    keep = (sample < n_taps) & (dist > 0)
+    gain = beta ** order[keep] / (4.0 * np.pi * dist[keep])
+    return np.bincount(sample[keep], weights=gain, minlength=n_taps)
+
+
 def cross_correlation_argmax(a: np.ndarray, b: np.ndarray, max_lag: int) -> int:
     """Lag of max plain cross-correlation, positive when b lags a."""
     best_lag, best_val = 0, -np.inf

@@ -66,6 +66,36 @@ def test_simulate_deterministic(small_scenario_file, tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_simulate_same_bytes_for_any_worker_count(small_scenario, tmp_path, monkeypatch):
+    clean = speech_like(1.0, small_scenario.sample_rate, seed=3)
+    outputs = []
+    for workers in (1, 2):
+        monkeypatch.setattr(netsim, "worker_count", lambda num_jobs, w=workers: w)
+        outdir = tmp_path / f"workers{workers}"
+        outdir.mkdir()
+        cli.simulate(small_scenario, clean, outdir, seed=3)
+        outputs.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
+    serial, pooled = outputs
+    assert sorted(serial) == ["clean.wav", "manifest.json"] + [
+        f"{kind}_{i:02d}.wav" for kind in ("observation", "rir") for i in range(3)]
+    assert pooled == serial
+
+
+def test_simulate_maps_its_nodes(small_scenario, tmp_path, monkeypatch):
+    mapped = []
+    map_nodes = netsim.map_nodes
+
+    def recording(fn, items):
+        items = list(items)
+        mapped.append(items)
+        return map_nodes(fn, items)
+
+    monkeypatch.setattr(netsim, "map_nodes", recording)
+    manifest = cli.simulate(small_scenario, speech_like(0.5, 16000, seed=1), tmp_path)
+    assert mapped == [[0, 1, 2]]
+    assert manifest["rirs"] == ["rir_00.wav", "rir_01.wav", "rir_02.wav"]
+
+
 def test_simulate_missing_scenario_is_io_error(tmp_path):
     assert main(["simulate", "--scenario", str(tmp_path / "nope.json"),
                  "--outdir", str(tmp_path / "o")]) == 3

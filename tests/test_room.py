@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from dwpe.room import (
     scenario_from_file,
 )
 
-from oracles import convolve_direct, image_highpass_direct, schroeder_t60
+from oracles import convolve_direct, image_highpass_direct, image_rir_full_cube, schroeder_t60
 
 
 def anechoicish_scenario(mic=(4.0, 2.5, 1.5)):
@@ -73,13 +75,25 @@ def test_anechoic_limit_single_dominant_tap():
     assert others.max() < 0.5 * np.abs(rir.taps[expected_tap])
 
 
-def test_mirror_symmetric_mics_identical_magnitudes():
+def mirror_scenario():
     # source on the room's symmetry plane, mics mirror-placed about it
-    scen = RoomScenario(
+    return RoomScenario(
         room_dims=(6.0, 4.0, 3.0), source_pos=(3.0, 2.0, 1.5),
         mic_positions=[(2.0, 1.2, 1.5), (4.0, 1.2, 1.5)],
         t60=0.3, sample_rate=16000, rir_length=3000,
     )
+
+
+def single_block_scenario():
+    # a long corridor with short RIRs: its whole x lattice, 6 images, is one block
+    return RoomScenario(
+        room_dims=(20.0, 2.0, 2.0), source_pos=(8.0, 1.0, 1.2),
+        mic_positions=[(11.0, 0.7, 1.0)], t60=0.1, sample_rate=16000, rir_length=800,
+    )
+
+
+def test_mirror_symmetric_mics_identical_magnitudes():
+    scen = mirror_scenario()
     rir_a = image_method_rir(scen, 0)
     rir_b = image_method_rir(scen, 1)
     np.testing.assert_allclose(np.abs(rir_a.taps), np.abs(rir_b.taps), atol=1e-12)
@@ -102,6 +116,37 @@ def test_rir_highpass_matches_per_sample_loop(shipped_scenario, monkeypatch):
         want = image_highpass_direct(raw, scen.sample_rate)
         got = image_method_rir(scen, mic).taps
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["shipped", "small", "anechoic", "mirror", "single_block"])
+def test_rir_equals_full_cube_oracle(name, shipped_scenario, small_scenario):
+    scen = {"shipped": shipped_scenario, "small": small_scenario,
+            "anechoic": anechoicish_scenario(), "mirror": mirror_scenario(),
+            "single_block": single_block_scenario()}[name]
+    if name == "single_block":
+        max_dist = room.SPEED_OF_SOUND * scen.rir_length / scen.sample_rate
+        n_img = int(np.ceil(max_dist / (2.0 * scen.room_dims[0])))
+        assert 2 * (2 * n_img + 1) <= room.IMAGE_BLOCK
+    beta = reflection_coefficient(scen)
+    for mic in range(scen.num_nodes):
+        raw = image_rir_full_cube(scen.room_dims, scen.source_pos, scen.mic_positions[mic],
+                                  beta, scen.sample_rate, scen.rir_length)
+        want = room._image_highpass(raw, scen.sample_rate)
+        assert np.array_equal(image_method_rir(scen, mic).taps, want), f"mic {mic}"
+
+
+def test_rir_memory_bounded_by_one_block():
+    # 5.6 M lattice cells: held whole, the image cube alone takes 178 MB
+    scen = RoomScenario(room_dims=(2.0, 2.0, 2.0), source_pos=(0.7, 1.1, 0.9),
+                        mic_positions=[(1.4, 0.6, 1.3)], t60=0.5,
+                        sample_rate=16000, rir_length=8192)
+    tracemalloc.start()
+    try:
+        image_method_rir(scen, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 def test_rir_energy_decays(shipped_scenario):
@@ -203,6 +248,29 @@ def test_scenario_file_non_finite_t60(tmp_path, t60):
                     f'"mic_positions": [[2,2,1]], "t60": {t60}}}')
     with pytest.raises(ConfigurationError, match=r"t60 must be positive and finite, got"):
         scenario_from_file(path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("room_dims", "[1e999, 4, 3]"), ("room_dims", "[4, NaN, 3]"),
+    ("source_pos", "[1, -Infinity, 1]"), ("mic_positions", "[[2, 2, 1], [1e999, 1, 1]]"),
+])
+def test_scenario_file_non_finite_dims(tmp_path, key, value):
+    # 1e999 parses to inf; an infinite room passed the positivity checks and
+    # its RIR came out silent
+    raw = {"room_dims": "[4, 4, 3]", "source_pos": "[1, 1, 1]",
+           "mic_positions": "[[2, 2, 1]]", "t60": "0.5", key: value}
+    path = tmp_path / "scen.json"
+    path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in raw.items()) + "}")
+    field = "mic_positions[1]" if key == "mic_positions" else key
+    with pytest.raises(ConfigurationError, match=re.escape(f"{field} must be finite")):
+        scenario_from_file(path)
+
+
+def test_mic_at_source_is_config_error():
+    # its direct image has distance 0 and would be dropped without a word
+    with pytest.raises(ConfigurationError, match=r"mic 1 is at the source position"):
+        RoomScenario(room_dims=(4, 4, 3), source_pos=(1, 1, 1),
+                     mic_positions=[(2, 2, 1), (1, 1, 1)], t60=0.5)
 
 
 def test_scenario_file_missing_key(tmp_path):
