@@ -139,11 +139,12 @@ def node_round(node: NodeState, round_index: int,
     if cross and node.weights.shape[1] == L:
         node.weights = np.pad(node.weights, ((0, 0), (0, len(streams) - 1)))
     if node.gram is None:
-        node.gram = Gram.build(streams, data)
+        node.gram = Gram.build(streams, [data])
     try:
-        # without cross-node data there is no proximal pull (prox_to=None)
-        solved = solve_weights(streams, data, psd.values, node.gram,
-                               node.weights if cross else None)
+        # one target, the node's own channel; without cross-node data there
+        # is no proximal pull (prox_to=None)
+        solved = solve_weights(streams, psd.values, node.gram,
+                               node.weights[..., None] if cross else None)[..., 0]
     except (SolverError, NumericalError) as exc:
         raise type(exc)(f"node {node.node_id}: {exc}") from exc
     if cross:

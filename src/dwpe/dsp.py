@@ -124,14 +124,12 @@ class Spectrogram:
             raise InvalidInputError("spectrogram contains non-finite entries")
 
 
-def stft(signal: np.ndarray, spec: WindowSpec | None = None,
-         sample_rate: int = 16000) -> Spectrogram:
+def stft(signal: np.ndarray, spec: WindowSpec, sample_rate: int = 16000) -> Spectrogram:
     """Short-time Fourier transform of a real signal.
 
     Frame n holds the one-sided DFT of the windowed samples
     [n*hop, n*hop + frame_len); the trailing partial frame is zero-padded.
     """
-    spec = spec or WindowSpec()
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise InvalidInputError("stft expects a non-empty 1-D signal")

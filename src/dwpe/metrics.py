@@ -10,10 +10,9 @@ in the package, builds it and aligns it to the scored node.
 Each measure has a reference half and a signal half. A `Reference` holds
 everything that depends only on the reference: its frames, the active-frame
 mask, its LPC fits and their cepstra, and its mel band powers, each computed
-once, on first use. Both measures take the reference either as a signal or
-as its `Reference`; given the `Reference`, several signals scored against
-one reference share that work, and each value is the same, bit for bit, as
-from the signal. Every sample must be finite.
+once, on first use. Both measures take the reference as its `Reference`,
+so several signals scored against one reference share that work. Every
+sample must be finite.
 """
 
 from __future__ import annotations
@@ -118,7 +117,8 @@ def _mel_filterbank(num_bands: int, n_fft: int, sample_rate: int) -> np.ndarray:
 class Reference:
     """The reference half of both measures: one 1-D reference signal with
     finite samples, framed at `sample_rate`, its active frames, and, on
-    first use, their LPC fits and mel band powers."""
+    first use, their LPC fits and mel band powers. The rate must give the
+    metric frame and hop at least one sample each."""
 
     def __init__(self, reference: np.ndarray, sample_rate: int = 16000):
         self.signal = _finite(reference, "reference")
@@ -127,6 +127,9 @@ class Reference:
         self.sample_rate = sample_rate
         frame_len = int(round(FRAME_SECONDS * sample_rate))
         hop = int(round(HOP_SECONDS * sample_rate))
+        if hop < 1:  # the frame is longer, so this also rules out an empty frame
+            raise InvalidInputError(
+                f"the {HOP_SECONDS:g} s metric hop has no sample at {sample_rate} Hz")
         self.window = np.hanning(frame_len)
         frames = _frame_signal(self.signal, frame_len, hop)
         active = _active_frames(frames)
@@ -162,34 +165,27 @@ class Reference:
         return n_fft, bank, kept, power, usable, weights, np.sum(weights, axis=1)
 
 
-def _halves(reference, estimate, sample_rate: int) -> tuple[Reference, np.ndarray]:
-    """The reference half, made from the signal unless given, and the
-    checked estimate."""
-    if not isinstance(reference, Reference):
-        reference = Reference(reference, sample_rate)
-    elif reference.sample_rate != sample_rate:
-        raise InvalidInputError(
-            f"reference framed at {reference.sample_rate} Hz, scored at {sample_rate} Hz")
+def _checked(reference: Reference, estimate: np.ndarray) -> np.ndarray:
+    """The estimate as float64, finite and as long as the reference."""
     estimate = _finite(estimate, "estimate")
     if estimate.shape != reference.signal.shape:
         raise InvalidInputError(
             f"reference/estimate must be equal-length 1-D, got "
             f"{reference.signal.shape} and {estimate.shape}"
         )
-    return reference, estimate
+    return estimate
 
 
-def cepstral_distance(reference: np.ndarray | Reference, estimate: np.ndarray,
-                      sample_rate: int = 16000) -> float:
+def cepstral_distance(reference: Reference, estimate: np.ndarray) -> float:
     """Mean LPC-cepstrum distance in dB over active frames (lower is better).
 
     The zeroth cepstral coefficient is excluded, so the measure is invariant
     to a global gain on either signal. Frames where either LPC fit is
     degenerate are skipped.
     """
-    half, estimate = _halves(reference, estimate, sample_rate)
-    ok_ref, cep_ref = half.lpc_fit
-    a_est, ok_est = _lpc(half.active_windowed(estimate), LPC_ORDER)
+    estimate = _checked(reference, estimate)
+    ok_ref, cep_ref = reference.lpc_fit
+    a_est, ok_est = _lpc(reference.active_windowed(estimate), LPC_ORDER)
     usable = ok_ref & ok_est
     if not np.any(usable):
         raise UndefinedMetricError("no usable active frames for cepstral distance")
@@ -198,17 +194,16 @@ def cepstral_distance(reference: np.ndarray | Reference, estimate: np.ndarray,
     return float(np.mean(np.clip(dist, *CD_CLAMP)))
 
 
-def fw_segmental_snr(reference: np.ndarray | Reference, estimate: np.ndarray,
-                     sample_rate: int = 16000) -> float:
+def fw_segmental_snr(reference: Reference, estimate: np.ndarray) -> float:
     """Mel-band-weighted segmental SNR in dB over active frames (higher is
     better); each frame clamped to [-10, 35] dB.
 
     Band weights are the reference band powers raised to 0.2; the error term
     is the band power of the time-domain difference signal.
     """
-    half, estimate = _halves(reference, estimate, sample_rate)
-    n_fft, bank, kept, ref_power, usable, weights, weight_sum = half.bands
-    err_frames = half.active_windowed(half.signal - estimate)
+    estimate = _checked(reference, estimate)
+    n_fft, bank, kept, ref_power, usable, weights, weight_sum = reference.bands
+    err_frames = reference.active_windowed(reference.signal - estimate)
     err_power = (np.abs(np.fft.rfft(err_frames, n=n_fft, axis=1)) ** 2) @ bank.T
     err_power = err_power[kept]
     with np.errstate(divide="ignore", invalid="ignore"):

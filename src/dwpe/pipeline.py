@@ -62,18 +62,20 @@ class RunConfig:
         return {**asdict(self.params), "collab_period": self.collab_period}
 
     def fingerprint(self) -> str:
-        blob = json.dumps(
-            {
-                **self.run_params(),
-                "scenario": os.path.basename(self.scenario_path),
-                "mode": self.mode,
-                "frame_len": STFT_WINDOW.frame_len,
-                "hop": STFT_WINDOW.hop,
-                "seed": self.seed,
-                "ref": self.ref_channel,
-            },
-            sort_keys=True,
-        )
+        """Hash of everything the estimates depend on. The report nodes
+        count only in centralized mode, where they share one PSD."""
+        fields = {
+            **self.run_params(),
+            "scenario": os.path.basename(self.scenario_path),
+            "mode": self.mode,
+            "frame_len": STFT_WINDOW.frame_len,
+            "hop": STFT_WINDOW.hop,
+            "seed": self.seed,
+            "ref": self.ref_channel,
+        }
+        if self.mode == "centralized":
+            fields["report_nodes"] = list(self.report_nodes)
+        blob = json.dumps(fields, sort_keys=True)
         return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
 
@@ -129,29 +131,23 @@ def run(observations: list[np.ndarray], sample_rate: int,
             f"delay {params.delay} leaves nothing to predict: the signal has "
             f"{n_frames} STFT frames, and the delay must be below that")
 
-    def to_time(node: int, desired: np.ndarray) -> np.ndarray | None:
-        """The node's time-domain estimate; None off the report nodes."""
-        if node not in config.report_nodes:
-            return None
+    def to_time(desired: np.ndarray) -> np.ndarray:
+        """The time-domain estimate of a desired spectrogram."""
         return istft(Spectrogram(desired, sample_rate, STFT_WINDOW))[:total_len]
 
-    def finish(node: int, state) -> tuple:
-        """The estimate (to_time), trace, PSD floor and unknowns per bin of
-        the node's final state, a one-target wpe.WpeResult or a
-        danse.NodeState."""
-        return (to_time(node, state.desired), state.trace, state.psd_floor,
-                state.weights.shape[1])
-
-    def solve(nodes: tuple[int, ...], channels: list[np.ndarray], targets,
-              workers: int = 1, map_jobs=map) -> wpe.WpeResult:
+    def solve(nodes: tuple[int, ...], channels: list[np.ndarray], targets: list[int],
+              workers: int = 1, map_jobs=map) -> list[tuple]:
         """One WPE run of `targets` for the report nodes `nodes`, which its
         errors name; the run maps its bin blocks with map_jobs on `workers`
-        workers."""
+        workers. Returns each node's estimate (to_time), trace, PSD floor
+        and unknowns per bin, in target order."""
         try:
-            return wpe.run_wpe(channels, targets, params, workers, map_jobs)
+            result = wpe.run_wpe(channels, targets, params, workers, map_jobs)
         except (SolverError, NumericalError) as exc:
             named = ", ".join(map(str, nodes))
             raise type(exc)(f"node{'s' * (len(nodes) > 1)} {named}: {exc}") from exc
+        return [(to_time(desired), result.trace, floor, result.weights.shape[1])
+                for desired, floor in zip(result.desired, result.psd_floor)]
 
     ledger = netsim.TransmissionLedger(mode=config.mode)
     if config.mode == "single":
@@ -159,8 +155,8 @@ def run(observations: list[np.ndarray], sample_rate: int,
         # the pool workers' spectrograms are live, and no other node is
         # transformed
         done = netsim.map_nodes(
-            lambda node: finish(node, solve(
-                (node,), [stft(aligned[node], STFT_WINDOW, sample_rate).data], 0)),
+            lambda node: solve(
+                (node,), [stft(aligned[node], STFT_WINDOW, sample_rate).data], [0])[0],
             config.report_nodes)
         outputs = dict(zip(config.report_nodes, done))
     else:
@@ -169,18 +165,20 @@ def run(observations: list[np.ndarray], sample_rate: int,
         if config.mode == "distributed":
             dist = danse.run_distributed(specs, params, collab_period=config.collab_period)
             ledger = dist.ledger
-            outputs = {state.node_id: finish(state.node_id, state) for state in dist.nodes}
+            # every node ran; only the report nodes are transformed back
+            outputs = {state.node_id: (to_time(state.desired)
+                                       if state.node_id in config.report_nodes else None,
+                                       state.trace, state.psd_floor, state.weights.shape[1])
+                       for state in dist.nodes}
         else:
             # one MIMO-WPE run estimates every report node from the same
             # gathered streams: one shared PSD, one Gram and one solve per
             # bin block with a right-hand side per node, its bin blocks
             # mapped on the node pool. Each node shares the run's trace
             nodes = config.report_nodes
-            result = solve(nodes, specs, nodes, netsim.worker_count(n_bins), netsim.map_nodes)
-            outputs = {}
-            for node, desired, floor in zip(nodes, result.desired, result.psd_floor):
-                outputs[node] = (to_time(node, desired), result.trace, floor,
-                                 result.weights.shape[1])
+            outputs = dict(zip(nodes, solve(nodes, specs, nodes, netsim.worker_count(n_bins),
+                                            netsim.map_nodes)))
+            for node in nodes:
                 # every other node ships its delayed-vector stream to this one
                 for sender in (i for i in range(num_nodes) if i != node):
                     ledger.record(0, sender, node, params.filter_order * n_frames * n_bins)
@@ -218,8 +216,8 @@ def score(clean: np.ndarray, rirs, observations, estimates: dict[int, np.ndarray
             try:
                 if n not in halves:
                     halves[n] = metrics.Reference(reference[:n], sample_rate)
-                return (metrics.cepstral_distance(halves[n], signal[:n], sample_rate),
-                        metrics.fw_segmental_snr(halves[n], signal[:n], sample_rate))
+                return (metrics.cepstral_distance(halves[n], signal[:n]),
+                        metrics.fw_segmental_snr(halves[n], signal[:n]))
             except (InvalidInputError, UndefinedMetricError) as exc:
                 raise type(exc)(f"node {node} {name}: {exc}") from exc
 

@@ -11,7 +11,8 @@ Yoshioka & Nakatani, IEEE TASLP 2012; NARA-WPE). Every target is then
 weighted by one PSD, the mean of the targets' floored estimates, so the
 weighted normal equations Z are the same for all of them: each bin block
 forms one Z and solves it once with one right-hand side per target, and
-each target subtracts its own prediction. One target is single-target WPE,
+each target subtracts its own prediction. Every run takes a sequence of
+targets and keeps the target axis; one target is single-target WPE,
 operation for operation.
 
 Each job has one batched kernel: lag_windows and gather_cells build delayed
@@ -255,12 +256,11 @@ def gather_cells(streams: list[Stream], frames: np.ndarray,
 class Gram:
     """Unweighted normal equations of one stream set and its targets.
     `refs` are the T targets' (N, K) reference arrays, held, not copied.
-    g = sum_n x_n conj(ref_n) is kept in full, shape (K, d, T), or (K, d)
-    when the Gram was built from one reference array. C = sum_n x_n x_n^H,
-    the same for every target, is kept as the generators of its shift
-    structure: its S lag-0 columns `cols`, shape (K, d, S), and the last
-    stacked frame `last`, shape (K, d), from which expand() rebuilds one
-    bin block. `orders` are the streams'.
+    g = sum_n x_n conj(ref_n) is kept in full, shape (K, d, T), one column
+    per target. C = sum_n x_n x_n^H, the same for every target, is kept as
+    the generators of its shift structure: its S lag-0 columns `cols`,
+    shape (K, d, S), and the last stacked frame `last`, shape (K, d), from
+    which expand() rebuilds one bin block. `orders` are the streams'.
 
     The arrays are read-only and no stream array is held, so threads share
     a Gram freely and it keeps no replaced stream alive. Stream and
@@ -279,15 +279,15 @@ class Gram:
             array.flags.writeable = False
 
     @classmethod
-    def build(cls, streams: list[Stream], refs) -> Gram:
-        """The Gram of streams and the targets' references `refs`, one (N,
-        K) array or a sequence of T, in one pass over bin blocks
+    def build(cls, streams: list[Stream], refs: list[np.ndarray]) -> Gram:
+        """The Gram of streams and the targets' references `refs`, a
+        sequence of T (N, K) arrays, in one pass over bin blocks
         (GRAM_BLOCK_BYTES) and frame chunks of the streams' lag windows,
         which are formed once per build. C's generators are the products
         with the S lag-0 rows and the last chunk's final frame; each
         target's column of g is the product with its reference, target
         after target, so it is a one-target build's g byte for byte."""
-        targets = (refs,) if isinstance(refs, np.ndarray) else tuple(refs)
+        targets = tuple(refs)
         N, K = targets[0].shape
         d = streams_dim(streams)
         cols = np.zeros((K, d, len(streams)), dtype=np.complex128)
@@ -306,8 +306,6 @@ class Gram:
                 for t, ref in enumerate(targets):
                     g[bins, :, t] += (X @ ref[start:stop, bins].conj().T[:, :, None])[..., 0]
             last[bins] = X[:, :, -1]  # the last chunk ends at frame N-1
-        if refs is targets[0]:
-            g = g[..., 0]  # one reference array: no target axis
         return cls(cols, last, g, tuple(order for _, order, _ in streams), targets)
 
     def expand(self, bins: slice, divisor: float = 1.0,
@@ -347,18 +345,18 @@ def normal_equations_all_bins(streams: list[Stream], ref_data: np.ndarray,
     by 1/c - 1/sigma in [0, 1/c); q likewise (see the module docstring).
     `gram` is the Gram of these streams, and every target of it shares
     sigma, so Z serves them all; q has one column per target, read from the
-    Gram's references. Without a Gram, a throwaway one of the one reference
-    ref_data is built; with one, ref_data is its first reference. The cells
-    are gathered GATHER_BYTES at a time. Each bin's Z and q do not depend
-    on which other bins share the call.
+    Gram's references. ref_data is read only when no Gram is given: a
+    throwaway Gram of the one reference ref_data is built. The cells are
+    gathered GATHER_BYTES at a time. Each bin's Z and q do not depend on
+    which other bins share the call.
 
     Returns Z of shape (bins, d, d), written into `out` when given, and q
-    of the shape of the Gram's g over the bins: (bins, d, T), or (bins, d).
+    of shape (bins, d, T), the Gram's g over the bins.
     """
     if gram is None:
-        gram = Gram.build(streams, ref_data)
+        gram = Gram.build(streams, [ref_data])
     if bins is None:
-        bins = slice(0, ref_data.shape[1])
+        bins = slice(0, gram.g.shape[0])
     c = float(sigma.min())
     Z = gram.expand(bins, c, out=out)
     q = gram.g[bins] / c
@@ -368,7 +366,7 @@ def normal_equations_all_bins(streams: list[Stream], ref_data: np.ndarray,
     s = sigma[frames, cell_bins]
     root = np.sqrt((s - c) / (c * s))
     ref_cells = np.stack([ref[frames, cell_bins] for ref in gram.refs], axis=-1)
-    ref_scaled = (ref_cells.conj() * root[:, None]).reshape(root.shape + q.shape[2:])
+    ref_scaled = ref_cells.conj() * root[:, None]
     bounds = np.searchsorted(rel, np.arange(Z.shape[0] + 1))
     group_cells = GATHER_BYTES // (16 * Z.shape[1])
     k0 = 0
@@ -442,13 +440,12 @@ def solve_all_bins(Z: np.ndarray, q: np.ndarray, ridge_scale: float,
     return w.reshape(q.shape)
 
 
-def solve_weights(streams: list[Stream], ref_data: np.ndarray, sigma: np.ndarray,
-                  gram: Gram, prox_to: np.ndarray | None = None, workers: int = 1,
+def solve_weights(streams: list[Stream], sigma: np.ndarray, gram: Gram,
+                  prox_to: np.ndarray | None = None, workers: int = 1,
                   map_jobs=map) -> np.ndarray:
     """Prediction weights of the PSD-weighted normal equations, with the
-    ridge RIDGE_SCALE and, given prox_to, the pull of solve_all_bins: one
-    column per target of `gram`, (K, d, T), or (K, d) like its g. ref_data
-    is the Gram's first reference (see normal_equations_all_bins).
+    ridge RIDGE_SCALE and, given prox_to of their shape, the pull of
+    solve_all_bins: one column per target of `gram`, (K, d, T) like its g.
 
     Forms and solves Z one bin block at a time, once for every target. The
     blocks are the jobs of map_jobs(fn, items), which returns fn's results
@@ -459,7 +456,7 @@ def solve_weights(streams: list[Stream], ref_data: np.ndarray, sigma: np.ndarray
     failing block's in input order, as in a serial run. The weights equal
     a single full-band block's byte for byte.
     """
-    K = ref_data.shape[1]
+    K = gram.g.shape[0]
     d = streams_dim(streams)
     step = max(1, min(SOLVE_BLOCK_BYTES // (16 * d * d * workers),  # 16 bytes per entry
                       -(-K // workers)))
@@ -471,7 +468,9 @@ def solve_weights(streams: list[Stream], ref_data: np.ndarray, sigma: np.ndarray
         bins = slice(k0, min(k0 + step, K))
         Z = buffers.get()
         try:
-            Zb, q = normal_equations_all_bins(streams, ref_data, sigma, gram, bins,
+            # with a Gram the kernel reads no reference; bench/layers.py
+            # reads this one's (N, K) shape
+            Zb, q = normal_equations_all_bins(streams, gram.refs[0], sigma, gram, bins,
                                               out=Z[: bins.stop - k0])
             return solve_all_bins(Zb, q, RIDGE_SCALE,
                                   None if prox_to is None else prox_to[bins],
@@ -563,15 +562,14 @@ class WpeTrace:
 
 @dataclass
 class WpeResult:
-    """A run's estimates, weights and PSD floors per target: an (N, K)
-    estimate, (K, M*filter_order) weights and a float for one target
-    channel; lists of T arrays, (K, M*filter_order, T) weights and a list
-    of T floats for a sequence of them."""
+    """A run's T targets' estimates, one (N, K) array each, their
+    (K, M*filter_order, T) weights and their T PSD floors, in target
+    order."""
 
-    desired: np.ndarray | list[np.ndarray]
+    desired: list[np.ndarray]
     trace: WpeTrace
     weights: np.ndarray
-    psd_floor: float | list[float]
+    psd_floor: list[float]
 
 
 def check_observations(observations: list[np.ndarray]) -> list[np.ndarray]:
@@ -595,11 +593,11 @@ def check_observations(observations: list[np.ndarray]) -> list[np.ndarray]:
     return checked
 
 
-def run_wpe(observations: list[np.ndarray], targets, params: WpeParams,
+def run_wpe(observations: list[np.ndarray], targets: list[int], params: WpeParams,
             workers: int = 1, map_jobs=map) -> WpeResult:
     """Batch WPE over M observation channels, each an (N, K) spectrogram
-    array (see check_observations), of the target channels `targets`: one
-    channel index, or a sequence of T (MIMO WPE).
+    array (see check_observations), of the target channels `targets`, a
+    sequence of T channel indices (MIMO WPE).
 
     Every target is weighted by one PSD (shared_psd), so one Gram and one Z
     per bin block serve them all: each solve has T right-hand sides, and
@@ -613,8 +611,7 @@ def run_wpe(observations: list[np.ndarray], targets, params: WpeParams,
     blocks (see solve_weights).
     """
     observations = check_observations(observations)
-    one = np.ndim(targets) == 0
-    channels = [targets] if one else list(targets)
+    channels = list(targets)
     if not channels:
         raise InvalidInputError("at least one target channel required")
     for channel in channels:
@@ -631,13 +628,10 @@ def run_wpe(observations: list[np.ndarray], targets, params: WpeParams,
     gram = Gram.build(streams, refs)
     for _ in range(params.max_iters):
         sigma = shared_psd(desired, floors)
-        weights = solve_weights(streams, refs[0], sigma, gram, workers=workers,
-                                map_jobs=map_jobs)
+        weights = solve_weights(streams, sigma, gram, workers=workers, map_jobs=map_jobs)
         previous, desired = desired, [ref - predict_all_bins(streams, weights[..., t])
                                       for t, ref in enumerate(refs)]
         if trace.record(previous, desired, sigma, params.convergence_tol):
             break
         del previous  # not held through the next round's solve
-    if one:
-        return WpeResult(desired[0], trace, weights[..., 0], floors[0])
     return WpeResult(desired, trace, weights, floors)

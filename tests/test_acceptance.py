@@ -147,9 +147,9 @@ def test_criterion_6_model_matched_exactness():
         delay=2, filter_order=4, max_iters=5, convergence_tol=0.0,
         psd_floor=0.1 * float(np.mean(np.abs(desired) ** 2)),
     )
-    result = wpe.run_wpe([ref, other], 0, params)
+    result = wpe.run_wpe([ref, other], [0], params)
     before = np.linalg.norm(ref - desired)
-    after = np.linalg.norm(result.desired - desired)
+    after = np.linalg.norm(result.desired[0] - desired)
     reduction_db = 20.0 * np.log10(before / after)
     assert reduction_db >= 20.0
     costs = np.array(result.trace.cost)
@@ -163,10 +163,10 @@ def test_criterion_7_single_node_reduction():
     clean = signals.speech_like(2.0, FS, seed=5)
     spec = dsp.stft(clean, dsp.WindowSpec(), FS).data
     params = wpe.WpeParams(delay=4, filter_order=12, max_iters=6, convergence_tol=1e-6)
-    single = wpe.run_wpe([spec], 0, params)
+    single = wpe.run_wpe([spec], [0], params)
     dist = danse.run_distributed([spec], params, collab_period=2)
     assert single.trace.iterations == dist.nodes[0].trace.iterations
-    assert np.array_equal(single.desired, dist.nodes[0].desired)
+    assert np.array_equal(single.desired[0], dist.nodes[0].desired)
     ok(7, f"M=1 distributed output is elementwise identical to single-channel "
           f"({time.time()-t0:.1f}s)")
 

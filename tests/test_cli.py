@@ -349,6 +349,19 @@ def test_fingerprint_is_stable():
     assert config.fingerprint() == "c510911ca3bf"
 
 
+def test_centralized_fingerprint_covers_the_report_nodes():
+    # a centralized run weights every report node by one shared PSD, so the
+    # report nodes change each estimate; elsewhere a node's estimate is its own
+    def fingerprint(mode, nodes):
+        return RunConfig("scenarios/simulated_12node.json", mode,
+                         report_nodes=nodes).fingerprint()
+
+    assert fingerprint("centralized", (0,)) != fingerprint("centralized", (0, 3, 6))
+    assert fingerprint("centralized", (0, 3, 6)) != fingerprint("centralized", (6, 3, 0))
+    for mode in ("single", "distributed"):
+        assert fingerprint(mode, (0,)) == fingerprint(mode, (0, 3, 6))
+
+
 def test_dereverb_deterministic(simulated, tmp_path):
     outs = []
     for label in ("r1", "r2"):
@@ -553,10 +566,9 @@ def test_dereverb_bad_reference_is_config_error(simulated, tmp_path, capsys):
     assert "reference 7 out of range" in capsys.readouterr().err
 
 
-def test_evaluate_identity_estimate_hits_metric_bounds(tmp_path):
-    # hand-built run whose estimates equal the references exactly
-    fs = 16000
-    clean = speech_like(1.0, fs, seed=9)
+def identity_run(tmp_path, fs: int, clean: np.ndarray) -> list[str]:
+    """The evaluate arguments of a hand-built one-node run at fs whose
+    estimate equals its reference exactly."""
     simdir = tmp_path / "sim"
     simdir.mkdir()
     taps = np.zeros(512)
@@ -584,15 +596,26 @@ def test_evaluate_identity_estimate_hits_metric_bounds(tmp_path):
         "fingerprint": "test", "estimates": {"0": "estimate_node00.wav"},
     }
     (rundir / "run.json").write_text(json.dumps(run_info))
+    return ["evaluate", "--manifest", str(simdir / "manifest.json"),
+            "--run", str(rundir / "run.json"), "--outdir", str(tmp_path / "eval")]
+
+
+def test_evaluate_identity_estimate_hits_metric_bounds(tmp_path):
+    assert main(identity_run(tmp_path, 16000, speech_like(1.0, 16000, seed=9))) == 0
     outdir = tmp_path / "eval"
-    rc = main(["evaluate", "--manifest", str(simdir / "manifest.json"),
-               "--run", str(rundir / "run.json"), "--outdir", str(outdir)])
-    assert rc == 0
     with open(outdir / "metrics.csv") as fh:
         rows = {(r["mode"], r["node"]): r for r in csv.DictReader(fh)}
     est_row = rows[("distributed", "0")]
     assert float(est_row["cd"]) == pytest.approx(0.0, abs=1e-7)
     assert float(est_row["fsnr"]) == pytest.approx(35.0)
+
+
+def test_evaluate_rate_without_metric_hop_is_input_error(tmp_path, capsys):
+    # at 40 Hz the 10 ms metric hop rounds to no sample; framing divided by zero
+    clean = np.random.default_rng(0).standard_normal(4800)
+    assert main(identity_run(tmp_path, 40, clean)) == 2
+    assert "node 0 observation: the 0.01 s metric hop has no sample at 40 Hz" in (
+        capsys.readouterr().err)
 
 
 def test_report_closed_form_tables(tmp_path):

@@ -168,11 +168,11 @@ def test_local_solve_single_node_reduces_to_centralized(rng):
     node = nodes[0]
     node_round(node, 1, collab_period=2)
     assert node.weights.shape == (BINS, 3)
-    result = run_wpe(specs, 0, WpeParams(delay=2, filter_order=3, max_iters=1,
-                                         convergence_tol=0.0,
-                                         psd_floor=node.psd_floor))
-    np.testing.assert_array_equal(node.weights, result.weights)
-    np.testing.assert_array_equal(node.desired, result.desired)
+    result = run_wpe(specs, [0], WpeParams(delay=2, filter_order=3, max_iters=1,
+                                           convergence_tol=0.0,
+                                           psd_floor=node.psd_floor))
+    np.testing.assert_array_equal(node.weights, result.weights[..., 0])
+    np.testing.assert_array_equal(node.desired, result.desired[0])
 
 
 def test_local_solve_matches_double_loop_oracle(rng, monkeypatch):
@@ -203,10 +203,10 @@ def test_local_solve_sigma_scale_invariance(rng):
     g = rng.standard_normal((BINS, 3)) + 1j * rng.standard_normal((BINS, 3))
     node.receive({1: compress_all_frames(specs[1], g, params)})
     sigma = np.abs(rng.standard_normal((10, BINS))) + 0.3
-    gram = Gram.build(node.streams(), specs[0])
+    gram = Gram.build(node.streams(), [specs[0]])
 
     def solve(scale):
-        return solve_weights(node.streams(), specs[0], scale * sigma, gram)
+        return solve_weights(node.streams(), scale * sigma, gram)
 
     np.testing.assert_allclose(solve(1.0), solve(4.0), rtol=1e-9)
 
@@ -244,10 +244,11 @@ def test_all_zero_inbox_degenerates_to_local_weights(rng, monkeypatch):
     node.receive({1: np.zeros_like(specs[0])})
     node_round(node, 1, collab_period=2)
     np.testing.assert_allclose(node.weights[:, 3:], 0, atol=1e-20)
-    single = run_wpe([specs[0]], 0, WpeParams(delay=2, filter_order=3, max_iters=1,
-                                              convergence_tol=0.0,
-                                              psd_floor=node.psd_floor))
-    np.testing.assert_allclose(node.weights[:, :3], single.weights, rtol=1e-5, atol=1e-9)
+    single = run_wpe([specs[0]], [0], WpeParams(delay=2, filter_order=3, max_iters=1,
+                                                convergence_tol=0.0,
+                                                psd_floor=node.psd_floor))
+    np.testing.assert_allclose(node.weights[:, :3], single.weights[..., 0], rtol=1e-5,
+                               atol=1e-9)
 
 
 def test_node_round_damped_update(rng, monkeypatch):
@@ -266,8 +267,8 @@ def test_node_round_damped_update(rng, monkeypatch):
         if r == 2:  # widened once, with zero cross weights
             w_prev = np.pad(w_prev, ((0, 0), (0, 1)))
         psd = update_psd(node.desired, node.psd_floor)
-        solved = solve_weights(node.streams(), specs[0], psd.values,
-                               Gram.build(node.streams(), specs[0]), w_prev)
+        solved = solve_weights(node.streams(), psd.values,
+                               Gram.build(node.streams(), [specs[0]]), w_prev[..., None])[..., 0]
         mu = 0.5 ** (r - 1)
         node_round(node, r, collab_period=2)
         assert not np.allclose(solved, w_prev)
@@ -329,9 +330,9 @@ def test_stale_inbox_fixed_point(rng, monkeypatch):
 def test_run_distributed_m1_identical_to_single(rng):
     spec = random_spec(rng, frames=30)
     params = WpeParams(delay=2, filter_order=3, max_iters=5, convergence_tol=1e-7)
-    single = run_wpe([spec], 0, params)
+    single = run_wpe([spec], [0], params)
     dist = run_distributed([spec], params, collab_period=2)
-    np.testing.assert_array_equal(single.desired, dist.nodes[0].desired)
+    np.testing.assert_array_equal(single.desired[0], dist.nodes[0].desired)
     assert dist.nodes[0].trace == single.trace
 
 
@@ -408,9 +409,9 @@ def test_silent_observation_gives_silent_output(rng):
     silent = np.zeros((16, BINS), dtype=complex)
     for tol in (1e-4, 0.0):
         params = WpeParams(delay=2, filter_order=3, max_iters=4, convergence_tol=tol)
-        single = run_wpe([silent], 0, params)
+        single = run_wpe([silent], [0], params)
         assert single.trace.converged and single.trace.iterations == 1
-        assert np.all(single.desired == 0)
+        assert np.all(single.desired[0] == 0)
         alone = run_distributed([silent], params, collab_period=2).nodes[0]
         assert alone.trace.converged and alone.trace.iterations == 1
         assert alone.trace == single.trace
@@ -463,10 +464,10 @@ def test_node_error_propagates_and_no_worker_outlives_the_run(rng, monkeypatch):
     monkeypatch.setattr(netsim, "worker_count", lambda num_nodes: 3)
     solve = danse.solve_weights
 
-    def failing_at_node_2(streams, data, *args):
-        if data is specs[2]:
+    def failing_at_node_2(streams, sigma, gram, *args):
+        if gram.refs[0] is specs[2]:
             raise SolverError("singular system at bin 0")
-        return solve(streams, data, *args)
+        return solve(streams, sigma, gram, *args)
 
     before = threading.active_count()
     run_distributed(specs, params, collab_period=2)

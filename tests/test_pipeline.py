@@ -259,8 +259,10 @@ def test_score_equals_each_pairs_metrics(clean, rirs, observations, single_resul
         pairs = []
         for signal in (observation, estimate):
             n = min(reference.size, signal.size)
-            pairs.append((metrics.cepstral_distance(reference[:n], signal[:n], 16000),
-                          metrics.fw_segmental_snr(reference[:n], signal[:n], 16000)))
+            pairs.append((metrics.cepstral_distance(metrics.Reference(reference[:n], 16000),
+                                                    signal[:n]),
+                          metrics.fw_segmental_snr(metrics.Reference(reference[:n], 16000),
+                                                   signal[:n])))
         expected[node] = tuple(pairs)
     scores = score(clean, rirs, observations, single_result.estimates, single_result.lags)
     assert list(scores) == [0, 1, 2]

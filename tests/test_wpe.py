@@ -213,7 +213,7 @@ def test_accumulate_rank_one_basis():
     expected_Z = np.zeros((3, 3))
     expected_Z[0, 0] = 1.0
     np.testing.assert_allclose(Z[0], expected_Z)
-    np.testing.assert_allclose(q[0], [2 - 1j, 0, 0])
+    np.testing.assert_allclose(q[0, :, 0], [2 - 1j, 0, 0])
 
 
 def test_accumulate_sigma_scaling(rng):
@@ -236,7 +236,7 @@ def test_accumulate_matches_double_loop(rng):
         Z_ref, q_ref = normal_equations_direct(stacked_by_loop(streams, k),
                                                ref[:, k], sigma[:, k])
         np.testing.assert_allclose(Z[k], Z_ref, rtol=1e-12)
-        np.testing.assert_allclose(q[k], q_ref, rtol=1e-12)
+        np.testing.assert_allclose(q[k, :, 0], q_ref, rtol=1e-12)
         # Hermitian by construction
         np.testing.assert_allclose(Z[k], Z[k].conj().T, rtol=1e-12)
 
@@ -259,7 +259,7 @@ def worst_relative_error(streams, ref, sigma, bins):
                                                ref[:, k], sigma[:, k])
         worst = max(worst,
                     np.linalg.norm(Z[k] - Z_ref) / np.linalg.norm(Z_ref),
-                    np.linalg.norm(q[k] - q_ref) / np.linalg.norm(q_ref))
+                    np.linalg.norm(q[k, :, 0] - q_ref) / np.linalg.norm(q_ref))
     return worst
 
 
@@ -299,7 +299,7 @@ def test_split_kernel_matches_oracle_on_shipped_room(shipped_scenario):
 def test_split_kernel_reuses_gram_for_same_arrays(rng):
     # one Gram serves every PSD of its streams and reference
     streams, ref = random_streams(rng, 30, 4)
-    gram = Gram.build(streams, ref)
+    gram = Gram.build(streams, [ref])
     sigma = np.maximum(np.abs(ref) ** 2, 0.5)
     for scale in (1.0, 2.0):
         Z, q = normal_equations_all_bins(streams, ref, scale * sigma, gram)
@@ -318,15 +318,15 @@ def test_gram_of_T_targets_is_each_targets_one_target_gram(rng):
     assert gram.g.shape == (4, 4, 3) and len(gram.refs) == 3
     Z, q = normal_equations_all_bins(streams, ref, sigma, gram)
     for t, target in enumerate(refs):
-        alone = Gram.build(streams, target)
-        assert alone.g.shape == (4, 4)
+        alone = Gram.build(streams, [target])
+        assert alone.g.shape == (4, 4, 1)
         for name in ("cols", "last"):
             assert getattr(gram, name).tobytes() == getattr(alone, name).tobytes()
-        np.testing.assert_array_equal(gram.g[..., t], alone.g)
+        np.testing.assert_array_equal(gram.g[..., t], alone.g[..., 0])
         Z_alone, q_alone = normal_equations_all_bins(streams, target, sigma, alone)
         np.testing.assert_array_equal(Z, Z_alone)
         # the unfloored cells' correction is one product for all columns
-        np.testing.assert_allclose(q[..., t], q_alone, rtol=1e-13)
+        np.testing.assert_allclose(q[..., t], q_alone[..., 0], rtol=1e-13)
 
 
 def test_mimo_weights_match_the_per_element_shared_psd_solve(rng, monkeypatch):
@@ -354,19 +354,9 @@ def test_mimo_weights_match_the_per_element_shared_psd_solve(rng, monkeypatch):
                                        rtol=1e-10, atol=1e-12)
 
 
-def test_one_target_in_a_sequence_is_the_one_target_run(rng):
-    specs = [random_spectrogram(rng, 40, 5) for _ in range(3)]
-    params = WpeParams(delay=2, filter_order=2, max_iters=3)
-    alone = run_wpe(specs, 1, params)
-    listed = run_wpe(specs, [1], params)
-    assert listed.desired[0].tobytes() == alone.desired.tobytes()
-    assert listed.weights[..., 0].tobytes() == alone.weights.tobytes()
-    assert listed.trace == alone.trace and listed.psd_floor == [alone.psd_floor]
-
-
 def test_gram_arrays_reject_writes(rng):
     streams, ref = random_streams(rng, 30, 4)
-    gram = Gram.build(streams, ref)
+    gram = Gram.build(streams, [ref])
     for array in (gram.cols, gram.last, gram.g):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
@@ -376,7 +366,7 @@ def test_gram_arrays_reject_writes(rng):
 
 def test_one_gram_read_by_two_threads_gives_the_serial_bytes(rng):
     streams, ref = random_streams(rng, 200, 33)
-    gram = Gram.build(streams, ref)
+    gram = Gram.build(streams, [ref])
     sigmas = [np.maximum(np.abs(ref) ** 2, floor) for floor in (0.5, 1.0, 2.0, 4.0)]
     serial = [normal_equations_all_bins(streams, ref, sigma, gram) for sigma in sigmas]
     start = threading.Barrier(2)
@@ -410,7 +400,7 @@ def test_shift_built_gram_matches_direct(rng, frames, shape):
     K = 5
     streams = [(rng.standard_normal((frames, K)) + 1j * rng.standard_normal((frames, K)),
                 order, delay) for order, delay in shape]
-    gram = Gram.build(streams, streams[0][0])
+    gram = Gram.build(streams, [streams[0][0]])
     C = gram.expand(slice(0, K))
     C_scaled = gram.expand(slice(0, K), 3.0)
     out = np.full_like(C, np.nan)  # every entry must be written
@@ -454,19 +444,19 @@ def test_blocked_solve_equals_one_block(rng, monkeypatch, prox_scale):
     monkeypatch.setattr(wpe, "PROX_SCALE", prox_scale)
     streams, ref, sigma = blocked_system(rng, 11, 48)
     sigma *= 1.0 + np.arange(11)  # only the first block holds min(sigma)
-    prox_to = rng.standard_normal((11, 48)) + 1j * rng.standard_normal((11, 48))
-    gram = Gram.build(streams, ref)
-    full = solve_weights(streams, ref, sigma, gram, prox_to)
+    prox_to = rng.standard_normal((11, 48, 1)) + 1j * rng.standard_normal((11, 48, 1))
+    gram = Gram.build(streams, [ref])
+    full = solve_weights(streams, sigma, gram, prox_to)
     Z, q = normal_equations_all_bins(streams, ref, sigma, gram)
     assert Z.shape[0] == 11  # the default budget holds every bin at once
     np.testing.assert_array_equal(full, solve_all_bins(Z, q, wpe.RIDGE_SCALE, prox_to))
     # 3 bins per block, the last one short
     monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 3 * 16 * 48 * 48)
-    blocked = solve_weights(streams, ref, sigma, gram, prox_to)
+    blocked = solve_weights(streams, sigma, gram, prox_to)
     np.testing.assert_array_equal(blocked, full)
     # two workers: blocks of 1 bin (half the budget), mapped on the pool
     map_jobs, threads = pool_of_two(monkeypatch)
-    pooled = solve_weights(streams, ref, sigma, gram, prox_to,
+    pooled = solve_weights(streams, sigma, gram, prox_to,
                            workers=2, map_jobs=map_jobs)
     np.testing.assert_array_equal(pooled, full)
     assert threading.get_ident() not in threads
@@ -474,7 +464,7 @@ def test_blocked_solve_equals_one_block(rng, monkeypatch, prox_scale):
 
 def test_block_workers_reuse_one_Z_buffer_each(rng, monkeypatch):
     streams, ref, sigma = blocked_system(rng, 12, 48)
-    gram = Gram.build(streams, ref)
+    gram = Gram.build(streams, [ref])
     buffers = set()
     normal_equations = wpe.normal_equations_all_bins
 
@@ -485,19 +475,19 @@ def test_block_workers_reuse_one_Z_buffer_each(rng, monkeypatch):
     monkeypatch.setattr(wpe, "normal_equations_all_bins", recording)
     monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 4 * 16 * 48 * 48)
     map_jobs, _ = pool_of_two(monkeypatch)
-    solve_weights(streams, ref, sigma, gram, workers=2, map_jobs=map_jobs)
+    solve_weights(streams, sigma, gram, workers=2, map_jobs=map_jobs)
     assert len(buffers) == 2  # six 2-bin blocks in one buffer per worker
 
 
 def test_blocked_solve_allocates_less_than_half_of_Z(rng, monkeypatch):
     K, d = 64, 96
     streams, ref, sigma = blocked_system(rng, K, d)
-    gram = Gram.build(streams, ref)
+    gram = Gram.build(streams, [ref])
     monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 4 * 16 * d * d)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        solve_weights(streams, ref, sigma, gram)
+        solve_weights(streams, sigma, gram)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -508,8 +498,8 @@ def test_block_workers_never_share_a_Z_buffer_under_thread_stress(rng, monkeypat
     # 3 buffers for 8 threads and 24 one-bin blocks, switching threads often:
     # a buffer two blocks filled at once would change their weights
     streams, ref, sigma = blocked_system(rng, 24, 48, frames=60)
-    gram = Gram.build(streams, ref)
-    serial = solve_weights(streams, ref, sigma, gram)
+    gram = Gram.build(streams, [ref])
+    serial = solve_weights(streams, sigma, gram)
     monkeypatch.setattr(wpe, "SOLVE_BLOCK_BYTES", 3 * 16 * 48 * 48)
 
     def map_jobs(fn, items):
@@ -520,7 +510,7 @@ def test_block_workers_never_share_a_Z_buffer_under_thread_stress(rng, monkeypat
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            pooled = solve_weights(streams, ref, sigma, gram, workers=3,
+            pooled = solve_weights(streams, sigma, gram, workers=3,
                                    map_jobs=map_jobs)
             np.testing.assert_array_equal(pooled, serial)
     finally:
@@ -530,7 +520,7 @@ def test_block_workers_never_share_a_Z_buffer_under_thread_stress(rng, monkeypat
 def test_blocked_solve_names_the_full_band_bin(rng, monkeypatch):
     streams, ref, _ = blocked_system(rng, 6, 24)
     sigma = np.ones(ref.shape)  # all floored: Z = C
-    gram = Gram.build(streams, ref)
+    gram = Gram.build(streams, [ref])
     # all-ones lag-0 columns and a zero last frame expand to an all-ones
     # Gram: rank one with a nonzero trace. Bins 4 and 5, in the second
     # half of the band, are singular
@@ -545,7 +535,7 @@ def test_blocked_solve_names_the_full_band_bin(rng, monkeypatch):
     map_jobs, _ = pool_of_two(monkeypatch)
     for workers in (1, 2):
         with pytest.raises(SolverError, match="bin 4 "):
-            solve_weights(streams, ref, sigma, gram, workers=workers, map_jobs=map_jobs)
+            solve_weights(streams, sigma, gram, workers=workers, map_jobs=map_jobs)
 
 
 @pytest.mark.parametrize("bins", [slice(0, 9), slice(3, 8)])
@@ -555,7 +545,7 @@ def test_grouped_cell_gather_equals_one_group(rng, monkeypatch, bins):
     sigma = np.where(rng.random((60, 9)) < np.linspace(0.1, 0.9, 9),
                      1.0 + rng.random((60, 9)), 1.0)
     sigma[:, 5] = 1.0
-    gram = Gram.build(streams, ref)
+    gram = Gram.build(streams, [ref])
     monkeypatch.setattr(wpe, "GATHER_BYTES", 16 * 48 * 60 * 9)
     Z, q = normal_equations_all_bins(streams, ref, sigma, gram, bins)
     gathered = []
@@ -583,7 +573,7 @@ def test_cell_gather_transient_stays_within_its_budget(rng, monkeypatch):
     K, d, frames = 32, 96, 400
     streams, ref, _ = blocked_system(rng, K, d, frames=frames)
     sigma = 1.0 + rng.random((frames, K))
-    gram = Gram.build(streams, ref)
+    gram = Gram.build(streams, [ref])
     out = np.empty((K, d, d), dtype=np.complex128)
     budget = 16 * d * 4 * frames  # four bins' cells
     peaks = []
@@ -604,7 +594,7 @@ def test_cell_gather_transient_stays_within_its_budget(rng, monkeypatch):
 def test_gram_holds_less_than_a_quarter_of_C(rng):
     K, d = 64, 96
     streams, ref, _ = blocked_system(rng, K, d)
-    gram = Gram.build(streams, ref)
+    gram = Gram.build(streams, [ref])
     held = gram.cols.nbytes + gram.last.nbytes + gram.g.nbytes
     assert held < K * d * d * 16 / 4
 
@@ -612,7 +602,7 @@ def test_gram_holds_less_than_a_quarter_of_C(rng):
 def test_gram_keeps_no_stream_alive(rng):
     streams, ref = random_streams(rng, 30, 4)
     other = streams[1][0].copy()
-    gram = Gram.build([streams[0], (other, 1, 0)], ref)
+    gram = Gram.build([streams[0], (other, 1, 0)], [ref])
     dead = weakref.ref(other)
     del other
     assert dead() is None and gram.orders == (3, 1)
@@ -644,7 +634,7 @@ def test_gram_stacking_stays_within_its_block_budget(rng, monkeypatch, d):
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            grams.append(Gram.build(streams, ref))
+            grams.append(Gram.build(streams, [ref]))
             held, peak = tracemalloc.get_traced_memory()
             peaks.append(peak - held)
         finally:
@@ -759,8 +749,8 @@ def test_run_wpe_anechoic_passthrough(rng):
     x = rng.standard_normal(2000)
     spec = stft(x, window).data
     params = WpeParams(delay=3, filter_order=3, max_iters=4, convergence_tol=1e-8)
-    result = run_wpe([spec], 0, params)
-    rel = np.linalg.norm(result.desired - spec) / np.linalg.norm(spec)
+    result = run_wpe([spec], [0], params)
+    rel = np.linalg.norm(result.desired[0] - spec) / np.linalg.norm(spec)
     assert rel < 0.25
     assert np.linalg.norm(result.weights) < 1.0
 
@@ -769,16 +759,16 @@ def test_run_wpe_model_matched_two_channel(rng):
     ref, other, desired = make_reverb_pair(rng, frames=600)
     params = WpeParams(delay=2, filter_order=3, max_iters=5, convergence_tol=0.0,
                        psd_floor=0.1 * float(np.mean(np.abs(desired) ** 2)))
-    result = run_wpe([ref, other], 0, params)
+    result = run_wpe([ref, other], [0], params)
     before = np.linalg.norm(ref - desired)
-    after = np.linalg.norm(result.desired - desired)
+    after = np.linalg.norm(result.desired[0] - desired)
     assert 20 * np.log10(before / after) >= 10.0
 
 
 def test_run_wpe_cost_non_increasing(rng):
     ref, other, _ = make_reverb_pair(rng, frames=400)
     params = WpeParams(delay=2, filter_order=3, max_iters=6, convergence_tol=0.0)
-    result = run_wpe([ref, other], 0, params)
+    result = run_wpe([ref, other], [0], params)
     costs = np.array(result.trace.cost)
     assert np.all(np.diff(costs) <= 1e-6 * np.abs(costs[:-1]))
 
@@ -786,8 +776,8 @@ def test_run_wpe_cost_non_increasing(rng):
 def test_run_wpe_deterministic(rng):
     ref, other, _ = make_reverb_pair(rng, frames=200)
     params = WpeParams(delay=2, filter_order=3, max_iters=3, convergence_tol=0.0)
-    w1 = run_wpe([ref, other], 0, params).weights
-    w2 = run_wpe([ref, other], 0, params).weights
+    w1 = run_wpe([ref, other], [0], params).weights
+    w2 = run_wpe([ref, other], [0], params).weights
     np.testing.assert_array_equal(w1, w2)
 
 
@@ -797,15 +787,16 @@ def test_run_wpe_wls_optimality(rng):
     # floored reference power)
     ref, other, _ = make_reverb_pair(rng, frames=300)
     params = WpeParams(delay=2, filter_order=3, max_iters=1, convergence_tol=0.0)
-    result = run_wpe([ref, other], 0, params)
-    sigma = update_psd(ref, result.psd_floor).values
+    result = run_wpe([ref, other], [0], params)
+    sigma = update_psd(ref, result.psd_floor[0]).values
     streams = [(ref, 3, 2), (other, 3, 2)]
-    base_cost = float(np.sum(np.abs(ref - predict_all_bins(streams, result.weights)) ** 2 / sigma))
+    weights = result.weights[..., 0]
+    base_cost = float(np.sum(np.abs(ref - predict_all_bins(streams, weights)) ** 2 / sigma))
     worst = 0.0
     for _ in range(5):
-        delta = 1e-4 * (rng.standard_normal(result.weights.shape)
-                        + 1j * rng.standard_normal(result.weights.shape))
-        cost = float(np.sum(np.abs(ref - predict_all_bins(streams, result.weights + delta)) ** 2 / sigma))
+        delta = 1e-4 * (rng.standard_normal(weights.shape)
+                        + 1j * rng.standard_normal(weights.shape))
+        cost = float(np.sum(np.abs(ref - predict_all_bins(streams, weights + delta)) ** 2 / sigma))
         worst = min(worst, cost - base_cost)
     assert worst >= -1e-6 * base_cost
 
@@ -813,16 +804,16 @@ def test_run_wpe_wls_optimality(rng):
 def test_run_wpe_validates_inputs(rng):
     spec = random_spectrogram(rng)
     with pytest.raises(InvalidInputError):
-        run_wpe([], 0, WpeParams())
+        run_wpe([], [0], WpeParams())
     with pytest.raises(InvalidInputError):
-        run_wpe([spec], 3, WpeParams())
+        run_wpe([spec], [3], WpeParams())
     with pytest.raises(InvalidInputError, match="target channel 3 out of range"):
         run_wpe([spec, spec], (1, 3), WpeParams())
     with pytest.raises(InvalidInputError, match="at least one target"):
         run_wpe([spec], (), WpeParams())
     other = random_spectrogram(rng, frames=11)
     with pytest.raises(InvalidInputError):
-        run_wpe([spec, other], 0, WpeParams())
+        run_wpe([spec, other], [0], WpeParams())
 
 
 @pytest.mark.parametrize("bad, message", [
